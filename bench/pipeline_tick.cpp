@@ -61,11 +61,10 @@ void Check(bool ok, const std::string& what) {
   }
 }
 
+// The nearest-rank rule timing, obs and the perf ledger use.
 double Percentile(std::vector<double>* samples, double p) {
   std::sort(samples->begin(), samples->end());
-  const std::size_t idx = static_cast<std::size_t>(
-      p * static_cast<double>(samples->size() - 1) + 0.5);
-  return (*samples)[idx];
+  return certkit::timing::NearestRankQuantile(*samples, p);
 }
 
 // Same rationale as the tickperf harness: ExecutionTimer::Record runs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "support/check.h"
 
@@ -12,36 +11,45 @@ namespace {
 
 std::atomic<bool> g_probes_enabled{true};
 
+std::atomic<std::uint64_t> g_next_unit_index{0};
 
-// Per-thread condition accumulation: (unit, decision) -> bitmask of
-// condition values recorded since the decision was last committed.
-struct PendingKey {
-  const Unit* unit;
-  int decision;
-  bool operator==(const PendingKey& o) const {
-    return unit == o.unit && decision == o.decision;
-  }
-};
-struct PendingKeyHash {
-  std::size_t operator()(const PendingKey& k) const {
-    return std::hash<const void*>()(k.unit) ^
-           (std::hash<int>()(k.decision) * 1000003u);
-  }
-};
-
-// Pending condition masks, keyed by (unit, decision). Entries are zeroed on
-// Dec, NOT erased: erase + re-insert cost one heap node per decision
-// evaluation, which put an allocation inside every probed hot loop (the
-// steady-state tick discipline forbids that, and the tickperf test counts
-// it). The map plateaus at one node per (unit, decision) a thread ever
-// evaluates — bounded by the declared probe set.
-thread_local std::unordered_map<PendingKey, std::uint64_t, PendingKeyHash>
-    t_pending;
+// The calling thread's probe epoch. ThreadCapture construction and Take()
+// advance it, which ends every seen-before bitmap of this thread at once.
+thread_local std::uint64_t t_epoch = 1;
 
 // The calling thread's active probe capture (nullptr when none).
 thread_local ThreadCapture* t_capture = nullptr;
 
+// Vectors whose mask fits in this many bits pass the seen-before filter,
+// one bit each in a 64-bit word per decision. Every decision certkit
+// declares has at most three conditions; wider vectors always publish.
+constexpr int kFilteredConditions = 5;
+
+bool TestBit(const std::vector<std::uint64_t>& words, std::size_t i) {
+  const std::size_t w = i / 64;
+  return w < words.size() && ((words[w] >> (i % 64)) & 1U) != 0;
+}
+
+void SetBit(std::vector<std::uint64_t>* words, std::size_t i) {
+  const std::size_t w = i / 64;
+  if (w >= words->size()) words->resize(w + 1, 0);
+  (*words)[w] |= 1ULL << (i % 64);
+}
+
 }  // namespace
+
+// One unit's probe state on one thread; only that thread touches it. The
+// vectors grow to the highest id the thread fires and are then reused, so
+// a warm thread probes without allocating.
+struct Unit::ThreadSlots {
+  std::uint64_t epoch = 0;   // t_epoch the seen bits belong to
+  std::uint64_t resets = 0;  // Unit::resets_ they belong to
+  // Condition bits recorded by Cond since the decision's last Dec.
+  std::vector<std::uint64_t> pending;
+  // Seen-before bitmaps: (mask, outcome) at bit decision*64 + mask*2 +
+  // outcome, and statement, function and call ids.
+  std::vector<std::uint64_t> vectors, stmts, functions, calls;
+};
 
 std::int64_t McdcDemonstrated(
     int num_conditions,
@@ -99,7 +107,29 @@ bool ProbesEnabled() {
   return g_probes_enabled.load(std::memory_order_relaxed);
 }
 
-Unit::Unit(std::string name) : name_(std::move(name)) {}
+Unit::Unit(std::string name)
+    : name_(std::move(name)),
+      index_(g_next_unit_index.fetch_add(1, std::memory_order_relaxed)) {}
+
+Unit::ThreadSlots& Unit::Local() const {
+  // This thread's slots for every unit it has probed, by unit index.
+  thread_local std::vector<std::unique_ptr<ThreadSlots>> by_unit;
+  if (index_ >= by_unit.size()) by_unit.resize(index_ + 1);
+  std::unique_ptr<ThreadSlots>& slots = by_unit[index_];
+  if (slots == nullptr) slots = std::make_unique<ThreadSlots>();
+  const std::uint64_t resets = resets_.load(std::memory_order_acquire);
+  if (slots->epoch != t_epoch || slots->resets != resets) {
+    // A new epoch: every fact is a first sighting again. Pending condition
+    // bits belong to evaluations in flight and stay.
+    slots->epoch = t_epoch;
+    slots->resets = resets;
+    for (std::vector<std::uint64_t>* bits :
+         {&slots->vectors, &slots->stmts, &slots->functions, &slots->calls}) {
+      std::fill(bits->begin(), bits->end(), 0);
+    }
+  }
+  return *slots;
+}
 
 void Unit::DeclareStatements(int n) {
   CERTKIT_CHECK(n >= 0);
@@ -133,9 +163,12 @@ void Unit::Stmt(int id) {
   CERTKIT_CHECK_MSG(id >= 0 && id < declared_statements_,
                     "statement probe " << id << " out of range in unit "
                                        << name_);
-  stmt_hits_[static_cast<std::size_t>(id)].fetch_add(
-      1, std::memory_order_relaxed);
+  ThreadSlots& slots = Local();
+  const auto bit = static_cast<std::size_t>(id);
+  if (TestBit(slots.stmts, bit)) return;
+  stmt_hits_[bit].fetch_add(1, std::memory_order_relaxed);
   if (t_capture != nullptr) t_capture->captured_[this].stmts.insert(id);
+  SetBit(&slots.stmts, bit);
 }
 
 bool Unit::Cond(int decision_id, int index, bool value) {
@@ -143,11 +176,13 @@ bool Unit::Cond(int decision_id, int index, bool value) {
   CERTKIT_CHECK(decision_id >= 0 &&
                 decision_id < static_cast<int>(decisions_.size()));
   CERTKIT_CHECK(index >= 0 && index < 64);
-  auto& mask = t_pending[PendingKey{this, decision_id}];
+  std::vector<std::uint64_t>& pending = Local().pending;
+  const auto d = static_cast<std::size_t>(decision_id);
+  if (d >= pending.size()) pending.resize(d + 1, 0);
   if (value) {
-    mask |= (1ULL << index);
+    pending[d] |= (1ULL << index);
   } else {
-    mask &= ~(1ULL << index);
+    pending[d] &= ~(1ULL << index);
   }
   return value;
 }
@@ -156,11 +191,25 @@ bool Unit::Dec(int decision_id, bool outcome) {
   if (!ProbesEnabled()) return outcome;
   CERTKIT_CHECK(decision_id >= 0 &&
                 decision_id < static_cast<int>(decisions_.size()));
+  ThreadSlots& slots = Local();
+  const auto d = static_cast<std::size_t>(decision_id);
   std::uint64_t mask = 0;
-  auto it = t_pending.find(PendingKey{this, decision_id});
-  if (it != t_pending.end()) {
-    mask = it->second;
-    it->second = 0;  // keep the node: see t_pending's comment
+  if (d < slots.pending.size()) {
+    mask = slots.pending[d];
+    slots.pending[d] = 0;
+  }
+  Publish(slots, decision_id, mask, outcome);
+  return outcome;
+}
+
+void Unit::Publish(ThreadSlots& slots, int decision_id, std::uint64_t mask,
+                   bool outcome) {
+  const bool filtered = (mask >> kFilteredConditions) == 0;
+  std::size_t bit = 0;
+  if (filtered) {
+    bit = static_cast<std::size_t>(decision_id) * 64 +
+          static_cast<std::size_t>(mask) * 2 + (outcome ? 1 : 0);
+    if (TestBit(slots.vectors, bit)) return;
   }
   int num_conditions = 0;
   {
@@ -184,7 +233,7 @@ bool Unit::Dec(int decision_id, bool outcome) {
     }
     dec.vectors.insert({mask, outcome});
   }
-  return outcome;
+  if (filtered) SetBit(&slots.vectors, bit);
 }
 
 bool Unit::Branch(int decision_id, bool outcome) {
@@ -200,9 +249,15 @@ int Unit::DeclareFunctionProbe(std::string name) {
 
 void Unit::EnterFunction(int id) {
   if (!ProbesEnabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  CERTKIT_CHECK(id >= 0 && id < static_cast<int>(functions_.size()));
-  functions_[static_cast<std::size_t>(id)].hit = true;
+  ThreadSlots& slots = Local();
+  const auto bit = static_cast<std::size_t>(id);
+  if (TestBit(slots.functions, bit)) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    CERTKIT_CHECK(id >= 0 && id < static_cast<int>(functions_.size()));
+    functions_[bit].hit = true;
+  }
+  SetBit(&slots.functions, bit);
 }
 
 int Unit::DeclareCallProbe(std::string caller, std::string callee) {
@@ -214,9 +269,15 @@ int Unit::DeclareCallProbe(std::string caller, std::string callee) {
 
 void Unit::CallSite(int id) {
   if (!ProbesEnabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  CERTKIT_CHECK(id >= 0 && id < static_cast<int>(calls_.size()));
-  calls_[static_cast<std::size_t>(id)].hit = true;
+  ThreadSlots& slots = Local();
+  const auto bit = static_cast<std::size_t>(id);
+  if (TestBit(slots.calls, bit)) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    CERTKIT_CHECK(id >= 0 && id < static_cast<int>(calls_.size()));
+    calls_[bit].hit = true;
+  }
+  SetBit(&slots.calls, bit);
 }
 
 double Unit::FunctionCoverage() const {
@@ -349,6 +410,7 @@ void Unit::Reset() {
   }
   for (auto& f : functions_) f.hit = false;
   for (auto& c : calls_) c.hit = false;
+  resets_.fetch_add(1, std::memory_order_release);
 }
 
 Registry& Registry::Instance() {
@@ -441,6 +503,7 @@ ThreadCapture::ThreadCapture() {
   CERTKIT_CHECK_MSG(t_capture == nullptr,
                     "nested ThreadCapture on the same thread");
   t_capture = this;
+  ++t_epoch;  // facts this thread saw before must reach the capture too
 }
 
 ThreadCapture::~ThreadCapture() {
@@ -455,6 +518,7 @@ CoverSet ThreadCapture::Take() {
     out[unit->name()] = std::move(cover);
   }
   captured_.clear();
+  ++t_epoch;
   return out;
 }
 

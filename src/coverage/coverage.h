@@ -16,8 +16,15 @@
 // source-level instrumentation and is documented in DESIGN.md.
 //
 // Thread safety: probes may fire concurrently (the GPU-on-CPU layer runs
-// kernels on a thread pool). Statement hits are atomic; decision-vector
-// recording takes a per-unit mutex.
+// kernels on a thread pool). Each thread keeps dense slots per unit, indexed
+// by the unit's process-unique index and the probe id: pending condition
+// bits per decision, and a seen-before bitmap over statements, functions,
+// calls and (mask, outcome) vectors. A repeat probe is a thread-local bit
+// test; only a first sighting publishes, statement hits by atomic increment,
+// vectors and function/call hits under the per-unit mutex, and into the
+// thread's active ThreadCapture. The bitmap holds for one epoch, which
+// Unit::Reset, ThreadCapture construction and ThreadCapture::Take restart.
+// Hot loops record per loop instead of per element (coverage/loop_probe.h).
 #ifndef CERTKIT_COVERAGE_COVERAGE_H_
 #define CERTKIT_COVERAGE_COVERAGE_H_
 
@@ -152,12 +159,26 @@ class Unit {
   std::int64_t mcdc_conditions_demonstrated() const;
   std::int64_t mcdc_conditions_total() const;
 
-  void Reset();  // clears execution state, keeps declarations
+  // Clears execution state, keeps declarations, and restarts every thread's
+  // seen-before bitmap for this unit.
+  void Reset();
 
  private:
-  struct ThreadVec;  // per-thread accumulation of condition bits
+  struct ThreadSlots;  // this unit's probe state on one thread
+
+  // The calling thread's slots for this unit, with the seen-before bitmap
+  // cleared first if its epoch has ended.
+  ThreadSlots& Local() const;
+  // Records one decision evaluation unless this thread has already seen it
+  // in the current epoch.
+  void Publish(ThreadSlots& slots, int decision_id, std::uint64_t mask,
+               bool outcome);
 
   std::string name_;
+  // Process-unique and never reused, so a Unit built where a destroyed one
+  // lived starts from fresh per-thread slots.
+  const std::uint64_t index_;
+  std::atomic<std::uint64_t> resets_{0};  // Reset() count
   std::vector<std::atomic<std::uint64_t>> stmt_hits_;
   int declared_statements_ = 0;
   mutable std::mutex mu_;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "coverage/coverage.h"
+#include "coverage/loop_probe.h"
 #include "nn/layers.h"
 
 namespace nn {
@@ -41,55 +42,27 @@ void BatchNormLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
   CERTKIT_CHECK_MSG(input.c() == static_cast<int>(scale_.size()),
                     "batchnorm channel mismatch");
   out_t->Reshape(input.n(), input.c(), input.h(), input.w());
-  Tensor& out = *out_t;
-  if (!certkit::cov::ProbesEnabled()) {
-    // Release-flavor fast path: identical arithmetic with the probe calls
-    // compiled out of the loop (they are per-channel here, but the loop
-    // body must stay branch-free for the vectorizer). The probed loop
-    // below is the instrumented flavor.
-    const std::size_t hw =
-        static_cast<std::size_t>(input.h()) * input.w();
+  const std::size_t hw = static_cast<std::size_t>(input.h()) * input.w();
+  certkit::cov::WithProbes(*p.u, [&](auto& probe) {
     for (int n = 0; n < input.n(); ++n) {
       for (int c = 0; c < input.c(); ++c) {
         const float s = scale_[static_cast<std::size_t>(c)];
         const float b = shift_[static_cast<std::size_t>(c)];
-        const float* in = input.data() +
-                          (static_cast<std::size_t>(n) * input.c() + c) * hw;
-        float* o = out.data() +
-                   (static_cast<std::size_t>(n) * input.c() + c) * hw;
-        if (s == 1.0f && b == 0.0f) {
-          for (std::size_t i = 0; i < hw; ++i) o[i] = in[i];
+        const std::size_t plane =
+            (static_cast<std::size_t>(n) * input.c() + c) * hw;
+        const float* in = input.data() + plane;
+        float* o = out_t->data() + plane;
+        if (probe.And(p.d_identity, s == 1.0f, b == 0.0f)) {
+          // Identity channel: copy without FMA (fast path).
+          probe.Stmt(BnProbes::kSIdentityFast);
+          std::copy(in, in + hw, o);
         } else {
+          probe.Stmt(BnProbes::kSApply);
           for (std::size_t i = 0; i < hw; ++i) o[i] = s * in[i] + b;
         }
       }
     }
-    return;
-  }
-  for (int n = 0; n < input.n(); ++n) {
-    for (int c = 0; c < input.c(); ++c) {
-      const float s = scale_[static_cast<std::size_t>(c)];
-      const float b = shift_[static_cast<std::size_t>(c)];
-      const bool c_scale1 = p.u->Cond(p.d_identity, 0, s == 1.0f);
-      const bool c_shift0 = p.u->Cond(p.d_identity, 1, b == 0.0f);
-      if (p.u->Dec(p.d_identity, c_scale1 && c_shift0)) {
-        // Identity channel: copy without FMA (fast path).
-        p.u->Stmt(BnProbes::kSIdentityFast);
-        for (int y = 0; y < input.h(); ++y) {
-          for (int x = 0; x < input.w(); ++x) {
-            out.At(n, c, y, x) = input.At(n, c, y, x);
-          }
-        }
-      } else {
-        p.u->Stmt(BnProbes::kSApply);
-        for (int y = 0; y < input.h(); ++y) {
-          for (int x = 0; x < input.w(); ++x) {
-            out.At(n, c, y, x) = s * input.At(n, c, y, x) + b;
-          }
-        }
-      }
-    }
-  }
+  });
 }
 
 // --------------------------------------------------------------- activation
@@ -130,56 +103,31 @@ void ActivationLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
   out_t->Reshape(input.n(), input.c(), input.h(), input.w());
   const float* in = input.data();
   float* o = out_t->data();
-  if (!certkit::cov::ProbesEnabled()) {
-    // Release-flavor fast path: the probed loop below fires two probes per
-    // element, which dominates an elementwise layer once coverage is off.
-    // Same selects, same arithmetic, vectorizable.
-    const std::size_t size = input.size();
-    switch (kind_) {
-      case Activation::kLinear:
-        std::copy(in, in + size, o);
-        break;
-      case Activation::kRelu:
-        for (std::size_t i = 0; i < size; ++i) {
-          const float v = in[i];
-          o[i] = v < 0.0f ? 0.0f : v;
-        }
-        break;
-      case Activation::kLeakyRelu:
-        for (std::size_t i = 0; i < size; ++i) {
-          const float v = in[i];
-          o[i] = v < 0.0f ? leaky_slope_ * v : v;
-        }
-        break;
+  const std::size_t size = input.size();
+  const float slope = leaky_slope_;
+  certkit::cov::WithProbes(*p.u, [&](auto& probe) {
+    if (probe.Branch(p.d_linear, kind_ == Activation::kLinear)) {
+      probe.Stmt(ActProbes::kSLinear);
+      std::copy(in, in + size, o);
+      return;
     }
-    return;
-  }
-  if (p.u->Branch(p.d_linear, kind_ == Activation::kLinear)) {
-    p.u->Stmt(ActProbes::kSLinear);
-    std::copy(in, in + input.size(), o);
-    return;
-  }
-  const bool is_relu =
-      p.u->Branch(p.d_relu, kind_ == Activation::kRelu);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const float v = in[i];
-    if (p.u->Branch(p.d_negative, v < 0.0f)) {
-      if (is_relu) {
-        p.u->Stmt(ActProbes::kSReluClamp);
-        o[i] = 0.0f;
-      } else {
-        p.u->Stmt(ActProbes::kSLeakyScale);
-        o[i] = leaky_slope_ * v;
+    if (probe.Branch(p.d_relu, kind_ == Activation::kRelu)) {
+      for (std::size_t i = 0; i < size; ++i) {
+        const float v = in[i];
+        const bool negative = probe.Branch(p.d_negative, v < 0.0f);
+        probe.Stmt(negative ? ActProbes::kSReluClamp : ActProbes::kSReluPass);
+        o[i] = negative ? 0.0f : v;
       }
     } else {
-      if (is_relu) {
-        p.u->Stmt(ActProbes::kSReluPass);
-      } else {
-        p.u->Stmt(ActProbes::kSLeakyPass);
+      for (std::size_t i = 0; i < size; ++i) {
+        const float v = in[i];
+        const bool negative = probe.Branch(p.d_negative, v < 0.0f);
+        probe.Stmt(negative ? ActProbes::kSLeakyScale
+                            : ActProbes::kSLeakyPass);
+        o[i] = negative ? slope * v : v;
       }
-      o[i] = v;
     }
-  }
+  });
 }
 
 // ------------------------------------------------------------------ maxpool
@@ -200,6 +148,81 @@ PoolProbes& PoolP() {
   }();
   return p;
 }
+
+// Every pool in the detector is 2×2 stride 2 on even dims, so the window
+// never rags off the edge and the per-tap bounds checks (and At()'s index
+// arithmetic) can go: every tap's bounds decision is (in, in) -> true, and
+// each plane fires it once. The max is folded in PoolAnyShape's tap order
+// from the same -inf seed, so the `v > best` comparison chain, NaN behavior
+// included, is unchanged; that fold is the form the vectorizer maps to
+// maxps.
+template <class Probe>
+void Pool2x2(Probe& probe, const PoolProbes& p, const Tensor& input,
+             Tensor* out) {
+  const int iw = input.w();
+  const int oh = out->h();
+  const int ow = out->w();
+  const std::size_t planes = static_cast<std::size_t>(input.n()) * input.c();
+  for (std::size_t pl = 0; pl < planes; ++pl) {
+    probe.Stmt(PoolProbes::kSWindow);
+    probe.And(p.d_in_bounds, true, true);
+    const float* in_plane =
+        input.data() + pl * static_cast<std::size_t>(input.h()) * iw;
+    float* out_plane = out->data() + pl * static_cast<std::size_t>(oh) * ow;
+    for (int y = 0; y < oh; ++y) {
+      const float* r0 = in_plane + static_cast<std::size_t>(2 * y) * iw;
+      const float* r1 = r0 + iw;
+      float* orow = out_plane + static_cast<std::size_t>(y) * ow;
+      for (int x = 0; x < ow; ++x) {
+        float best = -std::numeric_limits<float>::infinity();
+        const auto tap = [&](float v) {
+          const bool better = probe.Branch(p.d_better, v > best);
+          probe.StmtIf(PoolProbes::kSUpdateMax, better);
+          best = better ? v : best;
+        };
+        tap(r0[2 * x]);
+        tap(r0[2 * x + 1]);
+        tap(r1[2 * x]);
+        tap(r1[2 * x + 1]);
+        orow[x] = best;
+      }
+    }
+  }
+}
+
+// Any size and stride. Every tap of a window evaluates its bounds decision,
+// including the ones past a ragged edge.
+template <class Probe>
+void PoolAnyShape(Probe& probe, const PoolProbes& p, int size, int stride,
+                  const Tensor& input, Tensor* out) {
+  for (int n = 0; n < input.n(); ++n) {
+    for (int c = 0; c < input.c(); ++c) {
+      for (int y = 0; y < out->h(); ++y) {
+        for (int x = 0; x < out->w(); ++x) {
+          probe.Stmt(PoolProbes::kSWindow);
+          float best = -std::numeric_limits<float>::infinity();
+          for (int ky = 0; ky < size; ++ky) {
+            for (int kx = 0; kx < size; ++kx) {
+              const int iy = y * stride + ky;
+              const int ix = x * stride + kx;
+              if (!probe.And(p.d_in_bounds, iy < input.h(), ix < input.w())) {
+                // Ragged edge (stride does not divide the input): skip.
+                probe.Stmt(PoolProbes::kSOutOfBounds);
+                continue;
+              }
+              const float v = input.At(n, c, iy, ix);
+              if (probe.Branch(p.d_better, v > best)) {
+                probe.Stmt(PoolProbes::kSUpdateMax);
+                best = v;
+              }
+            }
+          }
+          out->At(n, c, y, x) = best;
+        }
+      }
+    }
+  }
+}
 }  // namespace
 
 MaxPoolLayer::MaxPoolLayer(int size, int stride) : size_(size),
@@ -214,95 +237,14 @@ void MaxPoolLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
   const int ow = (input.w() - size_) / stride_ + 1;
   CERTKIT_CHECK_MSG(oh > 0 && ow > 0, "pool output would be empty");
   out_t->Reshape(input.n(), input.c(), oh, ow);
-  Tensor& out = *out_t;
-  if (!certkit::cov::ProbesEnabled()) {
-    // Release-flavor fast path: the probed loop fires four probes per
-    // window TAP (bounds conditions, decision, max-update branch), which
-    // makes pooling the most expensive layer of the whole detector once
-    // coverage is off. Same traversal order, same comparisons.
+  certkit::cov::WithProbes(*p.u, [&](auto& probe) {
     if (size_ == 2 && stride_ == 2 && input.h() % 2 == 0 &&
         input.w() % 2 == 0) {
-      // Every pool in the detector is 2×2 stride 2 on even dims, so the
-      // window never rags off the edge and the per-tap bounds checks (and
-      // At()'s index arithmetic) can go. The max is folded in the probed
-      // path's exact tap order from the same -inf seed, so the `v > best`
-      // comparison chain — including its NaN behavior — is unchanged;
-      // that fold is the form the vectorizer maps to maxps.
-      const int iw = input.w();
-      const std::size_t planes =
-          static_cast<std::size_t>(input.n()) * input.c();
-      const float* src = input.data();
-      float* dst = out.data();
-      for (std::size_t pl = 0; pl < planes; ++pl) {
-        const float* in_plane = src + pl * static_cast<std::size_t>(input.h()) * iw;
-        float* out_plane = dst + pl * static_cast<std::size_t>(oh) * ow;
-        for (int y = 0; y < oh; ++y) {
-          const float* r0 = in_plane + static_cast<std::size_t>(2 * y) * iw;
-          const float* r1 = r0 + iw;
-          float* orow = out_plane + static_cast<std::size_t>(y) * ow;
-          for (int x = 0; x < ow; ++x) {
-            float best = -std::numeric_limits<float>::infinity();
-            best = r0[2 * x] > best ? r0[2 * x] : best;
-            best = r0[2 * x + 1] > best ? r0[2 * x + 1] : best;
-            best = r1[2 * x] > best ? r1[2 * x] : best;
-            best = r1[2 * x + 1] > best ? r1[2 * x + 1] : best;
-            orow[x] = best;
-          }
-        }
-      }
-      return;
+      Pool2x2(probe, p, input, out_t);
+    } else {
+      PoolAnyShape(probe, p, size_, stride_, input, out_t);
     }
-    for (int n = 0; n < input.n(); ++n) {
-      for (int c = 0; c < input.c(); ++c) {
-        for (int y = 0; y < oh; ++y) {
-          for (int x = 0; x < ow; ++x) {
-            float best = -std::numeric_limits<float>::infinity();
-            for (int ky = 0; ky < size_; ++ky) {
-              const int iy = y * stride_ + ky;
-              if (iy >= input.h()) continue;
-              for (int kx = 0; kx < size_; ++kx) {
-                const int ix = x * stride_ + kx;
-                if (ix >= input.w()) continue;
-                const float v = input.At(n, c, iy, ix);
-                if (v > best) best = v;
-              }
-            }
-            out.At(n, c, y, x) = best;
-          }
-        }
-      }
-    }
-    return;
-  }
-  for (int n = 0; n < input.n(); ++n) {
-    for (int c = 0; c < input.c(); ++c) {
-      for (int y = 0; y < oh; ++y) {
-        for (int x = 0; x < ow; ++x) {
-          p.u->Stmt(PoolProbes::kSWindow);
-          float best = -std::numeric_limits<float>::infinity();
-          for (int ky = 0; ky < size_; ++ky) {
-            for (int kx = 0; kx < size_; ++kx) {
-              const int iy = y * stride_ + ky;
-              const int ix = x * stride_ + kx;
-              const bool cy = p.u->Cond(p.d_in_bounds, 0, iy < input.h());
-              const bool cx = p.u->Cond(p.d_in_bounds, 1, ix < input.w());
-              if (!p.u->Dec(p.d_in_bounds, cy && cx)) {
-                // Ragged edge (stride does not divide the input): skip.
-                p.u->Stmt(PoolProbes::kSOutOfBounds);
-                continue;
-              }
-              const float v = input.At(n, c, iy, ix);
-              if (p.u->Branch(p.d_better, v > best)) {
-                p.u->Stmt(PoolProbes::kSUpdateMax);
-                best = v;
-              }
-            }
-          }
-          out.At(n, c, y, x) = best;
-        }
-      }
-    }
-  }
+  });
 }
 
 // ----------------------------------------------------------------- upsample

@@ -2,6 +2,7 @@
 #include <algorithm>
 
 #include "coverage/coverage.h"
+#include "coverage/loop_probe.h"
 #include "nn/detector.h"
 
 namespace nn {
@@ -30,17 +31,21 @@ NmsProbes& P() {
   }();
   return p;
 }
-// Release-flavor IoU: the same arithmetic as Iou below with the probe
-// calls compiled out — NMS evaluates O(n²) candidate pairs, so the ~8
-// probe calls per pair dominate the stage once coverage is off.
-inline float IouFast(const Detection& a, const Detection& b) {
+
+template <class Probe>
+float IouWith(Probe& probe, const NmsProbes& p, const Detection& a,
+              const Detection& b) {
   const float ax0 = a.x - a.w / 2, ax1 = a.x + a.w / 2;
   const float ay0 = a.y - a.h / 2, ay1 = a.y + a.h / 2;
   const float bx0 = b.x - b.w / 2, bx1 = b.x + b.w / 2;
   const float by0 = b.y - b.h / 2, by1 = b.y + b.h / 2;
   const float dx = std::min(ax1, bx1) - std::max(ax0, bx0);
   const float dy = std::min(ay1, by1) - std::max(ay0, by0);
-  if (dx <= 0.0f || dy <= 0.0f) return 0.0f;
+  if (probe.Or(p.d_no_overlap, dx <= 0.0f, dy <= 0.0f)) {
+    probe.Stmt(NmsProbes::kSZeroOverlap);
+    return 0.0f;
+  }
+  probe.Stmt(NmsProbes::kSOverlapCompute);
   const float inter = dx * dy;
   const float uni = a.w * a.h + b.w * b.h - inter;
   return uni > 0.0f ? inter / uni : 0.0f;
@@ -49,26 +54,11 @@ inline float IouFast(const Detection& a, const Detection& b) {
 }  // namespace
 
 float Iou(const Detection& a, const Detection& b) {
-  if (!certkit::cov::ProbesEnabled()) return IouFast(a, b);
   NmsProbes& p = P();
-  const float ax0 = a.x - a.w / 2, ax1 = a.x + a.w / 2;
-  const float ay0 = a.y - a.h / 2, ay1 = a.y + a.h / 2;
-  const float bx0 = b.x - b.w / 2, bx1 = b.x + b.w / 2;
-  const float by0 = b.y - b.h / 2, by1 = b.y + b.h / 2;
-  const float dx = std::min(ax1, bx1) - std::max(ax0, bx0);
-  const float dy = std::min(ay1, by1) - std::max(ay0, by0);
-  const bool no_x = p.u->Cond(p.d_no_overlap, 0, dx <= 0.0f);
-  const bool no_y = p.u->Cond(p.d_no_overlap, 1, dy <= 0.0f);
-  if (p.u->Dec(p.d_no_overlap, no_x || no_y)) {
-    p.u->Stmt(NmsProbes::kSZeroOverlap);
-    return 0.0f;
-  }
-  p.u->Stmt(NmsProbes::kSOverlapCompute);
-  const float inter = dx * dy;
-  const float area_a = a.w * a.h;
-  const float area_b = b.w * b.h;
-  const float uni = area_a + area_b - inter;
-  return uni > 0.0f ? inter / uni : 0.0f;
+  float iou = 0.0f;
+  certkit::cov::WithProbes(
+      *p.u, [&](auto& probe) { iou = IouWith(probe, p, a, b); });
+  return iou;
 }
 
 std::vector<Detection> Nms(std::vector<Detection> detections,
@@ -96,41 +86,27 @@ void NmsInPlace(std::vector<Detection>* detections, float iou_threshold) {
   thread_local std::vector<char> suppressed;
   suppressed.assign(d.size(), 0);
   std::size_t kept = 0;
-  if (!certkit::cov::ProbesEnabled()) {
-    // Release flavor: the identical suppress/compact loop with the probe
-    // calls compiled out. A dense decode (hundreds of candidates) makes the
-    // O(n²) pair loop the whole NMS cost when every pair fires probes.
+  // A dense decode (hundreds of candidates) makes this O(n²) pair loop the
+  // whole NMS cost, so its probes fire once per call, not once per pair.
+  // Probed, every unsuppressed pair computes its IoU; release short-circuits
+  // on the class test.
+  certkit::cov::WithProbes(*p.u, [&](auto& probe) {
     for (std::size_t i = 0; i < d.size(); ++i) {
       if (suppressed[i]) continue;
+      probe.Stmt(NmsProbes::kSKeep);
       const Detection det = d[i];
       for (std::size_t j = i + 1; j < d.size(); ++j) {
         if (suppressed[j]) continue;
-        if (det.cls == d[j].cls && IouFast(det, d[j]) > iou_threshold) {
+        if (probe.AndThen(p.d_suppress, det.cls == d[j].cls, [&] {
+              return IouWith(probe, p, det, d[j]) > iou_threshold;
+            })) {
+          probe.Stmt(NmsProbes::kSSuppress);
           suppressed[j] = 1;
         }
       }
       d[kept++] = det;
     }
-    d.resize(kept);
-    return;
-  }
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (suppressed[i]) continue;
-    p.u->Stmt(NmsProbes::kSKeep);
-    const Detection det = d[i];
-    for (std::size_t j = i + 1; j < d.size(); ++j) {
-      if (suppressed[j]) continue;
-      const bool same_cls =
-          p.u->Cond(p.d_suppress, 0, det.cls == d[j].cls);
-      const bool over = p.u->Cond(
-          p.d_suppress, 1, Iou(det, d[j]) > iou_threshold);
-      if (p.u->Dec(p.d_suppress, same_cls && over)) {
-        p.u->Stmt(NmsProbes::kSSuppress);
-        suppressed[j] = 1;
-      }
-    }
-    d[kept++] = det;
-  }
+  });
   d.resize(kept);
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "coverage/coverage.h"
+#include "coverage/loop_probe.h"
 #include "nn/layers.h"
 
 namespace nn {
@@ -47,26 +48,15 @@ float Sample(const Tensor& t, int n, int c, float fy, float fx) {
   return t.At(n, c, y, x);
 }
 
-}  // namespace
-
-Tensor Preprocess(const Tensor& frame, int target_h, int target_w) {
-  Tensor out;
-  PreprocessInto(frame, target_h, target_w, &out);
-  return out;
-}
-
-void PreprocessInto(const Tensor& frame, int target_h, int target_w,
-                    Tensor* out_t) {
-  PreProbes& p = P();
-  CERTKIT_CHECK(target_h > 0 && target_w > 0);
-  CERTKIT_CHECK(out_t != nullptr && out_t != &frame);
+template <class Probe>
+void PreprocessWith(Probe& probe, const PreProbes& p, const Tensor& frame,
+                    int target_h, int target_w, Tensor* out_t) {
   constexpr float kScale = 1.0f / 255.0f;
 
-  const bool hm = p.u->Cond(p.d_same_size, 0, frame.h() == target_h);
-  const bool wm = p.u->Cond(p.d_same_size, 1, frame.w() == target_w);
-  if (p.u->Dec(p.d_same_size, hm && wm)) {
+  if (probe.And(p.d_same_size, frame.h() == target_h,
+                frame.w() == target_w)) {
     // Already the right size: normalize into the reused buffer.
-    p.u->Stmt(PreProbes::kSNormalizeOnly);
+    probe.Stmt(PreProbes::kSNormalizeOnly);
     out_t->Reshape(frame.n(), frame.c(), target_h, target_w);
     const float* in = frame.data();
     float* o = out_t->data();
@@ -81,10 +71,10 @@ void PreprocessInto(const Tensor& frame, int target_h, int target_w,
   out_t->Reshape(frame.n(), frame.c(), target_h, target_w);
   Tensor& out = *out_t;
 
-  if (p.u->Branch(p.d_aspect_match,
-                  std::abs(frame_aspect - target_aspect) < 1e-6f)) {
+  if (probe.Branch(p.d_aspect_match,
+                   std::abs(frame_aspect - target_aspect) < 1e-6f)) {
     // Plain resize.
-    p.u->Stmt(PreProbes::kSResize);
+    probe.Stmt(PreProbes::kSResize);
     const float sy = static_cast<float>(frame.h()) / target_h;
     const float sx = static_cast<float>(frame.w()) / target_w;
     for (int n = 0; n < frame.n(); ++n) {
@@ -102,7 +92,7 @@ void PreprocessInto(const Tensor& frame, int target_h, int target_w,
 
   // Letterbox: preserve aspect, pad with mid-grey. Typical square scenario
   // frames never reach this path — a deliberate Figure 5 coverage gap.
-  p.u->Stmt(PreProbes::kSLetterboxSetup);
+  probe.Stmt(PreProbes::kSLetterboxSetup);
   const float scale =
       std::min(static_cast<float>(target_w) / frame.w(),
                static_cast<float>(target_h) / frame.h());
@@ -114,23 +104,38 @@ void PreprocessInto(const Tensor& frame, int target_h, int target_w,
     for (int c = 0; c < frame.c(); ++c) {
       for (int y = 0; y < target_h; ++y) {
         for (int x = 0; x < target_w; ++x) {
-          const bool in_y =
-              p.u->Cond(p.d_pad_pixel, 0, y >= off_y && y < off_y + new_h);
-          const bool in_x =
-              p.u->Cond(p.d_pad_pixel, 1, x >= off_x && x < off_x + new_w);
-          if (p.u->Dec(p.d_pad_pixel, in_y && in_x)) {
-            p.u->Stmt(PreProbes::kSLetterboxCopy);
+          if (probe.And(p.d_pad_pixel, y >= off_y && y < off_y + new_h,
+                        x >= off_x && x < off_x + new_w)) {
+            probe.Stmt(PreProbes::kSLetterboxCopy);
             out.At(n, c, y, x) =
                 Sample(frame, n, c, (y - off_y) / scale, (x - off_x) / scale) *
                 kScale;
           } else {
-            p.u->Stmt(PreProbes::kSLetterboxPad);
+            probe.Stmt(PreProbes::kSLetterboxPad);
             out.At(n, c, y, x) = 0.5f;
           }
         }
       }
     }
   }
+}
+
+}  // namespace
+
+Tensor Preprocess(const Tensor& frame, int target_h, int target_w) {
+  Tensor out;
+  PreprocessInto(frame, target_h, target_w, &out);
+  return out;
+}
+
+void PreprocessInto(const Tensor& frame, int target_h, int target_w,
+                    Tensor* out_t) {
+  PreProbes& p = P();
+  CERTKIT_CHECK(target_h > 0 && target_w > 0);
+  CERTKIT_CHECK(out_t != nullptr && out_t != &frame);
+  certkit::cov::WithProbes(*p.u, [&](auto& probe) {
+    PreprocessWith(probe, p, frame, target_h, target_w, out_t);
+  });
 }
 
 }  // namespace nn
