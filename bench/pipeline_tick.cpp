@@ -72,9 +72,9 @@ double Percentile(std::vector<double>* samples, double p) {
 // zero-allocation window opens.
 void ReserveTickTimers(int ticks) {
   static const char* kTimers[] = {
-      "adpilot/tick",     "adpilot/perception",  "adpilot/prediction",
-      "adpilot/planning", "adpilot/control",     "adpilot/canbus",
-      "adpilot/localization", "adpilot/safety",  "adpilot/tick_effective",
+      "adpilot/tick",     "adpilot/perception",   "adpilot/prediction",
+      "adpilot/planning", "adpilot/control",      "adpilot/canbus",
+      "adpilot/localization", "adpilot/safety",
   };
   auto& registry = certkit::timing::TimerRegistry::Instance();
   for (const char* name : kTimers) {

@@ -1,7 +1,7 @@
 #include "ad/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
+#include <iterator>
 
 #include "coverage/coverage.h"
 #include "obs/flight_recorder.h"
@@ -15,58 +15,65 @@ namespace adpilot {
 
 namespace {
 
-// Architectural-level coverage probes (ISO 26262-6 Table 12): one function
-// probe per pipeline stage, one call probe per Tick -> stage edge.
-struct PipeProbes {
-  certkit::cov::Unit* u;
-  int f_routing, f_perception, f_prediction, f_localization, f_planning,
-      f_control, f_canbus;
-  int c_perception, c_prediction, c_localization, c_planning, c_control,
-      c_canbus;
+using certkit::obs::FlightStage;
+
+// The stage table, indexed by obs::FlightStage: the sinks each Tick stage
+// feeds besides its trace span and flight record. A stage's span, timer and
+// histogram are named after its FlightStageName.
+struct StageRow {
+  const char* category;  // trace-event category
+  // Architectural coverage (ISO 26262-6 Table 12): the stage's function
+  // probe. A probed stage also gets a "Tick -> <stage>" call probe and
+  // control-flow monitoring; nullptr for an unprobed stage.
+  const char* function;
+  // Feeds the adpilot/<stage> ExecutionTimer that WCET/pWCET estimation
+  // reads and the adpilot/stage_seconds/<stage> histogram.
+  bool timed;
 };
 
-PipeProbes& P() {
-  static PipeProbes p = [] {
-    PipeProbes q;
-    q.u = &certkit::cov::Registry::Instance().GetOrCreate(
-        "adpilot/pipeline.cc");
-    q.f_routing = q.u->DeclareFunctionProbe("routing::FindRoute");
-    q.f_perception = q.u->DeclareFunctionProbe("perception::Process");
-    q.f_prediction = q.u->DeclareFunctionProbe("prediction::Predict");
-    q.f_localization = q.u->DeclareFunctionProbe("localization::Update");
-    q.f_planning = q.u->DeclareFunctionProbe("planning::PlanTrajectory");
-    q.f_control = q.u->DeclareFunctionProbe("control::Compute");
-    q.f_canbus = q.u->DeclareFunctionProbe("canbus::Step");
-    q.c_perception = q.u->DeclareCallProbe("Tick", "perception");
-    q.c_prediction = q.u->DeclareCallProbe("Tick", "prediction");
-    q.c_localization = q.u->DeclareCallProbe("Tick", "localization");
-    q.c_planning = q.u->DeclareCallProbe("Tick", "planning");
-    q.c_control = q.u->DeclareCallProbe("Tick", "control");
-    q.c_canbus = q.u->DeclareCallProbe("Tick", "canbus");
-    return q;
-  }();
-  return p;
-}
+constexpr StageRow kStageTable[] = {
+    {"pipeline", nullptr, true},                     // tick
+    {"pipeline", nullptr, false},                    // scenario
+    {"pipeline", "perception::Process", true},       // perception
+    {"pipeline", "prediction::Predict", true},       // prediction
+    {"pipeline", "planning::PlanTrajectory", true},  // planning
+    {"pipeline", "control::Compute", true},          // control
+    {"safety", nullptr, true},                       // safety
+    {"pipeline", "canbus::Step", true},              // canbus
+    {"pipeline", "localization::Update", true},      // localization
+};
+constexpr std::size_t kNumStages = std::size(kStageTable);
+static_assert(kNumStages ==
+              static_cast<std::size_t>(FlightStage::kLocalization) + 1);
 
-// Observability sinks, one set per pipeline stage: the ExecutionTimer that
-// WCET/pWCET estimation reads and the per-stage duration histogram, both fed
-// by the same obs::Span that records the trace event — one instrumentation
-// point, three consumers. References are stable across
+// Probe declaration order after routing::FindRoute. Probe ids, and so the
+// Table 12 report's listing of uncovered stages, follow it.
+constexpr FlightStage kProbeOrder[] = {
+    FlightStage::kPerception,   FlightStage::kPrediction,
+    FlightStage::kLocalization, FlightStage::kPlanning,
+    FlightStage::kControl,      FlightStage::kCanBus};
+
+// One stage's resolved sinks. Registry references are stable across
 // MetricsRegistry::ResetAll / TimerRegistry::ResetAll (both reset values in
 // place), so caching them is safe.
 struct StageSinks {
-  certkit::timing::ExecutionTimer* timer;
-  certkit::obs::Histogram* hist;
+  const char* name = nullptr;
+  const char* category = nullptr;
+  int function = -1;  // coverage probe ids; -1 for an unprobed stage
+  int call = -1;
+  certkit::timing::ExecutionTimer* timer = nullptr;
+  certkit::obs::Histogram* hist = nullptr;
 };
 
-struct PipeObs {
-  StageSinks tick, perception, prediction, planning, control, canbus,
-      localization, safety;
-  certkit::obs::Counter* ticks;
+struct PipelineSinks {
+  certkit::cov::Unit* unit = nullptr;
+  int routing = -1;  // function probe entered by the constructor
+  StageSinks stages[kNumStages];
+  certkit::obs::Counter* ticks = nullptr;
 };
 
-PipeObs& O() {
-  static PipeObs o = [] {
+PipelineSinks& Sinks() {
+  static PipelineSinks sinks = [] {
     auto& timers = certkit::timing::TimerRegistry::Instance();
     auto& metrics = certkit::obs::MetricsRegistry::Instance();
     // Stage costs on this workload sit between ~10us (control) and ~10ms
@@ -74,26 +81,75 @@ PipeObs& O() {
     // whole range with an overflow bucket for pathological cycles.
     const std::vector<double> bounds = {1e-5, 5e-5, 1e-4, 5e-4, 1e-3,
                                         5e-3, 1e-2, 5e-2, 1e-1, 5e-1};
-    auto mk = [&](const char* stage) {
-      return StageSinks{
-          &timers.GetOrCreate(std::string("adpilot/") + stage),
-          &metrics.GetHistogram(
-              std::string("adpilot/stage_seconds/") + stage, bounds)};
-    };
-    PipeObs q;
-    q.tick = mk("tick");
-    q.perception = mk("perception");
-    q.prediction = mk("prediction");
-    q.planning = mk("planning");
-    q.control = mk("control");
-    q.canbus = mk("canbus");
-    q.localization = mk("localization");
-    q.safety = mk("safety");
+    PipelineSinks q;
+    for (std::size_t i = 0; i < kNumStages; ++i) {
+      StageSinks& stage = q.stages[i];
+      stage.name =
+          certkit::obs::FlightStageName(static_cast<std::uint32_t>(i));
+      stage.category = kStageTable[i].category;
+      if (!kStageTable[i].timed) continue;
+      stage.timer =
+          &timers.GetOrCreate(std::string("adpilot/") + stage.name);
+      stage.hist = &metrics.GetHistogram(
+          std::string("adpilot/stage_seconds/") + stage.name, bounds);
+    }
+    q.unit = &certkit::cov::Registry::Instance().GetOrCreate(
+        "adpilot/pipeline.cc");
+    q.routing = q.unit->DeclareFunctionProbe("routing::FindRoute");
+    for (const FlightStage stage : kProbeOrder) {
+      const auto i = static_cast<std::size_t>(stage);
+      q.stages[i].function =
+          q.unit->DeclareFunctionProbe(kStageTable[i].function);
+      q.stages[i].call = q.unit->DeclareCallProbe("Tick", q.stages[i].name);
+    }
     q.ticks = &metrics.GetCounter("adpilot/ticks");
     return q;
   }();
-  return o;
+  return sinks;
 }
+
+// The one instrumentation point of a Tick stage. Construction opens, in
+// order, the coverage probes and the control-flow entry (probed stages
+// only), the obs::Span feeding the trace, timer and histogram, and the
+// flight-recorder record; destruction closes them in reverse.
+class StageScope {
+ public:
+  // Opens the whole tick `tick`, whose stages report to `monitor`.
+  StageScope(FlightStage stage, std::int64_t tick,
+             ControlFlowMonitor* monitor)
+      : tick_(tick),
+        monitor_(monitor),
+        sinks_(Enter(stage, monitor)),
+        span_(sinks_.name, sinks_.category, sinks_.timer, sinks_.hist),
+        flight_(stage, tick) {}
+  // Opens a stage inside the open tick.
+  StageScope(FlightStage stage, const StageScope& tick)
+      : StageScope(stage, tick.tick_, tick.monitor_) {}
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+  // Wall-clock seconds since the stage opened.
+  double ElapsedSeconds() const { return span_.ElapsedSeconds(); }
+
+ private:
+  static const StageSinks& Enter(FlightStage stage,
+                                 ControlFlowMonitor* monitor) {
+    const PipelineSinks& all = Sinks();
+    const StageSinks& sinks = all.stages[static_cast<std::size_t>(stage)];
+    if (sinks.function >= 0) {
+      all.unit->EnterFunction(sinks.function);
+      all.unit->CallSite(sinks.call);
+      monitor->Enter(stage);
+    }
+    return sinks;
+  }
+
+  const std::int64_t tick_;
+  ControlFlowMonitor* const monitor_;
+  const StageSinks& sinks_;
+  certkit::obs::Span span_;
+  certkit::obs::FlightStageScope flight_;
+};
 
 }  // namespace
 
@@ -106,9 +162,7 @@ ApolloPilot::ApolloPilot(const PilotConfig& config)
               config.vehicle),
       range_monitor_(config.safety),
       plausibility_monitor_(config.safety),
-      watchdog_(config.safety,
-                &certkit::timing::TimerRegistry::Instance().GetOrCreate(
-                    "adpilot/tick_effective")),
+      watchdog_(config.safety),
       degradation_(config.safety) {
   // Route: lane graph down the road, start near the ego, goal at goal_x.
   const double spacing = 10.0;
@@ -120,7 +174,7 @@ ApolloPilot::ApolloPilot(const PilotConfig& config)
   const int start = graph_.NearestNode(initial.position);
   const int goal =
       graph_.NearestNode({config_.goal_x, initial.position.y});
-  P().u->EnterFunction(P().f_routing);
+  Sinks().unit->EnterFunction(Sinks().routing);
   auto route = FindRoute(graph_, start, goal);
   CERTKIT_CHECK_MSG(route.ok(), "no route to goal: "
                                     << route.status().ToString());
@@ -145,19 +199,15 @@ void ApolloPilot::SetFaultInjector(FaultInjector* injector) {
 }
 
 TickReport ApolloPilot::Tick() {
-  certkit::obs::Span tick_span("tick", "pipeline", O().tick.timer,
-                               O().tick.hist);
-  O().ticks->Add();
-  const auto tick_start = std::chrono::steady_clock::now();
+  ++tick_index_;
+  // The whole tick is a stage too: one adpilot/tick sample per call, and
+  // the flight record the crash-surviving journal keys the tick by.
+  const StageScope tick(FlightStage::kTick, tick_index_,
+                        &control_flow_monitor_);
+  Sinks().ticks->Add();
   const double dt = config_.tick;
   const bool safety_on = config_.safety.enabled;
   TickReport report;
-  ++tick_index_;
-  // Black-box journal entry for the whole tick; per-stage scopes below sit
-  // beside the obs::Span of each stage (the flight recorder is the
-  // crash-surviving counterpart of the post-run trace).
-  certkit::obs::FlightStageScope flight_tick(certkit::obs::FlightStage::kTick,
-                                             tick_index_);
   time_ += dt;
   report.time = time_;
   // Replay capture (tap installed only): stream signatures accumulate as
@@ -167,16 +217,14 @@ TickReport ApolloPilot::Tick() {
   TickSignature tick_sig;
   const bool tapped = tick_tap_ != nullptr;
   tick_sig.tick = tick_index_;
-  const std::int64_t log_at_tick_start = safety_log_.size();
+  const std::int64_t log_before_tick = safety_log_.size();
 
   if (injector_ != nullptr) injector_->BeginTick(tick_index_);
   control_flow_monitor_.BeginTick(tick_index_);
 
   // 1. World advances.
   {
-    certkit::obs::Span span("scenario", "pipeline");
-    certkit::obs::FlightStageScope flight(
-        certkit::obs::FlightStage::kScenario, tick_index_);
+    const StageScope stage(FlightStage::kScenario, tick);
     scenario_.Step(dt);
   }
 
@@ -214,14 +262,8 @@ TickReport ApolloPilot::Tick() {
       tick_sig.frame =
           DigestTensor(frame, certkit::support::kFnvOffsetBasis);
     }
-    P().u->EnterFunction(P().f_perception);
-    P().u->CallSite(P().c_perception);
-    control_flow_monitor_.Enter(TickStage::kPerception);
     {
-      certkit::obs::Span span("perception", "pipeline",
-                              O().perception.timer, O().perception.hist);
-      certkit::obs::FlightStageScope flight(
-          certkit::obs::FlightStage::kPerception, tick_index_);
+      const StageScope stage(FlightStage::kPerception, tick);
       // Batch-of-one through the batch engine: bit-identical to the
       // single-frame path, but every intermediate is member scratch.
       perception_.ProcessBatchInto(frame_scratch_, est.pose, dt, &tracked);
@@ -247,15 +289,9 @@ TickReport ApolloPilot::Tick() {
   }
 
   // 4. Prediction.
-  P().u->EnterFunction(P().f_prediction);
-  P().u->CallSite(P().c_prediction);
-  control_flow_monitor_.Enter(TickStage::kPrediction);
   std::vector<PredictedObstacle>& predictions = predictions_scratch_;
   {
-    certkit::obs::Span span("prediction", "pipeline", O().prediction.timer,
-                            O().prediction.hist);
-    certkit::obs::FlightStageScope flight(
-        certkit::obs::FlightStage::kPrediction, tick_index_);
+    const StageScope stage(FlightStage::kPrediction, tick);
     PredictObstaclesInto(tracked, config_.prediction, &predictions);
   }
 
@@ -264,15 +300,9 @@ TickReport ApolloPilot::Tick() {
   const BehaviorDecision decision = behavior_.Decide(est, predictions);
   report.behavior = decision.behavior;
 
-  P().u->EnterFunction(P().f_planning);
-  P().u->CallSite(P().c_planning);
-  control_flow_monitor_.Enter(TickStage::kPlanning);
   PlanResult& plan = plan_scratch_;
   {
-    certkit::obs::Span span("planning", "pipeline", O().planning.timer,
-                            O().planning.hist);
-    certkit::obs::FlightStageScope flight(
-        certkit::obs::FlightStage::kPlanning, tick_index_);
+    const StageScope stage(FlightStage::kPlanning, tick);
     ApplyBehaviorInto(config_.planner, decision, &planner_config_scratch_);
     PlanTrajectoryInto(est, route_, predictions, planner_config_scratch_,
                        &planner_scratch_, &plan);
@@ -280,36 +310,25 @@ TickReport ApolloPilot::Tick() {
   report.plan_collision_free = plan.collision_free;
 
   // 6. Control.
-  P().u->EnterFunction(P().f_control);
-  P().u->CallSite(P().c_control);
-  control_flow_monitor_.Enter(TickStage::kControl);
   ControlCommand cmd;
   {
-    certkit::obs::Span span("control", "pipeline", O().control.timer,
-                            O().control.hist);
-    certkit::obs::FlightStageScope flight(
-        certkit::obs::FlightStage::kControl, tick_index_);
+    const StageScope stage(FlightStage::kControl, tick);
     cmd = controller_.Compute(est, plan.trajectory, dt);
   }
   bool overridden = false;
 
   if (safety_on) {
-    certkit::obs::Span span("safety", "safety", O().safety.timer,
-                            O().safety.hist);
-    certkit::obs::FlightStageScope flight(certkit::obs::FlightStage::kSafety,
-                                          tick_index_);
+    const StageScope stage(FlightStage::kSafety, tick);
     // Table 4 range check on the actuation output (critical on failure).
     overridden |= range_monitor_.CheckCommand(tick_index_, &cmd, &safety_log_);
 
-    // Deadline watchdog over the tick execution time (plus any injected
+    // Deadline watchdog over the tick's elapsed time (plus any injected
     // overrun). Checked before actuation so a timing fault can degrade this
     // very cycle.
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      tick_start)
-            .count() +
-        (injector_ != nullptr ? injector_->TimingOverrunSeconds() : 0.0);
-    watchdog_.Check(tick_index_, elapsed, &safety_log_);
+    const double overrun =
+        injector_ != nullptr ? injector_->TimingOverrunSeconds() : 0.0;
+    watchdog_.Check(tick_index_, tick.ElapsedSeconds() + overrun,
+                    &safety_log_);
 
     // Close the tick's verdict: everything logged since the last tally
     // (including last tick's post-actuation monitors) drives degradation.
@@ -327,17 +346,11 @@ TickReport ApolloPilot::Tick() {
   }
 
   // 7. Actuation over the CAN bus; chassis feedback drives localization.
-  P().u->EnterFunction(P().f_canbus);
-  P().u->CallSite(P().c_canbus);
-  control_flow_monitor_.Enter(TickStage::kCanBus);
   const std::int64_t delivered_before = canbus_.frames_delivered();
   const std::int64_t rejected_before = canbus_.frames_rejected();
   ChassisFeedback fb;
   {
-    certkit::obs::Span span("canbus", "pipeline", O().canbus.timer,
-                            O().canbus.hist);
-    certkit::obs::FlightStageScope flight(certkit::obs::FlightStage::kCanBus,
-                                          tick_index_);
+    const StageScope stage(FlightStage::kCanBus, tick);
     canbus_.SendCommand(cmd);
     fb = canbus_.Step(dt, config_.localization.gnss_noise,
                       config_.localization.speed_noise);
@@ -357,14 +370,8 @@ TickReport ApolloPilot::Tick() {
     }
   }
 
-  P().u->EnterFunction(P().f_localization);
-  P().u->CallSite(P().c_localization);
-  control_flow_monitor_.Enter(TickStage::kLocalization);
   {
-    certkit::obs::Span span("localization", "pipeline",
-                            O().localization.timer, O().localization.hist);
-    certkit::obs::FlightStageScope flight(
-        certkit::obs::FlightStage::kLocalization, tick_index_);
+    const StageScope stage(FlightStage::kLocalization, tick);
     localizer_->Predict(fb.state.acceleration, fb.state.yaw_rate, dt);
     localizer_->UpdatePosition(fb.gnss_position);
     localizer_->UpdateSpeed(fb.wheel_speed);
@@ -380,7 +387,7 @@ TickReport ApolloPilot::Tick() {
     control_flow_monitor_.EndTick(&safety_log_);
   }
   report.new_violations =
-      static_cast<std::size_t>(safety_log_.size() - log_at_tick_start);
+      static_cast<std::size_t>(safety_log_.size() - log_before_tick);
 
   // Safety bookkeeping against ground truth. An empty world is reported as
   // the explicit no-obstacle state, not a sentinel distance.

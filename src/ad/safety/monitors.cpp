@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "obs/flight_recorder.h"
@@ -11,6 +12,14 @@
 namespace adpilot {
 
 namespace {
+
+using certkit::obs::FlightStage;
+
+// The stages ControlFlowMonitor expects, once each, in this order.
+constexpr FlightStage kMonitoredStages[] = {
+    FlightStage::kPerception, FlightStage::kPrediction,
+    FlightStage::kPlanning,   FlightStage::kControl,
+    FlightStage::kCanBus,     FlightStage::kLocalization};
 
 bool FiniteVec(const Vec2& v) {
   return std::isfinite(v.x) && std::isfinite(v.y);
@@ -60,18 +69,6 @@ const char* MonitorName(MonitorId id) {
     case MonitorId::kControlFlow: return "control_flow";
     case MonitorId::kCommand: return "command";
     case MonitorId::kCanBus: return "can_bus";
-  }
-  return "unknown";
-}
-
-const char* TickStageName(TickStage stage) {
-  switch (stage) {
-    case TickStage::kPerception: return "perception";
-    case TickStage::kPrediction: return "prediction";
-    case TickStage::kPlanning: return "planning";
-    case TickStage::kControl: return "control";
-    case TickStage::kCanBus: return "canbus";
-    case TickStage::kLocalization: return "localization";
   }
   return "unknown";
 }
@@ -277,15 +274,13 @@ bool PlausibilityMonitor::Check(std::int64_t tick,
   return false;
 }
 
-DeadlineWatchdog::DeadlineWatchdog(const SafetyConfig& config,
-                                   certkit::timing::ExecutionTimer* timer)
-    : config_(config), timer_(timer) {}
+DeadlineWatchdog::DeadlineWatchdog(const SafetyConfig& config)
+    : config_(config) {}
 
 bool DeadlineWatchdog::Check(std::int64_t tick, double seconds,
                              SafetyLog* log) {
   CERTKIT_CHECK(log != nullptr);
   CERTKIT_CHECK_MSG(seconds >= 0.0, "negative tick duration");
-  if (timer_ != nullptr) timer_->Record(seconds);
   if (seconds <= config_.tick_deadline) return true;
   ++misses_;
   Counters().deadline_misses->Add();
@@ -302,8 +297,8 @@ void ControlFlowMonitor::BeginTick(std::int64_t tick) {
   sequence_.clear();
 }
 
-void ControlFlowMonitor::Enter(TickStage stage) {
-  sequence_.push_back(static_cast<int>(stage));
+void ControlFlowMonitor::Enter(FlightStage stage) {
+  sequence_.push_back(stage);
 }
 
 bool ControlFlowMonitor::EndTick(SafetyLog* log) {
@@ -311,19 +306,18 @@ bool ControlFlowMonitor::EndTick(SafetyLog* log) {
   bool intact = true;
   // Walk the expected order; every expected stage must appear exactly once,
   // in position.
-  for (int expected = 0; expected < kNumTickStages; ++expected) {
-    const bool present =
-        expected < static_cast<int>(sequence_.size()) &&
-        sequence_[static_cast<std::size_t>(expected)] == expected;
-    if (present) continue;
+  for (std::size_t i = 0; i < std::size(kMonitoredStages); ++i) {
+    const FlightStage expected = kMonitoredStages[i];
+    if (i < sequence_.size() && sequence_[i] == expected) continue;
     intact = false;
     std::ostringstream msg;
-    msg << "stage " << TickStageName(static_cast<TickStage>(expected))
+    msg << "stage " << certkit::obs::FlightStageName(
+                           static_cast<std::uint32_t>(expected))
         << " missing or out of order";
     log->Record({tick_, MonitorId::kControlFlow, Severity::kWarning,
                  /*handled=*/false, msg.str()});
   }
-  if (static_cast<int>(sequence_.size()) > kNumTickStages) {
+  if (sequence_.size() > std::size(kMonitoredStages)) {
     intact = false;
     log->Record({tick_, MonitorId::kControlFlow, Severity::kWarning,
                  /*handled=*/false, "unexpected extra stage execution"});

@@ -11,7 +11,7 @@
 //     estimate is compared against an independent dead-reckoning envelope
 //     propagated from chassis odometry;
 //   * DeadlineWatchdog    — "external monitoring facility": a deadline
-//     supervisor over the tick ExecutionTimer;
+//     supervisor over the tick's elapsed time;
 //   * ControlFlowMonitor  — "control flow monitoring": the Tick stage
 //     sequence (perception -> ... -> CAN bus -> localization) is checked
 //     for missing, duplicated, or reordered stages every cycle.
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "ad/common.h"
-#include "timing/timing.h"
+#include "obs/flight_recorder.h"
 
 namespace adpilot {
 
@@ -168,12 +168,11 @@ class PlausibilityMonitor {
 };
 
 // Table 4 "external monitoring facility": a deadline supervisor over the
-// pipeline's ExecutionTimer. Every checked duration is also recorded into
-// the timer (when provided) so WCET statistics include faulted cycles.
+// tick's elapsed time. Misses are counted in safety/deadline_misses and the
+// SafetyLog; WCET evidence comes from the adpilot/tick timer.
 class DeadlineWatchdog {
  public:
-  explicit DeadlineWatchdog(const SafetyConfig& config,
-                            certkit::timing::ExecutionTimer* timer = nullptr);
+  explicit DeadlineWatchdog(const SafetyConfig& config);
 
   // Returns true when `seconds` meets the deadline; otherwise records a
   // violation (warning — degradation escalates on repetition).
@@ -182,36 +181,29 @@ class DeadlineWatchdog {
 
  private:
   SafetyConfig config_;
-  certkit::timing::ExecutionTimer* timer_;
   std::int64_t misses_ = 0;
 };
 
-// The pipeline stages whose execution order the ControlFlowMonitor checks,
-// in expected per-tick order. Localization (the EKF measurement update) runs
-// last in the cycle, after chassis feedback.
-enum class TickStage {
-  kPerception = 0,
-  kPrediction,
-  kPlanning,
-  kControl,
-  kCanBus,
-  kLocalization,
-};
-inline constexpr int kNumTickStages = 6;
-const char* TickStageName(TickStage stage);
+// Older spelling of the stage enum, kept because the perf ledger's shadow
+// pilot (perf_ledger/tick_workload.cpp) still names it.
+using TickStage = certkit::obs::FlightStage;
 
-// Table 4 "control flow monitoring of the program execution".
+// Table 4 "control flow monitoring of the program execution". It checks
+// the six monitored stages — perception, prediction, planning, control,
+// CAN bus, localization (the EKF update runs last, after chassis feedback)
+// — in that order; scenario, safety and the tick itself are not monitored.
 class ControlFlowMonitor {
  public:
   void BeginTick(std::int64_t tick);
-  void Enter(TickStage stage);
-  // Verifies that every stage ran exactly once, in pipeline order; records
-  // one violation per missing/reordered stage. Returns true when intact.
+  void Enter(certkit::obs::FlightStage stage);
+  // Verifies that every monitored stage ran exactly once, in pipeline
+  // order; records one violation per missing/reordered stage. Returns true
+  // when intact.
   bool EndTick(SafetyLog* log);
 
  private:
   std::int64_t tick_ = -1;
-  std::vector<int> sequence_;
+  std::vector<certkit::obs::FlightStage> sequence_;
 };
 
 }  // namespace adpilot

@@ -417,7 +417,7 @@ support::Status WriteCampaignCheckpoint(const std::string& dir,
   const std::string blob =
       FrameBlob(kCheckpointMagic, static_cast<std::uint32_t>(kCheckpointSchema),
                 CheckpointJson(config, state));
-  return AtomicWriteFile(dir, CheckpointPath(dir), blob);
+  return support::AtomicWriteFile(CheckpointPath(dir), blob);
 }
 
 std::string CheckpointDiagnostic(CheckpointLoad load, const std::string& dir,
@@ -534,8 +534,7 @@ support::Status WriteShardDelta(const std::string& dir,
   const std::string blob =
       FrameBlob(kShardMagic, static_cast<std::uint32_t>(kShardDeltaSchema),
                 ShardDeltaJson(config, delta));
-  return AtomicWriteFile(
-      dir,
+  return support::AtomicWriteFile(
       ShardDeltaPath(dir, delta.generation, delta.shard_index,
                      delta.shard_count),
       blob);

@@ -1,14 +1,10 @@
 #include "campaign/corpus_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "campaign/replay.h"
 #include "support/fnv.h"
@@ -256,28 +252,6 @@ bool UnframeBlob(const char magic[4], std::uint32_t schema,
   return true;
 }
 
-// Atomic publish: unique temp name per writer, then rename — shards on a
-// shared store directory never interleave and readers only see whole
-// entries (the ArtifactCache::StoreBlob idiom).
-support::Status AtomicWriteFile(const std::string& dir,
-                                const std::string& path,
-                                const std::string& blob) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);  // best-effort; WriteFile reports failure
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << ::getpid() << "."
-           << std::hash<std::thread::id>{}(std::this_thread::get_id());
-  const std::string tmp = tmp_name.str();
-  const support::Status written = support::WriteFile(tmp, blob);
-  if (!written.ok()) return written;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return support::IoError("cannot publish " + path);
-  }
-  return support::Status::Ok();
-}
-
 namespace {
 
 constexpr char kCorpusMagic[4] = {'C', 'K', 'C', '1'};
@@ -295,8 +269,8 @@ support::Status CorpusStore::Put(const CorpusEntry& entry) const {
   const std::string blob =
       FrameBlob(kCorpusMagic, static_cast<std::uint32_t>(kCorpusSchema),
                 CorpusEntryJson(entry));
-  return AtomicWriteFile(dir_, EntryPath(CandidateHash(entry.candidate)),
-                         blob);
+  return support::AtomicWriteFile(EntryPath(CandidateHash(entry.candidate)),
+                                  blob);
 }
 
 bool CorpusStore::Load(std::uint64_t candidate_hash, CorpusEntry* out) const {

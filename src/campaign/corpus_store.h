@@ -85,13 +85,6 @@ std::string FrameBlob(const char magic[4], std::uint32_t schema,
 bool UnframeBlob(const char magic[4], std::uint32_t schema,
                  std::string_view blob, std::string_view* payload);
 
-// Atomic publish shared by the store, checkpoints, and shard deltas:
-// creates `dir`, writes `blob` under a unique temp name, renames into
-// `path`. Concurrent writers never interleave; readers see whole files.
-support::Status AtomicWriteFile(const std::string& dir,
-                                const std::string& path,
-                                const std::string& blob);
-
 // --- the store ------------------------------------------------------------
 
 class CorpusStore {

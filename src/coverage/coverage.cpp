@@ -36,6 +36,16 @@ void SetBit(std::vector<std::uint64_t>* words, std::size_t i) {
   (*words)[w] |= 1ULL << (i % 64);
 }
 
+// Names of the function or call probes that never fired.
+template <typename NamedProbes>
+std::vector<std::string> Unhit(const NamedProbes& probes) {
+  std::vector<std::string> out;
+  for (const auto& p : probes) {
+    if (!p.hit) out.push_back(p.name);
+  }
+  return out;
+}
+
 }  // namespace
 
 // One unit's probe state on one thread; only that thread touches it. The
@@ -302,11 +312,12 @@ double Unit::CallCoverage() const {
 
 std::vector<std::string> Unit::UncoveredFunctions() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& f : functions_) {
-    if (!f.hit) out.push_back(f.name);
-  }
-  return out;
+  return Unhit(functions_);
+}
+
+std::vector<std::string> Unit::UncoveredCalls() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Unhit(calls_);
 }
 
 std::int64_t Unit::statements_total() const {

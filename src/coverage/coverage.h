@@ -153,8 +153,10 @@ class Unit {
   double McdcCoverage() const;       // independent conditions / conditions
   double FunctionCoverage() const;   // functions entered / declared
   double CallCoverage() const;       // call edges executed / declared
-  // Names of declared-but-never-entered functions (reporting).
+  // Names of declared-but-never-entered functions and of never-executed
+  // call edges ("caller -> callee"), in declaration order (reporting).
   std::vector<std::string> UncoveredFunctions() const;
+  std::vector<std::string> UncoveredCalls() const;
   // Conditions demonstrated independent, per unique-cause analysis.
   std::int64_t mcdc_conditions_demonstrated() const;
   std::int64_t mcdc_conditions_total() const;

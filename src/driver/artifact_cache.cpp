@@ -1,16 +1,11 @@
 #include "driver/artifact_cache.h"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <set>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "support/io.h"
@@ -771,17 +766,10 @@ bool ArtifactCache::Load(const std::string& path, const std::string& module,
 
 void ArtifactCache::StoreBlob(const std::string& entry,
                               std::string blob) const {
-  std::error_code ec;
-  fs::create_directories(dir_, ec);  // best-effort
-  // Unique temp name per writer so concurrent workers (or processes) never
-  // interleave; rename is atomic, so readers only ever see whole entries.
-  std::ostringstream tmp_name;
-  tmp_name << entry << ".tmp." << ::getpid() << "."
-           << std::hash<std::thread::id>{}(std::this_thread::get_id());
-  const std::string tmp = tmp_name.str();
-  if (!support::WriteFile(tmp, blob).ok()) return;
-  fs::rename(tmp, entry, ec);
-  if (ec) fs::remove(tmp, ec);
+  // Concurrent workers (or processes) never interleave and readers only
+  // ever see whole entries. A failed store is swallowed: it only costs a
+  // recompute on a later run.
+  (void)support::AtomicWriteFile(entry, blob);
 }
 
 void ArtifactCache::Store(const std::string& content,

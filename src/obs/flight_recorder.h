@@ -57,9 +57,9 @@ enum class FlightEventType : std::uint32_t {
   kServeEnd = 9,         // a = ok (0/1), c = request index
 };
 
-// Pipeline stage ids, mirroring the obs::Span names in ApolloPilot::Tick.
-// The obs layer cannot depend on adpilot (the dependency points the other
-// way), so the name table is duplicated here and pinned by tests.
+// Pipeline stage ids: the one stage enum of ApolloPilot::Tick. Its stage
+// table is indexed by it, its spans, timers and histograms are named by
+// FlightStageName, and the ControlFlowMonitor checks its stage order.
 enum class FlightStage : std::uint32_t {
   kTick = 0,
   kScenario = 1,

@@ -84,14 +84,16 @@ Span::Span(const char* name, const char* cat, timing::ExecutionTimer* timer,
   if (capture_ != nullptr) begin_ = capture_->clock_++;
 }
 
+double Span::ElapsedSeconds() const {
+  if (!measure_wall_) return 0.0;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start_)
+                          .count();
+  return wall < 0.0 ? 0.0 : wall;  // steady_clock paranoia on odd platforms
+}
+
 Span::~Span() {
-  double wall = 0.0;
-  if (measure_wall_) {
-    wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall_start_)
-               .count();
-    if (wall < 0.0) wall = 0.0;  // steady_clock paranoia on odd platforms
-  }
+  const double wall = ElapsedSeconds();
   if (timer_ != nullptr) timer_->Record(wall);
   if (histogram_ != nullptr) histogram_->Record(wall);
   if (capture_ != nullptr) {

@@ -108,6 +108,10 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  // Wall-clock seconds since construction; 0 for a span that measures no
+  // wall time (no sink and no capture).
+  double ElapsedSeconds() const;
+
  private:
   const char* name_;
   const char* cat_;

@@ -1,260 +1,19 @@
 #include "obs/trace_validate.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <vector>
+
+#include "support/json.h"
 
 namespace certkit::obs {
 
 namespace {
 
-// --- a minimal recursive-descent JSON reader ------------------------------
-//
-// Enough JSON for trace-event documents: null/bool/number/string/array/
-// object, no surrogate-pair decoding (escapes are validated, not decoded).
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;                    // kArray
-  std::map<std::string, JsonValue> members;        // kObject
-
-  bool IsInt() const {
-    return kind == Kind::kNumber && number == static_cast<double>(
-                                                  static_cast<std::int64_t>(
-                                                      number));
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out, std::string* error) {
-    SkipSpace();
-    if (!ParseValue(out)) {
-      *error = error_.empty() ? "malformed JSON" : error_;
-      return false;
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      *error = "trailing bytes after top-level value at offset " +
-               std::to_string(pos_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool Fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* word, std::size_t len) {
-    if (text_.compare(pos_, len, word) != 0) return Fail("bad literal");
-    pos_ += len;
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->str);
-      case 't':
-        out->kind = JsonValue::Kind::kBool;
-        out->boolean = true;
-        return Literal("true", 4);
-      case 'f':
-        out->kind = JsonValue::Kind::kBool;
-        out->boolean = false;
-        return Literal("false", 5);
-      case 'n':
-        out->kind = JsonValue::Kind::kNull;
-        return Literal("null", 4);
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"' || !ParseString(&key)) {
-        return Fail("expected object key");
-      }
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Fail("expected ':'");
-      }
-      ++pos_;
-      SkipSpace();
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->members[key] = std::move(value);
-      SkipSpace();
-      if (pos_ >= text_.size()) return Fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->items.push_back(std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    ++pos_;  // opening quote
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control character in string");
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("dangling escape");
-        const char esc = text_[pos_];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-          case 'b':
-          case 'f':
-          case 'n':
-          case 'r':
-          case 't':
-            out->push_back(esc);
-            ++pos_;
-            break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) return Fail("short \\u escape");
-            for (int i = 1; i <= 4; ++i) {
-              if (!std::isxdigit(
-                      static_cast<unsigned char>(text_[pos_ + i]))) {
-                return Fail("bad \\u escape");
-              }
-            }
-            out->push_back('?');  // validated, not decoded
-            pos_ += 5;
-            break;
-          }
-          default:
-            return Fail("unknown escape");
-        }
-      } else {
-        out->push_back(c);
-        ++pos_;
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected a value");
-    // Exception-free conversion: from_chars neither throws nor inspects the
-    // locale, and it distinguishes a literal that is *syntactically* broken
-    // ("1e", "1.2.3") from one that is well-formed but does not fit a
-    // double ("1e999") — two different validator diagnostics.
-    double value = 0.0;
-    const auto res =
-        std::from_chars(text_.data() + start, text_.data() + pos_, value);
-    if (res.ec == std::errc::result_out_of_range) {
-      return Fail("numeric literal out of range");
-    }
-    if (res.ec != std::errc() || res.ptr != text_.data() + pos_) {
-      return Fail("malformed number");
-    }
-    out->number = value;
-    out->kind = JsonValue::Kind::kNumber;
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-// --- trace-event schema checks --------------------------------------------
-
-const JsonValue* Member(const JsonValue& obj, const std::string& key) {
-  const auto it = obj.members.find(key);
-  return it == obj.members.end() ? nullptr : &it->second;
-}
+using support::JsonValue;
 
 bool EventError(std::size_t index, const std::string& what,
                 std::string* error) {
@@ -267,6 +26,13 @@ struct Interval {
   std::int64_t end;  // exclusive
 };
 
+// Reads member `key` as an exact 64-bit integer from its raw literal, so a
+// value no int64 holds (1e300, 2^63) fails instead of being cast.
+bool GetInt(const JsonValue& obj, const char* key, std::int64_t* out) {
+  std::string ignored;
+  return support::JsonGetI64(obj, key, out, &ignored);
+}
+
 bool CheckEvents(const std::vector<JsonValue>& events, std::string* error) {
   std::map<std::int64_t, std::vector<Interval>> by_tid;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -274,45 +40,44 @@ bool CheckEvents(const std::vector<JsonValue>& events, std::string* error) {
     if (ev.kind != JsonValue::Kind::kObject) {
       return EventError(i, "not an object", error);
     }
-    const JsonValue* name = Member(ev, "name");
+    const JsonValue* name = ev.Find("name");
     if (name == nullptr || name->kind != JsonValue::Kind::kString) {
       return EventError(i, "missing string \"name\"", error);
     }
-    const JsonValue* ph = Member(ev, "ph");
+    const JsonValue* ph = ev.Find("ph");
     if (ph == nullptr || ph->kind != JsonValue::Kind::kString ||
-        ph->str.size() != 1) {
+        ph->string.size() != 1) {
       return EventError(i, "missing one-char string \"ph\"", error);
     }
-    for (const char* key : {"pid", "tid"}) {
-      const JsonValue* v = Member(ev, key);
-      if (v == nullptr || !v->IsInt()) {
-        return EventError(i, std::string("missing integer \"") + key + "\"",
-                          error);
-      }
+    std::int64_t pid = 0, tid = 0;
+    if (!GetInt(ev, "pid", &pid)) {
+      return EventError(i, "missing integer \"pid\"", error);
     }
-    if (ph->str == "M") {
-      const JsonValue* args = Member(ev, "args");
+    if (!GetInt(ev, "tid", &tid)) {
+      return EventError(i, "missing integer \"tid\"", error);
+    }
+    if (ph->string == "M") {
+      const JsonValue* args = ev.Find("args");
       if (args == nullptr || args->kind != JsonValue::Kind::kObject) {
         return EventError(i, "metadata event without \"args\" object", error);
       }
       continue;
     }
-    if (ph->str == "X") {
-      const JsonValue* ts = Member(ev, "ts");
-      const JsonValue* dur = Member(ev, "dur");
-      if (ts == nullptr || !ts->IsInt() || ts->number < 0) {
+    if (ph->string == "X") {
+      std::int64_t ts = 0, dur = 0;
+      if (!GetInt(ev, "ts", &ts) || ts < 0) {
         return EventError(i, "X event needs integer ts >= 0", error);
       }
-      if (dur == nullptr || !dur->IsInt() || dur->number < 1) {
+      if (!GetInt(ev, "dur", &dur) || dur < 1) {
         return EventError(i, "X event needs integer dur >= 1", error);
       }
-      const auto tid = static_cast<std::int64_t>(Member(ev, "tid")->number);
-      by_tid[tid].push_back(
-          Interval{static_cast<std::int64_t>(ts->number),
-                   static_cast<std::int64_t>(ts->number + dur->number)});
+      if (ts > std::numeric_limits<std::int64_t>::max() - dur) {
+        return EventError(i, "X event ts + dur overflows int64", error);
+      }
+      by_tid[tid].push_back(Interval{ts, ts + dur});
       continue;
     }
-    return EventError(i, "unsupported phase \"" + ph->str + "\"", error);
+    return EventError(i, "unsupported phase \"" + ph->string + "\"", error);
   }
 
   // Nesting check per tid: sorted by (begin, -length), a stack of enclosing
@@ -346,14 +111,13 @@ bool CheckEvents(const std::vector<JsonValue>& events, std::string* error) {
 
 bool ValidateChromeTrace(const std::string& json, std::string* error) {
   JsonValue root;
-  JsonParser parser(json);
-  if (!parser.Parse(&root, error)) return false;
+  if (!support::ParseJson(json, &root, error)) return false;
 
   const std::vector<JsonValue>* events = nullptr;
   if (root.kind == JsonValue::Kind::kArray) {
     events = &root.items;
   } else if (root.kind == JsonValue::Kind::kObject) {
-    const JsonValue* te = Member(root, "traceEvents");
+    const JsonValue* te = root.Find("traceEvents");
     if (te == nullptr || te->kind != JsonValue::Kind::kArray) {
       *error = "top-level object has no \"traceEvents\" array";
       return false;

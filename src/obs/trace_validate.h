@@ -1,18 +1,21 @@
 // certkit obs: structural validation of exported Chrome trace-event JSON.
 //
 // The exporter (ChromeTraceJson) and this validator are deliberately
-// independent implementations: the validator re-parses the bytes with its
-// own minimal JSON reader and checks the trace-event schema plus the
-// invariants our logical clock guarantees, so a formatting or sequencing
-// bug in the exporter cannot hide. tools/trace_lint wraps this for CI;
-// the obs tests run it on every export they produce.
+// independent: the exporter escapes and formats with its own code, and the
+// validator re-parses the bytes with support::ParseJson (the one JSON reader)
+// and checks the trace-event schema plus the invariants our logical clock
+// guarantees, so a formatting or sequencing bug in the exporter cannot
+// hide. tools/trace_lint wraps this for CI; the obs tests run it on every
+// export they produce.
 //
 // Accepted shape (the subset of the trace-event format certkit emits, which
 // chrome://tracing and Perfetto both load):
 //   * top level: an object with a "traceEvents" array, or a bare array;
 //   * every event: an object with string "name" and "ph", integer "pid"
-//     and "tid";
-//   * "X" (complete) events: integer "ts" and "dur" with ts >= 0, dur >= 1;
+//     and "tid" (integers are exact int64 literals: no fraction, exponent
+//     or out-of-range value);
+//   * "X" (complete) events: integer "ts" and "dur" with ts >= 0, dur >= 1,
+//     and ts + dur within int64;
 //   * "M" (metadata) events: an "args" object;
 //   * per tid, "X" events must be properly nested — any two intervals are
 //     disjoint or one contains the other (partial overlap would render as

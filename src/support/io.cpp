@@ -1,9 +1,13 @@
 #include "support/io.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <thread>
 
 #include "support/strings.h"
 
@@ -42,6 +46,22 @@ Status WriteFile(const std::string& path, const std::string& content) {
             static_cast<std::streamsize>(content.size()));
   if (!out) {
     return IoError("write failure: " + path);
+  }
+  return Status::Ok();
+}
+
+Status AtomicWriteFile(const std::string& path, const std::string& content) {
+  std::ostringstream tmp_name;
+  tmp_name << path << ".tmp." << ::getpid() << "."
+           << std::hash<std::thread::id>{}(std::this_thread::get_id());
+  const std::string tmp = tmp_name.str();
+  const Status written = WriteFile(tmp, content);
+  if (!written.ok()) return written;
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    fs::remove(tmp, ec);
+    return IoError("cannot publish " + path);
   }
   return Status::Ok();
 }

@@ -15,6 +15,12 @@ Result<std::string> ReadFile(const std::string& path);
 // Writes `content` to `path`, creating parent directories as needed.
 Status WriteFile(const std::string& path, const std::string& content);
 
+// Atomic publish: writes `content` under a temp name unique to this process
+// and thread, then renames it onto `path`. Concurrent writers never
+// interleave and readers only ever see whole files. Creates parent
+// directories as needed.
+Status AtomicWriteFile(const std::string& path, const std::string& content);
+
 // Recursively lists regular files under `dir` whose name ends with one of
 // `extensions` (e.g. {".cc", ".h"}); empty `extensions` matches everything.
 //

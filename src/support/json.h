@@ -15,9 +15,10 @@
 //                     artifacts back (objects, arrays, numbers, strings
 //                     with escapes, bools, null)
 //
-// The obs trace validator intentionally keeps its own private parser
-// (tools/trace_lint is an *independent* checker); this one is for
-// round-trip artifact IO.
+// This is certkit's one JSON reader: round-trip artifact IO and the obs
+// validators (trace and flight dump, behind tools/trace_lint) all parse
+// with it. The validators stay independent of the emitters they check,
+// which escape and format with their own code.
 #ifndef CERTKIT_SUPPORT_JSON_H_
 #define CERTKIT_SUPPORT_JSON_H_
 

@@ -36,9 +36,9 @@ constexpr int kMeasuredTicks = 30;
 // it runs inside the tick and must obey the same discipline).
 void ReserveTickTimers(int ticks) {
   static const char* kTimers[] = {
-      "adpilot/tick",     "adpilot/perception",  "adpilot/prediction",
-      "adpilot/planning", "adpilot/control",     "adpilot/canbus",
-      "adpilot/localization", "adpilot/safety",  "adpilot/tick_effective",
+      "adpilot/tick",     "adpilot/perception",   "adpilot/prediction",
+      "adpilot/planning", "adpilot/control",      "adpilot/canbus",
+      "adpilot/localization", "adpilot/safety",
   };
   auto& registry = certkit::timing::TimerRegistry::Instance();
   for (const char* name : kTimers) {

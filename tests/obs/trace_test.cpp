@@ -345,6 +345,30 @@ TEST(TraceValidateTest, RejectsPartiallyOverlappingSpans) {
   EXPECT_NE(error.find("overlap"), std::string::npos) << error;
 }
 
+TEST(TraceValidateTest, RejectsSpansEndingPastInt64) {
+  // Regression: the span end ts + dur was computed in double and cast to
+  // int64, which is undefined past 2^63 (x86 wraps it to INT64_MIN). These
+  // two spans partially overlap, [2^62, 2^63) and [2^62 + 2^40,
+  // 2^63 + 2^40), yet the wrapped ends let them pass.
+  std::string error;
+  EXPECT_FALSE(ValidateChromeTrace(
+      "{\"traceEvents\":["
+      "{\"name\":\"a\",\"ph\":\"X\",\"ts\":4611686018427387904,"
+      "\"dur\":4611686018427387904,\"pid\":0,\"tid\":0},"
+      "{\"name\":\"b\",\"ph\":\"X\",\"ts\":4611687117939015680,"
+      "\"dur\":4611686018427387904,\"pid\":0,\"tid\":0}]}",
+      &error));
+  EXPECT_NE(error.find("overflow"), std::string::npos) << error;
+
+  // A timestamp no int64 holds is not an integer timestamp.
+  error.clear();
+  EXPECT_FALSE(ValidateChromeTrace(
+      "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":1e300,"
+      "\"dur\":1,\"pid\":0,\"tid\":0}]}",
+      &error));
+  EXPECT_NE(error.find("integer ts"), std::string::npos) << error;
+}
+
 TEST(TraceValidateTest, AcceptsSameTidOnDifferentTracksIndependently) {
   // Disjoint and nested intervals are both fine.
   TraceTrack track;

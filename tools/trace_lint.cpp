@@ -17,8 +17,10 @@
 //    well-formed metrics snapshot (bucket arrays of length bounds+1 that
 //    sum to the count; quantiles numeric or "+inf").
 //
-// Both validators are independent re-implementations (own JSON parsing,
-// own invariant checks) so emitter bugs cannot hide behind shared code.
+// Both validators are independent of the emitters (they parse with
+// support::ParseJson, while the emitters escape and format with their own
+// code, and the invariant checks are their own), so emitter bugs cannot
+// hide behind shared code.
 //
 // Exit status: 0 when every file validates, 1 otherwise (CI-friendly).
 #include <cstdio>
