@@ -1,6 +1,22 @@
 #include "kernels/gemm.h"
 
+#include <immintrin.h>
+
 #include <algorithm>
+#include <cstring>
+#include <vector>
+
+#if !defined(__x86_64__)
+#error "the int8 pair microkernel is written for x86-64 (SSE2 baseline)"
+#endif
+
+// The AVX2 and AVX-512 policies' vectors pass through the shared kernel
+// template, which GCC compiles without their target, so GCC warns that
+// passing them would use a different ABI. Every such call is inlined into
+// a target entry point (flatten): no vector value crosses a call boundary.
+// GCC emits this warning at the end of the TU, so the suppression cannot
+// be scoped with push/pop.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace kernels {
 
@@ -122,39 +138,34 @@ std::int64_t CeilDiv64(std::int64_t a, std::int64_t b) {
 // One mr×nr register tile: accumulators live across the whole K loop, K is
 // never split, and every acc[r][cc] sees the same mul-then-add sequence a
 // scalar loop would — the bit-exactness contract from the header.
-template <typename In, typename Acc, int MR, int NR>
-inline void MicroTile(const In* a, const In* b, Acc* c, GemmShape s, int i0,
-                      int j0) {
-  Acc acc[MR][NR] = {};
+template <int MR, int NR>
+inline void MicroTile(const float* a, const float* b, float* c, GemmShape s,
+                      int i0, int j0) {
+  float acc[MR][NR] = {};
   for (int kk = 0; kk < s.k; ++kk) {
-    const In* brow = b + static_cast<std::size_t>(kk) * s.n + j0;
+    const float* brow = b + static_cast<std::size_t>(kk) * s.n + j0;
     for (int r = 0; r < MR; ++r) {
-      const Acc av =
-          static_cast<Acc>(a[static_cast<std::size_t>(i0 + r) * s.k + kk]);
-      for (int cc = 0; cc < NR; ++cc) {
-        acc[r][cc] += av * static_cast<Acc>(brow[cc]);
-      }
+      const float av = a[static_cast<std::size_t>(i0 + r) * s.k + kk];
+      for (int cc = 0; cc < NR; ++cc) acc[r][cc] += av * brow[cc];
     }
   }
   for (int r = 0; r < MR; ++r) {
-    Acc* crow = c + static_cast<std::size_t>(i0 + r) * s.n + j0;
+    float* crow = c + static_cast<std::size_t>(i0 + r) * s.n + j0;
     for (int cc = 0; cc < NR; ++cc) crow[cc] = acc[r][cc];
   }
 }
 
 // Fringe rectangle [i0,i1)×[j0,j1): scalar, one K-ordered accumulator per
 // element, so fringe elements round exactly like tiled ones.
-template <typename In, typename Acc>
-void FringeRect(const In* a, const In* b, Acc* c, GemmShape s, int i0, int i1,
-                int j0, int j1) {
+void FringeRect(const float* a, const float* b, float* c, GemmShape s,
+                int i0, int i1, int j0, int j1) {
   for (int i = i0; i < i1; ++i) {
-    const In* arow = a + static_cast<std::size_t>(i) * s.k;
-    Acc* crow = c + static_cast<std::size_t>(i) * s.n;
+    const float* arow = a + static_cast<std::size_t>(i) * s.k;
+    float* crow = c + static_cast<std::size_t>(i) * s.n;
     for (int j = j0; j < j1; ++j) {
-      Acc acc = 0;
+      float acc = 0.0f;
       for (int kk = 0; kk < s.k; ++kk) {
-        acc += static_cast<Acc>(arow[kk]) *
-               static_cast<Acc>(b[static_cast<std::size_t>(kk) * s.n + j]);
+        acc += arow[kk] * b[static_cast<std::size_t>(kk) * s.n + j];
       }
       crow[j] = acc;
     }
@@ -162,16 +173,16 @@ void FringeRect(const In* a, const In* b, Acc* c, GemmShape s, int i0, int i1,
 }
 
 // Rows [r0,r1) of C, swept in nc-column cache panels of B.
-template <typename In, typename Acc, int MR, int NR>
-void StripeBody(const In* a, const In* b, Acc* c, GemmShape s, int r0, int r1,
-                int nc) {
+template <int MR, int NR>
+void StripeBody(const float* a, const float* b, float* c, GemmShape s, int r0,
+                int r1, int nc) {
   for (int jc = 0; jc < s.n; jc += nc) {
     const int jc1 = std::min(jc + nc, s.n);
     int i = r0;
     for (; i + MR <= r1; i += MR) {
       int j = jc;
       for (; j + NR <= jc1; j += NR) {
-        MicroTile<In, Acc, MR, NR>(a, b, c, s, i, j);
+        MicroTile<MR, NR>(a, b, c, s, i, j);
       }
       FringeRect(a, b, c, s, i, i + MR, j, jc1);
     }
@@ -179,28 +190,26 @@ void StripeBody(const In* a, const In* b, Acc* c, GemmShape s, int r0, int r1,
   }
 }
 
-template <typename In, typename Acc>
-void StripeDispatch(const In* a, const In* b, Acc* c, GemmShape s, int r0,
-                    int r1, BlockConfig cfg) {
+void StripeDispatch(const float* a, const float* b, float* c, GemmShape s,
+                    int r0, int r1, BlockConfig cfg) {
   if (cfg.mr == 4 && cfg.nr == 8) {
-    StripeBody<In, Acc, 4, 8>(a, b, c, s, r0, r1, cfg.nc);
+    StripeBody<4, 8>(a, b, c, s, r0, r1, cfg.nc);
   } else if (cfg.mr == 8 && cfg.nr == 8) {
-    StripeBody<In, Acc, 8, 8>(a, b, c, s, r0, r1, cfg.nc);
+    StripeBody<8, 8>(a, b, c, s, r0, r1, cfg.nc);
   } else if (cfg.mr == 4 && cfg.nr == 16) {
-    StripeBody<In, Acc, 4, 16>(a, b, c, s, r0, r1, cfg.nc);
+    StripeBody<4, 16>(a, b, c, s, r0, r1, cfg.nc);
   } else if (cfg.mr == 2 && cfg.nr == 16) {
-    StripeBody<In, Acc, 2, 16>(a, b, c, s, r0, r1, cfg.nc);
+    StripeBody<2, 16>(a, b, c, s, r0, r1, cfg.nc);
   } else if (cfg.mr == 8 && cfg.nr == 16) {
-    StripeBody<In, Acc, 8, 16>(a, b, c, s, r0, r1, cfg.nc);
+    StripeBody<8, 16>(a, b, c, s, r0, r1, cfg.nc);
   } else {
-    StripeBody<In, Acc, 4, 8>(a, b, c, s, r0, r1, cfg.nc);
+    StripeBody<4, 8>(a, b, c, s, r0, r1, cfg.nc);
   }
 }
 
 // Outer blocking: contiguous row stripes, one per pool lane. Disjoint C rows,
 // so any stripe count (including 1, the inline path) is bit-identical.
-template <typename In, typename Acc>
-void GemmBlocked(const In* a, const In* b, Acc* c, GemmShape s,
+void GemmBlocked(const float* a, const float* b, float* c, GemmShape s,
                  certkit::support::ThreadPool* pool) {
   CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
   const int stripes =
@@ -267,66 +276,7 @@ BlockConfig PickBlockConfig(GemmShape s, int stripes) {
 
 void Sgemm(const float* a, const float* b, float* c, GemmShape s,
            certkit::support::ThreadPool* pool) {
-  GemmBlocked<float, float>(a, b, c, s, pool);
-}
-
-void GemmS8S32(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-               GemmShape s, certkit::support::ThreadPool* pool) {
-  GemmBlocked<std::int8_t, std::int32_t>(a, b, c, s, pool);
-}
-
-void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
-                    std::int32_t* c, GemmShape s) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  const int m = s.m, n = s.n, k = s.k;
-  // 2×2 register tile of K-contiguous dot products: each accumulator is a
-  // PMADDWD partial-sum vector, each loaded A/B K-slice feeds two products.
-  int i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const std::int16_t* a0 = a + static_cast<std::size_t>(i) * k;
-    const std::int16_t* a1 = a0 + k;
-    std::int32_t* c0 = c + static_cast<std::size_t>(i) * n;
-    std::int32_t* c1 = c0 + n;
-    int j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const std::int16_t* b0 = bt + static_cast<std::size_t>(j) * k;
-      const std::int16_t* b1 = b0 + k;
-      std::int32_t acc00 = 0, acc01 = 0, acc10 = 0, acc11 = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        const std::int32_t av0 = a0[kk], av1 = a1[kk];
-        acc00 += av0 * b0[kk];
-        acc01 += av0 * b1[kk];
-        acc10 += av1 * b0[kk];
-        acc11 += av1 * b1[kk];
-      }
-      c0[j] = acc00;
-      c0[j + 1] = acc01;
-      c1[j] = acc10;
-      c1[j + 1] = acc11;
-    }
-    for (; j < n; ++j) {  // odd-N fringe column
-      const std::int16_t* b0 = bt + static_cast<std::size_t>(j) * k;
-      std::int32_t acc0 = 0, acc1 = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        acc0 += static_cast<std::int32_t>(a0[kk]) * b0[kk];
-        acc1 += static_cast<std::int32_t>(a1[kk]) * b0[kk];
-      }
-      c0[j] = acc0;
-      c1[j] = acc1;
-    }
-  }
-  for (; i < m; ++i) {  // odd-M fringe row
-    const std::int16_t* a0 = a + static_cast<std::size_t>(i) * k;
-    std::int32_t* c0 = c + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const std::int16_t* b0 = bt + static_cast<std::size_t>(j) * k;
-      std::int32_t acc = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int32_t>(a0[kk]) * b0[kk];
-      }
-      c0[j] = acc;
-    }
-  }
+  GemmBlocked(a, b, c, s, pool);
 }
 
 void SgemmWithConfig(const float* a, const float* b, float* c, GemmShape s,
@@ -335,10 +285,317 @@ void SgemmWithConfig(const float* a, const float* b, float* c, GemmShape s,
   StripeDispatch(a, b, c, s, 0, s.m, cfg);
 }
 
-void GemmS8S32WithConfig(const std::int8_t* a, const std::int8_t* b,
-                         std::int32_t* c, GemmShape s, BlockConfig cfg) {
+
+// ------------------------------------------------------------------ int8
+//
+// One microkernel template, PairGemm<V>, over a small vector policy V:
+//   Reg, kLanes       the vector of int32 lanes;
+//   kRows             MR, the weight rows of a register tile;
+//   Zero, Broadcast, Load, Store, MaddAdd (acc + PMADDWD(a, b));
+//   LoadFirst, StoreFirst   the first `count` lanes only, 0 < count < kLanes,
+//                     touching no memory past them (the N fringe).
+// A register tile is MR weight rows × 2 vectors of pixels: per pair step it
+// loads two vectors of B, broadcasts one A pair per row, and runs MR·2
+// madd+add into int32 accumulators that stay in registers for all of K.
+//
+// The SSE2 policy is the x86-64 baseline and carries no target. The AVX2
+// and AVX-512BW policies are compiled under exactly "avx2" and
+// "avx512f,avx512bw": neither enables FMA, so no float code in this file can
+// be contracted differently (GCC defaults to -ffp-contract=fast, so
+// x86-64-v3/v4 or "fma" here could change fp32 bits).
+namespace {
+
+// Unaligned SSE2 access to int16 and int32 arrays.
+__m128i LoadU128(const void* p) {
+  return _mm_loadu_si128(static_cast<const __m128i*>(p));
+}
+void StoreU128(void* p, __m128i v) {
+  _mm_storeu_si128(static_cast<__m128i*>(p), v);
+}
+
+struct Sse2 {
+  using Reg = __m128i;
+  static constexpr int kLanes = 4;
+  static constexpr int kRows = 4;  // 8 accumulators of 16 xmm
+  static Reg Zero() { return _mm_setzero_si128(); }
+  static Reg Broadcast(std::int32_t v) { return _mm_set1_epi32(v); }
+  static Reg Load(const std::int32_t* p) { return LoadU128(p); }
+  static void Store(std::int32_t* p, Reg v) { StoreU128(p, v); }
+  static Reg MaddAdd(Reg acc, Reg a, Reg b) {
+    return _mm_add_epi32(acc, _mm_madd_epi16(a, b));
+  }
+  static Reg LoadFirst(const std::int32_t* p, int count) {
+    std::int32_t lanes[kLanes] = {};
+    std::memcpy(lanes, p, count * sizeof(*p));
+    return LoadU128(lanes);
+  }
+  static void StoreFirst(std::int32_t* p, Reg v, int count) {
+    std::int32_t lanes[kLanes];
+    StoreU128(lanes, v);
+    std::memcpy(p, lanes, count * sizeof(*p));
+  }
+};
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+struct Avx2 {
+  using Reg = __m256i;
+  static constexpr int kLanes = 8;
+  static constexpr int kRows = 4;  // 8 accumulators of 16 ymm
+  static Reg Zero() { return _mm256_setzero_si256(); }
+  static Reg Broadcast(std::int32_t v) { return _mm256_set1_epi32(v); }
+  static Reg Load(const std::int32_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void Store(std::int32_t* p, Reg v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static Reg MaddAdd(Reg acc, Reg a, Reg b) {
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
+  }
+  static Reg FirstLanes(int count) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(count),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static Reg LoadFirst(const std::int32_t* p, int count) {
+    return _mm256_maskload_epi32(p, FirstLanes(count));
+  }
+  static void StoreFirst(std::int32_t* p, Reg v, int count) {
+    _mm256_maskstore_epi32(p, FirstLanes(count), v);
+  }
+};
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512bw")
+struct Avx512 {
+  using Reg = __m512i;
+  static constexpr int kLanes = 16;
+  static constexpr int kRows = 8;  // 16 accumulators of 32 zmm
+  static Reg Zero() { return _mm512_setzero_si512(); }
+  static Reg Broadcast(std::int32_t v) { return _mm512_set1_epi32(v); }
+  static Reg Load(const std::int32_t* p) { return _mm512_loadu_si512(p); }
+  static void Store(std::int32_t* p, Reg v) { _mm512_storeu_si512(p, v); }
+  static Reg MaddAdd(Reg acc, Reg a, Reg b) {
+    return _mm512_add_epi32(acc, _mm512_madd_epi16(a, b));
+  }
+  static __mmask16 FirstLanes(int count) {
+    return _cvtu32_mask16((1u << count) - 1u);
+  }
+  static Reg LoadFirst(const std::int32_t* p, int count) {
+    return _mm512_maskz_loadu_epi32(FirstLanes(count), p);
+  }
+  static void StoreFirst(std::int32_t* p, Reg v, int count) {
+    _mm512_mask_storeu_epi32(p, FirstLanes(count), v);
+  }
+};
+#pragma GCC pop_options
+
+// The operands of one PairGemm call.
+struct PairTile {
+  const std::int32_t* a;  // [M, pairs]
+  const std::int32_t* b;  // [pairs, N]
+  std::int32_t* c;        // [M, N]
+  int n, pairs;
+};
+
+// Vector v of a tile row. With kFringe the last vector holds only `last`
+// (< kLanes) columns and is loaded and stored lane-masked.
+template <class V, int kVecs, bool kFringe>
+[[gnu::always_inline]] inline typename V::Reg LoadVec(const std::int32_t* p,
+                                                      int v, int last) {
+  return kFringe && v == kVecs - 1 ? V::LoadFirst(p, last) : V::Load(p);
+}
+
+template <class V, int kVecs, bool kFringe>
+[[gnu::always_inline]] inline void StoreVec(std::int32_t* p,
+                                            typename V::Reg x, int v,
+                                            int last) {
+  if (kFringe && v == kVecs - 1) {
+    V::StoreFirst(p, x, last);
+  } else {
+    V::Store(p, x);
+  }
+}
+
+// The MR × kVecs-vector tile of C at row i0, column j0.
+template <class V, int MR, int kVecs, bool kFringe>
+[[gnu::always_inline]] inline void Tile(const PairTile& t, int i0, int j0,
+                                        int last) {
+  using Reg = typename V::Reg;
+  constexpr int L = V::kLanes;
+  const std::size_t pairs = t.pairs;  // index arithmetic in size_t
+  const std::size_t n = t.n;
+  Reg acc[MR][kVecs];
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < kVecs; ++v) acc[r][v] = V::Zero();
+  }
+  const std::int32_t* arow = t.a + i0 * pairs;
+  const std::int32_t* bcol = t.b + j0;
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const std::int32_t* bp = bcol + p * n;
+    Reg bv[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = LoadVec<V, kVecs, kFringe>(bp + v * L, v, last);
+    }
+    for (int r = 0; r < MR; ++r) {
+      const Reg av = V::Broadcast(arow[r * pairs + p]);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = V::MaddAdd(acc[r][v], av, bv[v]);
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    std::int32_t* crow = t.c + (i0 + r) * n + j0;
+    for (int v = 0; v < kVecs; ++v) {
+      StoreVec<V, kVecs, kFringe>(crow + v * L, acc[r][v], v, last);
+    }
+  }
+}
+
+// Every row of one column panel: full MR-row tiles, then the M fringe as
+// tiles of MR/2, MR/4, ..., 1 rows (MR is a power of two).
+template <class V, int kVecs, bool kFringe>
+[[gnu::always_inline]] inline void Panel(const PairTile& t, int m, int j0,
+                                         int last) {
+  constexpr int MR = V::kRows;
+  static_assert((MR & (MR - 1)) == 0);
+  int i = 0;
+  for (; i + MR <= m; i += MR) Tile<V, MR, kVecs, kFringe>(t, i, j0, last);
+  if constexpr (MR >= 8) {
+    if (m - i >= 4) { Tile<V, 4, kVecs, kFringe>(t, i, j0, last); i += 4; }
+  }
+  if (m - i >= 2) { Tile<V, 2, kVecs, kFringe>(t, i, j0, last); i += 2; }
+  if (m - i >= 1) Tile<V, 1, kVecs, kFringe>(t, i, j0, last);
+}
+
+// Column panels outermost: a panel of B (pairs × 2 vectors) stays in L1
+// while every row tile of A sweeps it. The N fringe is one full vector if
+// at least kLanes columns remain, then one lane-masked vector.
+template <class V>
+[[gnu::always_inline]] inline void PairGemm(const std::int32_t* a,
+                                            const std::int32_t* b,
+                                            std::int32_t* c, GemmShape s) {
+  constexpr int L = V::kLanes;
+  const PairTile t{a, b, c, s.n, (s.k + 1) / 2};
+  int j = 0;
+  for (; j + 2 * L <= s.n; j += 2 * L) Panel<V, 2, false>(t, s.m, j, L);
+  if (s.n - j >= L) {
+    Panel<V, 1, false>(t, s.m, j, L);
+    j += L;
+  }
+  if (j < s.n) Panel<V, 1, true>(t, s.m, j, s.n - j);
+}
+
+[[gnu::flatten]] void PairGemmSse2(const std::int32_t* a,
+                                   const std::int32_t* b, std::int32_t* c,
+                                   GemmShape s) {
+  PairGemm<Sse2>(a, b, c, s);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void PairGemmAvx2(
+    const std::int32_t* a, const std::int32_t* b, std::int32_t* c,
+    GemmShape s) {
+  PairGemm<Avx2>(a, b, c, s);
+}
+
+[[gnu::target("avx512f,avx512bw"), gnu::flatten]] void PairGemmAvx512(
+    const std::int32_t* a, const std::int32_t* b, std::int32_t* c,
+    GemmShape s) {
+  PairGemm<Avx512>(a, b, c, s);
+}
+
+struct PairKernelTable {
+  PairKernel kernels[3];
+  std::size_t count = 0;
+};
+
+// __builtin_cpu_supports also checks that the OS saves the wider register
+// state.
+PairKernelTable DetectPairKernels() {
+  __builtin_cpu_init();
+  PairKernelTable t;
+  t.kernels[t.count++] = {"sse2", &PairGemmSse2};
+  if (__builtin_cpu_supports("avx2")) {
+    t.kernels[t.count++] = {"avx2", &PairGemmAvx2};
+  }
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw")) {
+    t.kernels[t.count++] = {"avx512bw", &PairGemmAvx512};
+  }
+  return t;
+}
+
+const PairKernelTable& Table() {
+  static const PairKernelTable table = DetectPairKernels();  // once
+  return table;
+}
+
+}  // namespace
+
+void PackPairRuns(const std::int16_t* lo, const std::int16_t* hi,
+                  std::size_t src_stride, int count, int runs,
+                  std::int32_t* dst) {
+  // SSE2 is the baseline: PUNPCKLWD/PUNPCKHWD interleave eight pairs.
+  const auto load8 = [](const std::int16_t* p) {
+    return p != nullptr ? LoadU128(p) : _mm_setzero_si128();
+  };
+  for (int r = 0; r < runs; ++r, dst += count) {
+    const std::int16_t* l = lo + r * src_stride;
+    const std::int16_t* h = hi != nullptr ? hi + r * src_stride : nullptr;
+    int i = 0;
+    for (; i + 8 <= count; i += 8) {
+      const __m128i vl = load8(l + i);
+      const __m128i vh = load8(h != nullptr ? h + i : nullptr);
+      StoreU128(dst + i, _mm_unpacklo_epi16(vl, vh));
+      StoreU128(dst + i + 4, _mm_unpackhi_epi16(vl, vh));
+    }
+    for (; i < count; ++i) {
+      dst[i] = PackPair(l[i], h != nullptr ? h[i] : std::int16_t{0});
+    }
+  }
+}
+
+std::span<const PairKernel> SupportedPairKernels() {
+  const PairKernelTable& t = Table();
+  return {t.kernels, t.count};
+}
+
+void GemmPairS16S32(const std::int32_t* a, const std::int32_t* b,
+                    std::int32_t* c, GemmShape s) {
   CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  StripeDispatch(a, b, c, s, 0, s.m, cfg);
+  static const PairGemmFn widest = SupportedPairKernels().back().gemm;
+  widest(a, b, c, s);
+}
+
+void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
+                    std::int32_t* c, GemmShape s) {
+  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
+  const int pairs = (s.k + 1) / 2;
+  const int full = s.k / 2;  // pairs with both halves in range
+  const std::size_t n = s.n, k = s.k, row_pairs = pairs;
+  thread_local std::vector<std::int32_t> ap, bp;
+  ap.resize(s.m * row_pairs);
+  bp.resize(row_pairs * n);
+  // Pair p of a K-row: (row[2p], row[2p+1]), or (row[2p], 0) past K.
+  const auto pair = [&](const std::int16_t* row, int p) {
+    return PackPair(row[2 * p], p < full ? row[2 * p + 1] : std::int16_t{0});
+  };
+  for (int i = 0; i < s.m; ++i) {
+    const std::int16_t* row = a + i * k;
+    for (int p = 0; p < pairs; ++p) ap[i * row_pairs + p] = pair(row, p);
+  }
+  // B[p][j] = pair p of Bᵀ row j: a transpose, done kBlock rows of Bᵀ at a
+  // time so those rows stay in L1 and each write run of B is a cache line.
+  constexpr int kBlock = 16;
+  for (int j0 = 0; j0 < s.n; j0 += kBlock) {
+    const int j1 = std::min(j0 + kBlock, s.n);
+    for (int p = 0; p < pairs; ++p) {
+      std::int32_t* dst = bp.data() + p * n;
+      for (int j = j0; j < j1; ++j) dst[j] = pair(bt + j * k, p);
+    }
+  }
+  GemmPairS16S32(ap.data(), bp.data(), c, s);
 }
 
 }  // namespace micro

@@ -10,15 +10,20 @@
 //  * cpublas     — the "CPU BLAS two orders of magnitude slower" reference
 //    point: a single-threaded naive triple loop.
 //  * micro       — the real-hardware CPU path: a cache-blocked,
-//    register-tiled microkernel (fp32 and int8→int32) whose block sizes are
-//    picked by an integer cost model, never by wall clock.
+//    register-tiled fp32 microkernel whose block sizes are picked by an
+//    integer cost model, never by wall clock, and the int8 microkernel the
+//    quantized conv path runs (K-paired int16 operands, int32 accumulators,
+//    one SIMD template dispatched on cpuid).
 //
-// All operate on row-major float matrices: C[M,N] = A[M,K] * B[K,N].
+// The fp32 kernels operate on row-major float matrices:
+// C[M,N] = A[M,K] * B[K,N].
 #ifndef KERNELS_GEMM_H_
 #define KERNELS_GEMM_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "gpusim/gpusim.h"
 #include "support/check.h"
@@ -120,19 +125,21 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s,
 
 }  // namespace cutlass_sim
 
-// Host microkernel: the CPU path the pipeline tick actually runs. Unlike the
-// device sims above it never goes through gpusim::Device — no launches, no
-// std::function, no heap traffic — and it is allocation-free by construction
-// (registers + caller-owned buffers only).
+// Host microkernels: the CPU path the pipeline tick actually runs. Unlike
+// the device sims above they never go through gpusim::Device — no launches,
+// no std::function, no heap traffic — and they are allocation-free by
+// construction (registers + caller-owned buffers only; the one exception is
+// the GemmS16S32DotT adapter's thread_local pack buffers).
 //
-// Bit-exactness contract (what the gemm property test pins): every output
-// element is accumulated as the same K-ordered dot product a single scalar
-// loop would produce — register tiling spans M and N only, K is never split —
-// so micro::Sgemm is bit-identical to cpublas::Sgemm, ComputeTileTuned, and
-// every cutlass_sim tile instantiation. (The build never enables FMA
-// contraction on the baseline x86-64 target, so mul-then-add sequences round
-// identically everywhere.) The int8 kernel accumulates in int32, where
-// associativity is exact, so its blocking is unconstrained.
+// Bit-exactness contract (what the gemm property test pins): every fp32
+// output element is accumulated as the same K-ordered dot product a single
+// scalar loop would produce — register tiling spans M and N only, K is never
+// split — so micro::Sgemm is bit-identical to cpublas::Sgemm,
+// ComputeTileTuned, and every cutlass_sim tile instantiation. (The build
+// never enables FMA contraction on the baseline x86-64 target, so
+// mul-then-add sequences round identically everywhere.) The int8 kernel
+// accumulates in int32, where every sum of int8-grid products is exact, so
+// its blocking and vector width are unconstrained.
 namespace micro {
 
 // A block configuration: an mr×nr register tile (accumulators held in
@@ -164,34 +171,65 @@ BlockConfig PickBlockConfig(GemmShape shape, int stripes);
 void Sgemm(const float* a, const float* b, float* c, GemmShape shape,
            certkit::support::ThreadPool* pool = nullptr);
 
-// int8 × int8 → int32 kernel for the quantized detector path. Integer
-// accumulation is exact, hence deterministic for any blocking or pool width.
-void GemmS8S32(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-               GemmShape shape, certkit::support::ThreadPool* pool = nullptr);
+// ------------------------------------------------------------------ int8
+// The int8 kernel runs on K-paired int16 operands. A pair is one int32
+// holding two int16 values, the lower-index one in the low half: A is
+// [M, P] pairs with A[m][p] = (a[m][2p], a[m][2p+1]), and the patch matrix
+// B is [P, N] pairs with B[p][n] = (b[2p][n], b[2p+1][n]), P = (K + 1) / 2.
+// When K is odd the high half of the last pair is 0. One PMADDWD step then
+// multiplies a broadcast weight pair into a vector of pixels and sums each
+// pair, so the kernel vectorizes across output pixels, not along K.
+//
+// Exactness: operands are int8-grid values (|v| <= 127), so a pair sum is
+// at most 2·127² and an accumulator at most K·127², which fits int32 for
+// any K below 133000. Integer addition is associative, so every vector
+// width produces the same bits.
+inline std::int32_t PackPair(std::int16_t lo, std::int16_t hi) {
+  const std::uint16_t lo_bits = lo;  // two's-complement bit patterns
+  const std::uint16_t hi_bits = hi;
+  const std::uint32_t word = lo_bits | (std::uint32_t{hi_bits} << 16);
+  return std::bit_cast<std::int32_t>(word);
+}
 
-// int16 dot-product kernel over a pre-transposed operand: C[M,N] = A·Bᵀ
-// with A[M,K] and BT[N,K] both row-major, int32 accumulation. This is the
-// inner kernel the quantized conv path actually runs: int8 values widened
-// to int16 make every product exact in the int16×int16→int32 dot-product
-// form the x86 backend maps to PMADDWD (8 MACs per SSE2 instruction), and
-// the [N,K] patch-matrix layout keeps BOTH operands unit-stride in K so the
-// autovectorizer can use it. Numerically identical to GemmS8S32 on the same
-// operands (integer accumulation is exact, so the summation order the
-// register tile picks cannot matter). There is no nc panel knob here: with
-// K contiguous the working set per output is two K-vectors, so the only
-// blocking dimension is the register tile, which the 16-xmm budget pins at
-// 2×2 vector accumulators (the cost model has nothing left to choose).
+// Packs `runs` runs of `count` pairs into B: run r reads lo and hi at
+// offset r·src_stride and writes dst at offset r·count, with
+// dst[i] = PackPair(lo[i], hi[i]). hi == nullptr packs 0 into the high
+// halves (an odd K's last pair).
+void PackPairRuns(const std::int16_t* lo, const std::int16_t* hi,
+                  std::size_t src_stride, int count, int runs,
+                  std::int32_t* dst);
+
+// C[M,N] = A·B over paired operands (layout above); `shape.k` is K, not P.
+using PairGemmFn = void (*)(const std::int32_t* a, const std::int32_t* b,
+                            std::int32_t* c, GemmShape shape);
+
+// One instantiation of the pair microkernel for one instruction set.
+struct PairKernel {
+  const char* isa;  // "sse2", "avx2" or "avx512bw"
+  PairGemmFn gemm;
+};
+
+// The instances this CPU runs, narrowest first: SSE2 (the x86-64 baseline)
+// always, then AVX2 and AVX-512BW when cpuid reports them. Read from cpuid
+// once per process; there is no way to set it. Tests check every entry.
+std::span<const PairKernel> SupportedPairKernels();
+
+// The conv path's entry: runs the widest supported instance.
+void GemmPairS16S32(const std::int32_t* a, const std::int32_t* b,
+                    std::int32_t* c, GemmShape shape);
+
+// C[M,N] = A·Bᵀ with A[M,K] and BT[N,K] both row-major int16 on the int8
+// grid, int32 accumulation. An adapter kept for the benches that time the
+// int8 kernel: it packs A and Bᵀ into pairs (thread_local scratch, so a
+// warm caller does not allocate) and runs GemmPairS16S32.
 void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
                     std::int32_t* c, GemmShape shape);
 
-// Config-forcing variants for the exhaustive tail-path property test: every
+// Config-forcing variant for the exhaustive tail-path property test: every
 // candidate tile must produce bit-identical output on every shape, or the
 // cost model could silently change results by changing its pick.
 void SgemmWithConfig(const float* a, const float* b, float* c,
                      GemmShape shape, BlockConfig config);
-void GemmS8S32WithConfig(const std::int8_t* a, const std::int8_t* b,
-                         std::int32_t* c, GemmShape shape,
-                         BlockConfig config);
 
 }  // namespace micro
 

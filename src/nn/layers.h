@@ -70,8 +70,8 @@ class ConvLayer : public Layer {
   // instead — NaN/inf then propagate to the safety layer's range monitor,
   // which owns non-finite rejection, rather than being laundered through an
   // undefined int8 grid.
-  // Enabling snapshots the layer's weights onto the int8 grid (widened to
-  // int16 for the PMADDWD dot-product kernel) along with the per-layer
+  // Enabling snapshots the layer's weights onto the int8 grid (as K-paired
+  // int16 values for the PMADDWD pair microkernel) along with the per-layer
   // scale, so steady-state forwards never re-quantize the constant operand.
   // Call it AFTER the weights are final; re-call it to refresh the snapshot
   // if mutable_weights() changed. Defined in quantized.cpp.
@@ -91,10 +91,11 @@ class ConvLayer : public Layer {
   bool quantize_inputs_ = false;
   // Int8-mode weight snapshot (set by SetInputQuantization, const during
   // forwards — reentrancy depends on that): weights snapped to the int8
-  // grid, stored widened as [out_c, in_c*k*k] int16; w_scale_ == 0 marks
-  // "no usable grid" (all-zero or non-finite weights), which quantizes the
-  // weight operand to zero exactly like the pre-snapshot path did.
-  std::vector<std::int16_t> q_weights_;
+  // grid, stored as [out_c, P] pairs of int16 (kernels::micro::PackPair,
+  // P = (in_c*k*k + 1) / 2); w_scale_ == 0 marks "no usable grid" (all-zero
+  // or non-finite weights), which quantizes the weight operand to zero
+  // exactly like the pre-snapshot path did.
+  std::vector<std::int32_t> q_weight_pairs_;
   float w_scale_ = 0.0f;
 };
 

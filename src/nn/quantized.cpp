@@ -1,11 +1,12 @@
-// The int8 inference path of ConvLayer (tentpole of the allocation-free
-// tick work): per-layer symmetric scales, int8-grid im2col, an
-// int32-accumulating dot-product micro-GEMM, combined-scale dequantize.
+// The int8 inference path of ConvLayer: per-layer symmetric scales, a
+// pair-packed int8-grid patch matrix, the int32-accumulating pair
+// microkernel, combined-scale dequantize.
 //
 // Properties the rest of the tree relies on:
 //  * Deterministic and backend-independent — integer accumulation is exact,
-//    so there is no FP-reassociation surface; the replay differential oracle
-//    diffs this path against the fp32 reference (which stays bit-exact).
+//    so there is no FP-reassociation surface and every SIMD width gives the
+//    same bits; the replay differential oracle diffs this path against the
+//    fp32 reference (which stays bit-exact).
 //  * Reentrant — all scratch is thread_local and the layer itself is never
 //    mutated during a forward (the weight snapshot is written only by
 //    SetInputQuantization), so one layer shared across ThreadPool threads is
@@ -13,10 +14,11 @@
 //  * Allocation-free in steady state — every scratch vector only ever grows
 //    to the layer's peak working-set size and is then reused.
 //
-// Layout note: quantized values are stored widened to int16 and the im2col
-// patch matrix is built TRANSPOSED ([N, K] with K contiguous) so the GEMM
-// runs as int16×int16→int32 dot products — the form the x86 vectorizer maps
-// to PMADDWD. See kernels::micro::GemmS16S32DotT.
+// Layout: the input is quantized once into zero-bordered int16 planes, and
+// the patch matrix is pixel-major with K paired — B[p][n] holds patch rows
+// 2p and 2p+1 at output pixel n in one int32 — so the microkernel runs
+// PMADDWD across output pixels. See kernels::micro::GemmPairS16S32.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -31,10 +33,18 @@ namespace nn {
 namespace {
 
 struct QuantScratch {
-  std::vector<std::int16_t> q_input;  // quantized activations, input layout
-  std::vector<std::int16_t> cols;     // transposed patch matrix [N, K]
+  std::vector<std::int16_t> image;    // quantized input, zero-bordered planes
+  std::vector<std::int32_t> patches;  // pair-packed patch matrix [P, N]
   std::vector<std::int32_t> acc;      // GEMM accumulators [M, N]
 };
+
+// Grows *v to at least n elements and returns its data. Never shrinks, so
+// a warm buffer is not zero-filled again after a smaller layer ran.
+template <class T>
+T* AtLeast(std::vector<T>* v, std::size_t n) {
+  if (v->size() < n) v->resize(n);
+  return v->data();
+}
 
 QuantScratch& Scratch() {
   thread_local QuantScratch s;
@@ -60,70 +70,97 @@ bool ScanAmax(const float* data, std::size_t size, float* amax) {
   return true;
 }
 
-// Transposed int16 im2col: row j = ((b*OH)+oh)*OW+ow holds that output
-// pixel's K-length receptive-field patch contiguously (column r =
-// (ci, kh, kw)). Zero padding is exact in the integer domain. KF is the
-// compile-time kernel size (0 = generic): the backbone's 3×3 and the
-// head's 1×1 get fully unrolled tap loops, which is worth ~2× on this
-// stage — a runtime `kernel_` bound defeats the unroller.
-template <int KF>
-void Im2colT(const std::int16_t* q_input, int batch, int in_c, int in_h,
-             int in_w, int kernel_rt, int stride, int pad, int out_h,
-             int out_w, std::int16_t* cols) {
-  const int kernel = KF > 0 ? KF : kernel_rt;
-  const int kk2 = kernel * kernel;
-  const int patch = in_c * kk2;
-  for (int b = 0; b < batch; ++b) {
-    const std::int16_t* image =
-        q_input + static_cast<std::size_t>(b) * in_c * in_h * in_w;
-    for (int oh = 0; oh < out_h; ++oh) {
-      for (int ow = 0; ow < out_w; ++ow) {
-        std::int16_t* prow =
-            cols + (static_cast<std::size_t>(b) * out_h * out_w +
-                    static_cast<std::size_t>(oh) * out_w + ow) *
-                       patch;
-        for (int ci = 0; ci < in_c; ++ci) {
-          const std::int16_t* plane =
-              image + static_cast<std::size_t>(ci) * in_h * in_w;
-          std::int16_t* pdst = prow + static_cast<std::size_t>(ci) * kk2;
-          for (int kh = 0; kh < kernel; ++kh) {
-            const int iy = oh * stride - pad + kh;
-            std::int16_t* drow = pdst + kh * kernel;
-            if (iy < 0 || iy >= in_h) {
-              for (int kw = 0; kw < kernel; ++kw) drow[kw] = 0;
-              continue;
-            }
-            const std::int16_t* srow =
-                plane + static_cast<std::size_t>(iy) * in_w;
-            for (int kw = 0; kw < kernel; ++kw) {
-              const int ix = ow * stride - pad + kw;
-              drow[kw] = (ix >= 0 && ix < in_w) ? srow[ix] : 0;
-            }
-          }
+// Symmetric int8-grid snap, round half away from zero — the same grid
+// FakeQuantizeTensor documents — computed as truncate(q + ±0.5). The ±0.5
+// is selected before the add: under GCC's default -ftrapping-math the
+// vectorizer will not speculate a conditional add, but it does vectorize a
+// select followed by one unconditional add (bit-identical, since q - 0.5
+// and q + (-0.5) round the same). Values are bounded by amax, so the clamp
+// only guards FP edge rounding.
+inline std::int16_t SnapToGrid(float v, float inv_scale) {
+  const float q = v * inv_scale;
+  int i = static_cast<int>(q + (q >= 0.0f ? 0.5f : -0.5f));  // toward zero
+  i = i > 127 ? 127 : (i < -127 ? -127 : i);
+  return static_cast<std::int16_t>(i);
+}
+
+// Quantizes `planes` h×w float planes into zero-bordered int16 planes of
+// (h + 2·pad) × (w + 2·pad), writing every element once.
+void QuantizeBordered(const float* in, int planes, int h, int w, int pad,
+                      float inv_scale, std::int16_t* out) {
+  const std::size_t pw = w + 2 * pad;
+  const std::size_t border = pad * pw;
+  for (int c = 0; c < planes; ++c) {
+    std::fill_n(out, border, std::int16_t{0});
+    out += border;
+    for (int y = 0; y < h; ++y, in += w, out += pw) {
+      std::fill_n(out, pad, std::int16_t{0});
+      for (int x = 0; x < w; ++x) out[pad + x] = SnapToGrid(in[x], inv_scale);
+      std::fill_n(out + pad + w, pad, std::int16_t{0});
+    }
+    std::fill_n(out, border, std::int16_t{0});
+    out += border;
+  }
+}
+
+// Geometry of one conv over zero-bordered planes of ph × pw.
+struct PatchGeometry {
+  int batch, in_c, ph, pw, kernel, stride, out_h, out_w, k;
+};
+
+// Builds the pair-packed patch matrix B[P][N], N = batch·out_h·out_w. Patch
+// row r = (ci, kh, kw) at output pixel (b, oh, ow) reads plane (b, ci) of
+// the bordered image at (oh·stride + kh, ow·stride + kw), which is always
+// inside the plane, so there are no bounds checks. Each output row of a
+// patch row is a run of out_w taps; at stride 1 (the detector's 3×3 and 1×1
+// convs) that run is a shifted copy of an image row.
+void PackPatches(const std::int16_t* image, const PatchGeometry& g,
+                 std::int32_t* patches) {
+  const int taps = g.kernel * g.kernel;
+  const std::size_t pw = g.pw;  // index arithmetic in size_t
+  const std::size_t plane = g.ph * pw;
+  const std::size_t image_stride = plane * g.in_c;
+  // Offset of patch row r's tap (0, 0) within one batch image.
+  const auto tap = [&](int r) {
+    const int ci = r / taps;
+    const int kh = (r % taps) / g.kernel;
+    const int kw = r % g.kernel;
+    return ci * plane + kh * pw + kw;
+  };
+  const int pairs = (g.k + 1) / 2;
+  const std::size_t row_stride = g.stride * pw;
+  std::int32_t* dst = patches;
+  for (int p = 0; p < pairs; ++p) {
+    const std::size_t lo = tap(2 * p);
+    const bool has_hi = 2 * p + 1 < g.k;  // odd K: the last high half is 0
+    const std::size_t hi = has_hi ? tap(2 * p + 1) : lo;
+    for (int b = 0; b < g.batch; ++b) {
+      const std::int16_t* s0 = image + b * image_stride + lo;
+      const std::int16_t* s1 = has_hi ? image + b * image_stride + hi
+                                      : nullptr;
+      if (g.stride == 1) {
+        kernels::micro::PackPairRuns(s0, s1, row_stride, g.out_w, g.out_h,
+                                     dst);
+        dst += static_cast<std::size_t>(g.out_h) * g.out_w;
+        continue;
+      }
+      for (int oh = 0; oh < g.out_h; ++oh, dst += g.out_w) {
+        const std::int16_t* r0 = s0 + oh * row_stride;
+        for (int ow = 0; ow < g.out_w; ++ow) {
+          const int x = ow * g.stride;
+          dst[ow] = kernels::micro::PackPair(
+              r0[x], has_hi ? s1[oh * row_stride + x] : std::int16_t{0});
         }
       }
     }
   }
 }
 
-// Symmetric int8-grid snap, round half away from zero — the same grid
-// FakeQuantizeTensor documents — computed in the branch-free
-// truncate(q ± 0.5) form so the whole quantize loop vectorizes (std::round
-// is a libm call the SSE2 target cannot inline). Values are bounded by
-// amax, so the clamp only guards FP edge rounding.
-inline std::int16_t SnapToGrid(float v, float inv_scale) {
-  float q = v * inv_scale;
-  q = q >= 0.0f ? q + 0.5f : q - 0.5f;
-  int i = static_cast<int>(q);  // truncation toward zero
-  i = i > 127 ? 127 : (i < -127 ? -127 : i);
-  return static_cast<std::int16_t>(i);
-}
-
 }  // namespace
 
 void ConvLayer::SetInputQuantization(bool enabled) {
   quantize_inputs_ = enabled;
-  q_weights_.clear();
+  q_weight_pairs_.clear();
   w_scale_ = 0.0f;
   if (!enabled) return;
 
@@ -138,12 +175,23 @@ void ConvLayer::SetInputQuantization(bool enabled) {
     const float a = std::fabs(w);
     if (a > w_amax) w_amax = a;
   }
-  q_weights_.assign(weights_.size(), 0);
+  const int k = in_c_ * kernel_ * kernel_;
+  const int pairs = (k + 1) / 2;
+  q_weight_pairs_.assign(static_cast<std::size_t>(out_c_) * pairs, 0);
   if (!finite || w_amax == 0.0f) return;
   w_scale_ = w_amax / 127.0f;
   const float w_inv = 127.0f / w_amax;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    q_weights_[i] = SnapToGrid(weights_[i], w_inv);
+  // A[m][p] = (w[m][2p], w[m][2p+1]) on the grid; odd K pads the last high
+  // half with 0.
+  for (int m = 0; m < out_c_; ++m) {
+    const float* row = weights_.data() + static_cast<std::size_t>(m) * k;
+    for (int p = 0; p < pairs; ++p) {
+      const std::int16_t lo = SnapToGrid(row[2 * p], w_inv);
+      const std::int16_t hi =
+          2 * p + 1 < k ? SnapToGrid(row[2 * p + 1], w_inv) : 0;
+      q_weight_pairs_[static_cast<std::size_t>(m) * pairs + p] =
+          kernels::micro::PackPair(lo, hi);
+    }
   }
 }
 
@@ -151,11 +199,15 @@ bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   // Dynamic per-tensor activation scale over the input. Any non-finite value
   // disables quantization for this call (containment policy in layers.h).
   const float* in = input.data();
-  const std::size_t in_size = input.size();
   float in_amax = 0.0f;
-  if (!ScanAmax(in, in_size, &in_amax)) return false;
+  if (!ScanAmax(in, input.size(), &in_amax)) return false;
   if (in_amax == 0.0f) return false;
-  if (q_weights_.size() != weights_.size()) return false;  // no snapshot
+
+  const int patch = in_c_ * kernel_ * kernel_;  // K
+  if (q_weight_pairs_.size() !=
+      static_cast<std::size_t>(out_c_) * ((patch + 1) / 2)) {
+    return false;  // no snapshot
+  }
 
   const int batch = input.n();
   const int in_h = input.h();
@@ -163,34 +215,25 @@ bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   const int out_h = (in_h + 2 * pad_ - kernel_) / stride_ + 1;
   const int out_w = (in_w + 2 * pad_ - kernel_) / stride_ + 1;
   CERTKIT_CHECK(out_h > 0 && out_w > 0);
-
-  const int patch = in_c_ * kernel_ * kernel_;        // K
-  const int cols_n = batch * out_h * out_w;           // N
+  const PatchGeometry g{batch,  in_c_, in_h + 2 * pad_, in_w + 2 * pad_,
+                        kernel_, stride_, out_h, out_w, patch};
+  const int cols_n = batch * out_h * out_w;  // N
   QuantScratch& s = Scratch();
 
   const float in_scale = in_amax / 127.0f;
-  const float in_inv = 127.0f / in_amax;
-  s.q_input.resize(in_size);
-  for (std::size_t i = 0; i < in_size; ++i) {
-    s.q_input[i] = SnapToGrid(in[i], in_inv);
-  }
+  std::int16_t* image =
+      AtLeast(&s.image, static_cast<std::size_t>(batch) * in_c_ * g.ph * g.pw);
+  QuantizeBordered(in, batch * in_c_, in_h, in_w, pad_, 127.0f / in_amax,
+                   image);
 
-  s.cols.resize(static_cast<std::size_t>(cols_n) * patch);
-  if (kernel_ == 3) {
-    Im2colT<3>(s.q_input.data(), batch, in_c_, in_h, in_w, kernel_, stride_,
-               pad_, out_h, out_w, s.cols.data());
-  } else if (kernel_ == 1) {
-    Im2colT<1>(s.q_input.data(), batch, in_c_, in_h, in_w, kernel_, stride_,
-               pad_, out_h, out_w, s.cols.data());
-  } else {
-    Im2colT<0>(s.q_input.data(), batch, in_c_, in_h, in_w, kernel_, stride_,
-               pad_, out_h, out_w, s.cols.data());
-  }
+  std::int32_t* patches = AtLeast(
+      &s.patches, static_cast<std::size_t>((patch + 1) / 2) * cols_n);
+  PackPatches(image, g, patches);
 
-  // Register-tiled integer GEMM: C[M,N] = W[M,K] · patchᵀ in int32.
-  s.acc.resize(static_cast<std::size_t>(out_c_) * cols_n);
-  kernels::micro::GemmS16S32DotT(q_weights_.data(), s.cols.data(),
-                                 s.acc.data(),
+  // C[M,N] = W·B in int32 on the widest pair microkernel this CPU runs.
+  std::int32_t* acc =
+      AtLeast(&s.acc, static_cast<std::size_t>(out_c_) * cols_n);
+  kernels::micro::GemmPairS16S32(q_weight_pairs_.data(), patches, acc,
                                  kernels::GemmShape{out_c_, cols_n, patch});
 
   // Dequantize with the combined scale and add bias, un-interleaving the
@@ -202,7 +245,7 @@ bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   for (int b = 0; b < batch; ++b) {
     for (int oc = 0; oc < out_c_; ++oc) {
       const float bias = bias_.empty() ? 0.0f : bias_[oc];
-      const std::int32_t* arow = s.acc.data() +
+      const std::int32_t* arow = acc +
                                  static_cast<std::size_t>(oc) * cols_n +
                                  static_cast<std::size_t>(b) * hw;
       float* orow =

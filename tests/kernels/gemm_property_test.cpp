@@ -1,10 +1,12 @@
-// Exhaustive small-shape GEMM differencing (ISSUE 10 satellite).
+// Exhaustive small-shape GEMM differencing.
 //
-// Every GEMM variant in the tree — the textbook cpublas reference, the
+// Every fp32 GEMM variant in the tree — the textbook cpublas reference, the
 // cublas_sim 2×2 register-blocked tile (whose odd-m/odd-n remainder rows had
-// no dedicated coverage), every cutlass_sim tile instantiation, and the new
+// no dedicated coverage), every cutlass_sim tile instantiation, and the
 // micro kernel under every candidate block config and pool width — must be
-// BIT-IDENTICAL on every shape with m, n, k in [1, 9].
+// BIT-IDENTICAL on every shape with m, n, k in [1, 9]. Every int8 pair
+// microkernel instance the host runs must be exact on the same shapes and
+// on every vector fringe and long odd K.
 //
 // The contract that makes bit-for-bit (not epsilon) the right check: every
 // implementation accumulates each output element as the same K-ordered
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "kernels/gemm.h"
@@ -82,47 +85,163 @@ TEST(GemmExhaustiveProperty, AllVariantsBitIdenticalOnSmallShapes) {
   }
 }
 
+// The int8 pair microkernel, every instance the host's cpuid allows, and
+// the GemmS16S32DotT adapter over it, against a scalar int32 reference.
+// Operands span the whole int8 grid [-127, 127].
+class Int8Case {
+ public:
+  Int8Case(GemmShape s, std::uint64_t seed, bool extremes) : s_(s) {
+    Xoshiro256 rng(seed);
+    const auto draw = [&] {
+      if (extremes) {
+        return static_cast<std::int16_t>(rng.UniformInt(0, 1) ? 127 : -127);
+      }
+      return static_cast<std::int16_t>(rng.UniformInt(-127, 127));
+    };
+    a_.resize(static_cast<std::size_t>(s.m) * s.k);
+    b_.resize(static_cast<std::size_t>(s.k) * s.n);
+    for (auto& x : a_) x = draw();
+    for (auto& x : b_) x = draw();
+    ref_.assign(static_cast<std::size_t>(s.m) * s.n, 0);
+    for (int i = 0; i < s.m; ++i) {
+      for (int j = 0; j < s.n; ++j) {
+        std::int32_t acc = 0;
+        for (int kk = 0; kk < s.k; ++kk) acc += A(i, kk) * B(kk, j);
+        ref_[static_cast<std::size_t>(i) * s.n + j] = acc;
+      }
+    }
+  }
+
+  // Checks one pair instance: exact output, and nothing written past C.
+  void CheckPairKernel(const micro::PairKernel& kernel) const {
+    const int pairs = (s_.k + 1) / 2;
+    std::vector<std::int32_t> ap(static_cast<std::size_t>(s_.m) * pairs);
+    std::vector<std::int32_t> bp(static_cast<std::size_t>(pairs) * s_.n);
+    for (int i = 0; i < s_.m; ++i) {
+      for (int p = 0; p < pairs; ++p) {
+        ap[static_cast<std::size_t>(i) * pairs + p] =
+            micro::PackPair(A(i, 2 * p), A(i, 2 * p + 1));
+      }
+    }
+    for (int p = 0; p < pairs; ++p) {
+      for (int j = 0; j < s_.n; ++j) {
+        bp[static_cast<std::size_t>(p) * s_.n + j] =
+            micro::PackPair(B(2 * p, j), B(2 * p + 1, j));
+      }
+    }
+    std::vector<std::int32_t> out(ref_.size() + kGuard, kSentinel);
+    kernel.gemm(ap.data(), bp.data(), out.data(), s_);
+    Expect(out, kernel.isa);
+  }
+
+  void CheckDotTAdapter() const {
+    std::vector<std::int16_t> bt(b_.size());
+    for (int kk = 0; kk < s_.k; ++kk) {
+      for (int j = 0; j < s_.n; ++j) {
+        bt[static_cast<std::size_t>(j) * s_.k + kk] = B(kk, j);
+      }
+    }
+    std::vector<std::int32_t> out(ref_.size() + kGuard, kSentinel);
+    micro::GemmS16S32DotT(a_.data(), bt.data(), out.data(), s_);
+    Expect(out, "GemmS16S32DotT");
+  }
+
+ private:
+  static constexpr std::size_t kGuard = 64;
+  static constexpr std::int32_t kSentinel = 0x5a5a5a5a;
+
+  // Out-of-range K indices read as 0: the odd-K pad.
+  std::int16_t A(int i, int kk) const {
+    return kk < s_.k ? a_[static_cast<std::size_t>(i) * s_.k + kk] : 0;
+  }
+  std::int16_t B(int kk, int j) const {
+    return kk < s_.k ? b_[static_cast<std::size_t>(kk) * s_.n + j] : 0;
+  }
+
+  void Expect(const std::vector<std::int32_t>& out, const char* what) const {
+    const std::vector<std::int32_t> head(out.begin(),
+                                         out.begin() + ref_.size());
+    ASSERT_EQ(head, ref_) << what << " m=" << s_.m << " n=" << s_.n
+                          << " k=" << s_.k;
+    for (std::size_t g = ref_.size(); g < out.size(); ++g) {
+      ASSERT_EQ(out[g], kSentinel) << what << " wrote past C";
+    }
+  }
+
+  GemmShape s_;
+  std::vector<std::int16_t> a_, b_;
+  std::vector<std::int32_t> ref_;
+};
+
+void CheckAllInt8Kernels(GemmShape s, bool extremes) {
+  const Int8Case c(
+      s, static_cast<std::uint64_t>(s.m * 100003 + s.n * 331 + s.k),
+      extremes);
+  for (const micro::PairKernel& kernel : micro::SupportedPairKernels()) {
+    c.CheckPairKernel(kernel);
+  }
+  c.CheckDotTAdapter();
+}
+
+// m up to 9 hits every row fringe of an 8-row tile; n up to 70 passes two
+// full 2-vector panels of the widest instance (32 int32 lanes) plus every
+// one-vector and lane-masked fringe of each width.
 TEST(GemmExhaustiveProperty, Int8KernelExactOnSmallShapes) {
   for (int m = 1; m <= 9; ++m) {
-    for (int n = 1; n <= 9; ++n) {
-      for (int k = 1; k <= 9; ++k) {
-        const GemmShape s{m, n, k};
-        Xoshiro256 rng(static_cast<std::uint64_t>(m * 961 + n * 31 + k));
-        std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
-        std::vector<std::int8_t> b(static_cast<std::size_t>(k) * n);
-        for (auto& x : a) {
-          x = static_cast<std::int8_t>(
-              static_cast<int>(rng.UniformDouble(-128.0, 128.0)));
-        }
-        for (auto& x : b) {
-          x = static_cast<std::int8_t>(
-              static_cast<int>(rng.UniformDouble(-128.0, 128.0)));
-        }
-        std::vector<std::int32_t> ref(static_cast<std::size_t>(m) * n, 0);
-        for (int i = 0; i < m; ++i) {
-          for (int j = 0; j < n; ++j) {
-            std::int32_t acc = 0;
-            for (int kk = 0; kk < k; ++kk) {
-              acc += static_cast<std::int32_t>(
-                         a[static_cast<std::size_t>(i) * k + kk]) *
-                     static_cast<std::int32_t>(
-                         b[static_cast<std::size_t>(kk) * n + j]);
-            }
-            ref[static_cast<std::size_t>(i) * n + j] = acc;
-          }
-        }
-        std::vector<std::int32_t> out(ref.size());
-        micro::GemmS8S32(a.data(), b.data(), out.data(), s);
-        ASSERT_EQ(out, ref) << "m=" << m << " n=" << n << " k=" << k;
-        for (int ci = 0; ci < micro::CandidateCount(); ++ci) {
-          micro::GemmS8S32WithConfig(a.data(), b.data(), out.data(), s,
-                                     micro::Candidate(ci));
-          ASSERT_EQ(out, ref)
-              << "candidate " << ci << " m=" << m << " n=" << n << " k=" << k;
+    for (int n = 1; n <= 70; ++n) {
+      for (int k = 1; k <= 9; ++k) CheckAllInt8Kernels({m, n, k}, false);
+    }
+  }
+}
+
+// Odd K up to 289 (the detector's deepest conv is K = 288) with operands
+// all at ±127: the largest accumulators, and a zero high half in the last
+// pair.
+TEST(GemmExhaustiveProperty, Int8KernelExactOnLongOddK) {
+  for (int k = 1; k <= 289; k += 2) {
+    CheckAllInt8Kernels({9, 37, k}, true);
+    CheckAllInt8Kernels({3, 70, k}, false);
+  }
+}
+
+// The conv path's packer: every run length around the 8-pair SSE2 step,
+// strided sources, and the zero high halves of an odd K's last pair.
+TEST(GemmExhaustiveProperty, Int8PackPairRunsMatchesPackPair) {
+  Xoshiro256 rng(29);
+  for (int count = 1; count <= 20; ++count) {
+    constexpr int kRuns = 3;
+    const std::size_t stride = static_cast<std::size_t>(count) + 5;
+    std::vector<std::int16_t> lo(stride * kRuns), hi(stride * kRuns);
+    for (auto& x : lo) x = static_cast<std::int16_t>(rng.UniformInt(-127, 127));
+    for (auto& x : hi) x = static_cast<std::int16_t>(rng.UniformInt(-127, 127));
+    for (const bool has_hi : {true, false}) {
+      std::vector<std::int32_t> out(static_cast<std::size_t>(count) * kRuns);
+      micro::PackPairRuns(lo.data(), has_hi ? hi.data() : nullptr, stride,
+                          count, kRuns, out.data());
+      for (int r = 0; r < kRuns; ++r) {
+        for (int i = 0; i < count; ++i) {
+          const std::size_t src = r * stride + i;
+          ASSERT_EQ(out[static_cast<std::size_t>(r) * count + i],
+                    micro::PackPair(lo[src], has_hi ? hi[src] : 0))
+              << "count=" << count << " run=" << r << " i=" << i;
         }
       }
     }
   }
+}
+
+// The instance table comes from cpuid, narrowest first, SSE2 always.
+TEST(GemmExhaustiveProperty, Int8InstancesFollowCpuid) {
+  const auto kernels = micro::SupportedPairKernels();
+  std::vector<std::string> isas;
+  for (const micro::PairKernel& k : kernels) isas.push_back(k.isa);
+  std::vector<std::string> expected = {"sse2"};
+  if (__builtin_cpu_supports("avx2")) expected.push_back("avx2");
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw")) {
+    expected.push_back("avx512bw");
+  }
+  EXPECT_EQ(isas, expected);
 }
 
 // The block pick is a pure function of (shape, stripes): re-picking must
