@@ -28,6 +28,7 @@
 
 #include "ad/common.h"
 #include "nn/tensor.h"
+#include "support/record.h"
 
 namespace adpilot {
 
@@ -42,6 +43,19 @@ struct TickSignature {
   std::uint64_t command = 0;
   std::uint64_t state = 0;
   std::int64_t faults_injected = 0;  // cumulative injector count after tick
+
+  // The persisted form (support/record.h), one entry of a replay artifact.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    using certkit::support::Hex;
+    io("tick", s.tick);
+    io("frame", Hex{s.frame});
+    io("detections", Hex{s.detections});
+    io("tracked", Hex{s.tracked});
+    io("command", Hex{s.command});
+    io("state", Hex{s.state});
+    io("faults_injected", s.faults_injected);
+  }
 };
 
 // Pipeline observer. Install with ApolloPilot::SetTickTap; OnTick fires

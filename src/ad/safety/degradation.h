@@ -23,6 +23,7 @@
 namespace adpilot {
 
 enum class SafetyState { kNominal = 0, kLimpHome, kSafeStop };
+inline constexpr int kNumSafetyStates = 3;
 const char* SafetyStateName(SafetyState state);
 
 class DegradationManager {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 #include "support/check.h"
 
@@ -20,22 +21,29 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
-bool FaultKindFromName(std::string_view name, FaultKind* out) {
-  for (int k = 0; k < kNumFaultKinds; ++k) {
-    const FaultKind kind = static_cast<FaultKind>(k);
-    if (name == FaultKindName(kind)) {
-      *out = kind;
-      return true;
-    }
+std::string ValidateFaultSpec(const FaultSpec& spec) {
+  std::ostringstream reason;
+  if (spec.onset_tick < 0) {
+    reason << "fault onset before tick 0: " << spec.onset_tick;
+  } else if (spec.duration_ticks < 1) {
+    reason << "fault duration must be >= 1: " << spec.duration_ticks;
+  } else if (spec.duration_ticks >
+             std::numeric_limits<std::int64_t>::max() - spec.onset_tick) {
+    reason << "fault window overflows: onset " << spec.onset_tick
+           << " + duration " << spec.duration_ticks;
+  } else if (!(spec.magnitude >= std::numeric_limits<int>::min() &&
+               spec.magnitude <= std::numeric_limits<int>::max())) {
+    reason << "fault magnitude must be finite and within int range: "
+           << spec.magnitude;
   }
-  return false;
+  return reason.str();
 }
 
 FaultInjector::FaultInjector(const FaultCampaignConfig& config)
     : config_(config), rng_(config.seed) {
   for (const FaultSpec& f : config_.faults) {
-    CERTKIT_CHECK_MSG(f.onset_tick >= 0, "fault onset before tick 0");
-    CERTKIT_CHECK_MSG(f.duration_ticks >= 1, "fault duration must be >= 1");
+    const std::string reason = ValidateFaultSpec(f);
+    CERTKIT_CHECK_MSG(reason.empty(), reason);
   }
 }
 

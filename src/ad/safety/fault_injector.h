@@ -17,11 +17,12 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "ad/canbus.h"
 #include "ad/common.h"
+#include "support/record.h"
 #include "support/rng.h"
 
 namespace adpilot {
@@ -37,9 +38,6 @@ enum class FaultKind {
 };
 inline constexpr int kNumFaultKinds = 7;
 const char* FaultKindName(FaultKind kind);
-// Inverse of FaultKindName, for deserializing replay artifacts; false
-// (out untouched) on an unknown name.
-bool FaultKindFromName(std::string_view name, FaultKind* out);
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kSensorDropout;
@@ -49,7 +47,23 @@ struct FaultSpec {
   // bit flips for kCanBitFlip, displacement scale (meters) for
   // kDetectionRange. Ignored by the other kinds.
   double magnitude = 1.0;
+
+  // The persisted form (support/record.h), one entry of a fault plan.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& f) {
+    io("kind",
+       certkit::support::Named{f.kind, FaultKindName, kNumFaultKinds});
+    io("onset", f.onset_tick);
+    io("duration", f.duration_ticks);
+    io("magnitude", f.magnitude);
+  }
 };
+
+// Empty when the injector can run `spec`, otherwise why not: onset < 0,
+// duration < 1, onset + duration past INT64_MAX, or a magnitude that is
+// non-finite or outside int range (kCanBitFlip truncates it to an int).
+// FaultInjector's constructor CHECKs it; decoders reject such specs.
+std::string ValidateFaultSpec(const FaultSpec& spec);
 
 struct FaultCampaignConfig {
   std::uint64_t seed = 7;

@@ -95,6 +95,28 @@ struct SafetySummary {
   std::int64_t criticals = 0;
   std::int64_t handled = 0;
   std::int64_t by_monitor[kNumMonitors] = {0, 0, 0, 0, 0, 0};
+
+  // The persisted form (support/record.h): an oracle verdict carries these
+  // members inline, a campaign checkpoint as its oracle totals.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    io("violations", s.total);
+    io("warnings", s.warnings);
+    io("criticals", s.criticals);
+    io("handled", s.handled);
+    io("by_monitor", ByMonitor<Self>{s});
+  }
+  // by_monitor as one object keyed by MonitorName.
+  template <class Summary>
+  struct ByMonitor {
+    Summary& summary;
+    template <class Io, class Self>
+    static void Fields(Io& io, Self& b) {
+      for (int m = 0; m < kNumMonitors; ++m) {
+        io(MonitorName(static_cast<MonitorId>(m)), b.summary.by_monitor[m]);
+      }
+    }
+  };
 };
 
 // Append-only, thread-safe violation log.

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "support/check.h"
-#include "support/json.h"
+#include "support/record.h"
 
 namespace adpilot {
 
@@ -57,20 +57,7 @@ ScenarioConfig ClampScenarioConfig(const ScenarioConfig& config) {
 }
 
 std::string ScenarioConfigJson(const ScenarioConfig& config) {
-  // Doubles use the shortest round-trip form (support::JsonNumber): the
-  // campaign mutator produces full-precision values, and the replay
-  // deserializer must reconstruct them bit-exactly from this JSON.
-  using certkit::support::JsonNumber;
-  std::ostringstream out;
-  out << "{\"num_vehicles\":" << config.num_vehicles
-      << ",\"num_pedestrians\":" << config.num_pedestrians
-      << ",\"road_length\":" << JsonNumber(config.road_length)
-      << ",\"lane_width\":" << JsonNumber(config.lane_width)
-      << ",\"num_lanes\":" << config.num_lanes
-      << ",\"vehicle_speed_min\":" << JsonNumber(config.vehicle_speed_min)
-      << ",\"vehicle_speed_max\":" << JsonNumber(config.vehicle_speed_max)
-      << ",\"seed\":" << config.seed << "}";
-  return out.str();
+  return certkit::support::JsonWriter::Write(config);
 }
 
 bool CameraModel::EgoToPixel(const Vec2& ego, double* px, double* py) {

@@ -33,6 +33,19 @@ struct ScenarioConfig {
   double vehicle_speed_min = 2.0;
   double vehicle_speed_max = 8.0;
   std::uint64_t seed = 1234;
+
+  // The persisted form (support/record.h), inside every candidate.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& c) {
+    io("num_vehicles", c.num_vehicles);
+    io("num_pedestrians", c.num_pedestrians);
+    io("road_length", c.road_length);
+    io("lane_width", c.lane_width);
+    io("num_lanes", c.num_lanes);
+    io("vehicle_speed_min", c.vehicle_speed_min);
+    io("vehicle_speed_max", c.vehicle_speed_max);
+    io("seed", c.seed);
+  }
 };
 
 // REQ-SCEN-001 validation: returns an empty string when `config` describes
@@ -45,8 +58,8 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config);
 // campaign mutator so arbitrary mutations always yield runnable scenarios.
 ScenarioConfig ClampScenarioConfig(const ScenarioConfig& config);
 
-// Single-line JSON serialization of `config` (stable key order), used by
-// the campaign engine to report reproducible candidates.
+// Single-line JSON of `config` (ScenarioConfig::Fields), used by the
+// campaign engine to report reproducible candidates.
 std::string ScenarioConfigJson(const ScenarioConfig& config);
 
 // Camera geometry shared by rendering and detection back-projection.

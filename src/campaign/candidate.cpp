@@ -1,8 +1,7 @@
 #include "campaign/candidate.h"
 
-#include <sstream>
-
-#include "support/json.h"
+#include <algorithm>
+#include <string>
 
 namespace certkit::campaign {
 
@@ -18,42 +17,29 @@ const char* BackendTag(nn::Backend backend) {
   return "?";
 }
 
-bool BackendFromTag(std::string_view tag, nn::Backend* out) {
-  for (const nn::Backend b : {nn::Backend::kClosedSim, nn::Backend::kOpenSim,
-                              nn::Backend::kCpuNaive}) {
-    if (tag == BackendTag(b)) {
-      *out = b;
-      return true;
-    }
+std::string ValidateCandidate(const Candidate& candidate) {
+  const int h = candidate.detector_input_h;
+  const int w = candidate.detector_input_w;
+  std::string reason = adpilot::ValidateScenarioConfig(candidate.scenario);
+  if (!reason.empty()) {
+    reason = "REQ-SCEN-001: " + reason;
+  } else if (std::min(h, w) < 0 || h % 16 != 0 || w % 16 != 0) {
+    // The detector runs camera-native (0) or at a positive multiple of 16.
+    reason = "detector input " + std::to_string(h) + "x" + std::to_string(w) +
+             " is neither 0 nor a positive multiple of 16";
+  } else if (candidate.ticks < 0) {
+    reason = "negative tick count " + std::to_string(candidate.ticks);
   }
-  return false;
+  for (std::size_t i = 0; i < candidate.faults.size() && reason.empty();
+       ++i) {
+    const std::string fault = adpilot::ValidateFaultSpec(candidate.faults[i]);
+    if (!fault.empty()) reason = "fault " + std::to_string(i) + ": " + fault;
+  }
+  return reason;
 }
 
 std::string CandidateJson(const Candidate& candidate) {
-  using support::JsonEscape;
-  using support::JsonNumber;
-  std::ostringstream out;
-  out << "{\"id\":" << candidate.id << ",\"parent\":" << candidate.parent_id
-      << ",\"generation\":" << candidate.generation
-      << ",\"scenario\":" << adpilot::ScenarioConfigJson(candidate.scenario)
-      << ",\"backend\":" << JsonEscape(BackendTag(candidate.backend))
-      << ",\"quantized\":" << (candidate.quantized ? "true" : "false")
-      << ",\"detector_input\":[" << candidate.detector_input_h << ","
-      << candidate.detector_input_w << "]"
-      << ",\"ticks\":" << candidate.ticks << ",\"fault_seed\":"
-      << candidate.fault_seed << ",\"faults\":[";
-  for (std::size_t i = 0; i < candidate.faults.size(); ++i) {
-    const adpilot::FaultSpec& f = candidate.faults[i];
-    if (i > 0) out << ",";
-    // Magnitude is the one mutated double here; shortest round-trip form so
-    // the deserialized fault plan drives a bit-identical injector stream.
-    out << "{\"kind\":" << JsonEscape(adpilot::FaultKindName(f.kind))
-        << ",\"onset\":" << f.onset_tick << ",\"duration\":"
-        << f.duration_ticks << ",\"magnitude\":" << JsonNumber(f.magnitude)
-        << "}";
-  }
-  out << "]}";
-  return out.str();
+  return support::JsonWriter::Write(candidate);
 }
 
 }  // namespace certkit::campaign

@@ -10,14 +10,16 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ad/safety/fault_injector.h"
 #include "ad/scenario.h"
 #include "nn/layers.h"
+#include "support/record.h"
 
 namespace certkit::campaign {
+
+const char* BackendTag(nn::Backend backend);
 
 struct Candidate {
   // Lineage (reporting only — never feeds the evaluation).
@@ -41,15 +43,36 @@ struct Candidate {
   // fp32 stays the reference arm; the replay differential oracle flips this
   // to diff quantized inference against it.
   bool quantized = false;
+
+  // The persisted form (support/record.h), defined below.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& c);
 };
 
-const char* BackendTag(nn::Backend backend);
-// Inverse of BackendTag; false (out untouched) on an unknown tag.
-bool BackendFromTag(std::string_view tag, nn::Backend* out);
+// Empty when CampaignRunner::Evaluate can run `candidate`, otherwise why
+// not: an invalid scenario (REQ-SCEN-001), a detector input side neither 0
+// nor a positive multiple of 16, negative ticks, or a fault that fails
+// adpilot::ValidateFaultSpec. Bred candidates pass; decoders reject.
+std::string ValidateCandidate(const Candidate& candidate);
 
-// Single-line JSON of `candidate` (stable key order; no volatile fields).
-// Doubles use shortest round-trip form: ParseCandidate (campaign/replay.h)
-// reconstructs the candidate bit-exactly from this string.
+template <class Io, class Self>
+void Candidate::Fields(Io& io, Self& c) {
+  io("id", c.id);
+  io("parent", c.parent_id);
+  io("generation", c.generation);
+  io("scenario", c.scenario);
+  io("backend", support::Named{c.backend, BackendTag, nn::kNumBackends});
+  io("quantized", c.quantized);
+  io("detector_input", support::Pair(c.detector_input_h, c.detector_input_w));
+  io("ticks", c.ticks);
+  io("fault_seed", c.fault_seed);
+  io("faults", c.faults);
+  io.Check(c, ValidateCandidate);
+}
+
+// Single-line JSON of `candidate` (Candidate::Fields order; no volatile
+// fields). Doubles use shortest round-trip form: ParseCandidate
+// (campaign/replay.h) reconstructs the candidate bit-exactly from it.
 std::string CandidateJson(const Candidate& candidate);
 
 }  // namespace certkit::campaign

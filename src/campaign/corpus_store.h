@@ -45,8 +45,8 @@ std::uint64_t CandidateHash(const Candidate& candidate);
 
 // --- cover serialization --------------------------------------------------
 // One-line JSON for a detached cover set (stable order: units and probe ids
-// ascending, vectors in set order). MC/DC vector masks are u64 bitmasks and
-// ride as 16-digit hex strings, like every digest in the replay format.
+// ascending, vectors in set order; cov::UnitCover::Fields), MC/DC vector
+// masks as 16-digit hex strings like every digest in the replay format.
 std::string CoverSetJson(const cov::CoverSet& cover);
 bool ParseCoverSet(const support::JsonValue& v, cov::CoverSet* out,
                    std::string* error);
@@ -68,6 +68,16 @@ struct CorpusEntry {
   std::string outcome;  // OutcomeSignature(verdict)
   std::uint64_t report_digest = 0;
   cov::CoverSet cover;
+
+  // The entry document's body, after its "schema" (support/record.h).
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& e) {
+    io("candidate", e.candidate);
+    io("verdict", e.verdict);
+    io("outcome", e.outcome);
+    io("report_digest", support::Hex{e.report_digest});
+    io("cover", e.cover);
+  }
 };
 
 // Emit -> parse -> emit is byte-identical (the resume determinism tests

@@ -31,12 +31,12 @@ class CoverageMap {
   const cov::CoverSet& merged() const { return merged_; }
   std::int64_t total_facts() const { return total_facts_; }
 
-  // Reinstates a checkpointed map: the merged cover plus the fact tally a
-  // prior Merge sequence accumulated. Subsequent Merges continue exactly as
-  // they would have on the original map.
-  void Restore(cov::CoverSet merged, std::int64_t total_facts) {
-    merged_ = std::move(merged);
-    total_facts_ = total_facts;
+  // The checkpointed form (support/record.h): Merges on a map read back
+  // from it continue exactly as they would have on the original.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& m) {
+    io("total_facts", m.total_facts_);
+    io("merged", m.merged_);
   }
 
  private:

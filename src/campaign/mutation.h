@@ -22,6 +22,12 @@ namespace certkit::campaign {
 struct SchedulerState {
   std::array<std::uint64_t, 4> rng{};
   std::int64_t next_id = 0;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    io("rng", support::Hex{s.rng});
+    io("next_id", s.next_id);
+  }
 };
 
 class MutationScheduler {

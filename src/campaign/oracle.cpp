@@ -3,8 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "support/json.h"
-
 namespace certkit::campaign {
 
 namespace {
@@ -45,26 +43,7 @@ std::string OutcomeSignature(const OracleVerdict& verdict) {
 }
 
 std::string VerdictJson(const OracleVerdict& verdict) {
-  using support::JsonEscape;
-  std::ostringstream out;
-  out << "{\"final_state\":"
-      << JsonEscape(adpilot::SafetyStateName(verdict.final_state))
-      << ",\"violations\":" << verdict.safety.total
-      << ",\"warnings\":" << verdict.safety.warnings
-      << ",\"criticals\":" << verdict.safety.criticals
-      << ",\"handled\":" << verdict.safety.handled << ",\"by_monitor\":{";
-  for (int m = 0; m < adpilot::kNumMonitors; ++m) {
-    if (m > 0) out << ",";
-    out << JsonEscape(adpilot::MonitorName(static_cast<adpilot::MonitorId>(m)))
-        << ":" << verdict.safety.by_monitor[m];
-  }
-  out << "},\"collision\":" << (verdict.collision ? "true" : "false")
-      << ",\"non_finite_command\":"
-      << (verdict.non_finite_command ? "true" : "false")
-      << ",\"reached_goal\":" << (verdict.reached_goal ? "true" : "false")
-      << ",\"command_overrides\":" << verdict.command_overrides
-      << ",\"ticks\":" << verdict.ticks << "}";
-  return out.str();
+  return support::JsonWriter::Write(verdict);
 }
 
 bool Oracle::Observe(const OracleVerdict& verdict) {

@@ -16,6 +16,7 @@
 
 #include "ad/pipeline.h"
 #include "ad/safety/monitors.h"
+#include "support/record.h"
 
 namespace certkit::campaign {
 
@@ -30,6 +31,19 @@ struct OracleVerdict {
   bool non_finite_command = false;   // a command left the stack non-finite
   std::int64_t command_overrides = 0;
   std::int64_t ticks = 0;
+
+  // The persisted form (support/record.h), with the safety tallies inline.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& v) {
+    io("final_state", support::Named{v.final_state, adpilot::SafetyStateName,
+                                     adpilot::kNumSafetyStates});
+    adpilot::SafetySummary::Fields(io, v.safety);
+    io("collision", v.collision);
+    io("non_finite_command", v.non_finite_command);
+    io("reached_goal", v.reached_goal);
+    io("command_overrides", v.command_overrides);
+    io("ticks", v.ticks);
+  }
 };
 
 // Reduces a finished pilot (plus its tick reports) to a verdict.
@@ -40,7 +54,7 @@ OracleVerdict Judge(const adpilot::ApolloPilot& pilot,
 // final state, per-monitor fired bits, and containment booleans.
 std::string OutcomeSignature(const OracleVerdict& verdict);
 
-// Single-line JSON of `verdict` (stable key order).
+// Single-line JSON of `verdict` (OracleVerdict::Fields order).
 std::string VerdictJson(const OracleVerdict& verdict);
 
 // Campaign-wide oracle state: which outcome signatures have been seen and
@@ -59,19 +73,14 @@ class Oracle {
   std::int64_t non_finite_commands() const { return non_finite_; }
   std::int64_t safe_stops() const { return safe_stops_; }
 
-  // Checkpoint access: the signature set is the only non-scalar state.
-  const std::set<std::string>& seen() const { return seen_; }
-
-  // Reinstates a checkpointed oracle exactly as a prior Observe sequence
-  // left it; a restored oracle and the original are indistinguishable.
-  void Restore(std::set<std::string> seen, const adpilot::SafetySummary& totals,
-               std::int64_t collisions, std::int64_t non_finite_commands,
-               std::int64_t safe_stops) {
-    seen_ = std::move(seen);
-    totals_ = totals;
-    collisions_ = collisions;
-    non_finite_ = non_finite_commands;
-    safe_stops_ = safe_stops;
+  // The checkpointed form: an oracle read back equals the original.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& o) {
+    io("seen", o.seen_);
+    io("totals", o.totals_);
+    io("collisions", o.collisions_);
+    io("non_finite_commands", o.non_finite_);
+    io("safe_stops", o.safe_stops_);
   }
 
  private:

@@ -1,112 +1,15 @@
 #include "campaign/replay.h"
 
-#include <charconv>
 #include <sstream>
 
-#include "ad/safety/degradation.h"
 #include "support/io.h"
+#include "support/record.h"
 
 namespace certkit::campaign {
 
 namespace {
 
 using support::JsonEscape;
-using support::JsonNumber;
-using support::JsonValue;
-
-// --- typed field extraction ----------------------------------------------
-// Every getter fails loudly with the field name: a replay artifact that
-// does not parse back exactly is a finding about the serializer, not
-// something to limp past.
-
-bool FailField(const std::string& key, const char* what, std::string* error) {
-  *error = "field '" + key + "': " + what;
-  return false;
-}
-
-// 64-bit integers ride in the raw number token (JsonValue::literal) —
-// the double `number` field loses precision above 2^53, and seeds are
-// full-width u64. The implementations moved to support/json.h when the
-// checkpoint and corpus-store formats started needing them too; these
-// forwards keep the local call sites unchanged.
-bool GetI64(const JsonValue& obj, const std::string& key, std::int64_t* out,
-            std::string* error) {
-  return support::JsonGetI64(obj, key, out, error);
-}
-
-bool GetU64(const JsonValue& obj, const std::string& key, std::uint64_t* out,
-            std::string* error) {
-  return support::JsonGetU64(obj, key, out, error);
-}
-
-bool GetInt(const JsonValue& obj, const std::string& key, int* out,
-            std::string* error) {
-  return support::JsonGetInt(obj, key, out, error);
-}
-
-bool GetDouble(const JsonValue& obj, const std::string& key, double* out,
-               std::string* error) {
-  return support::JsonGetDouble(obj, key, out, error);
-}
-
-bool GetBool(const JsonValue& obj, const std::string& key, bool* out,
-             std::string* error) {
-  return support::JsonGetBool(obj, key, out, error);
-}
-
-bool GetString(const JsonValue& obj, const std::string& key, std::string* out,
-               std::string* error) {
-  return support::JsonGetString(obj, key, out, error);
-}
-
-bool GetHexU64(const JsonValue& obj, const std::string& key,
-               std::uint64_t* out, std::string* error) {
-  std::string hex;
-  if (!GetString(obj, key, &hex, error)) return false;
-  if (!ParseHexU64(hex, out)) {
-    return FailField(key, "not a 16-digit hex digest", error);
-  }
-  return true;
-}
-
-bool SafetyStateFromName(std::string_view name, adpilot::SafetyState* out) {
-  for (const adpilot::SafetyState s :
-       {adpilot::SafetyState::kNominal, adpilot::SafetyState::kLimpHome,
-        adpilot::SafetyState::kSafeStop}) {
-    if (name == adpilot::SafetyStateName(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::string TickSignatureJson(const adpilot::TickSignature& sig) {
-  std::ostringstream out;
-  out << "{\"tick\":" << sig.tick << ",\"frame\":" << JsonEscape(HexU64(
-             sig.frame))
-      << ",\"detections\":" << JsonEscape(HexU64(sig.detections))
-      << ",\"tracked\":" << JsonEscape(HexU64(sig.tracked))
-      << ",\"command\":" << JsonEscape(HexU64(sig.command))
-      << ",\"state\":" << JsonEscape(HexU64(sig.state))
-      << ",\"faults_injected\":" << sig.faults_injected << "}";
-  return out.str();
-}
-
-bool ParseTickSignature(const JsonValue& v, adpilot::TickSignature* out,
-                        std::string* error) {
-  if (v.kind != JsonValue::Kind::kObject) {
-    *error = "tick signature is not an object";
-    return false;
-  }
-  return GetI64(v, "tick", &out->tick, error) &&
-         GetHexU64(v, "frame", &out->frame, error) &&
-         GetHexU64(v, "detections", &out->detections, error) &&
-         GetHexU64(v, "tracked", &out->tracked, error) &&
-         GetHexU64(v, "command", &out->command, error) &&
-         GetHexU64(v, "state", &out->state, error) &&
-         GetI64(v, "faults_injected", &out->faults_injected, error);
-}
 
 std::string DivergenceJson(const ReplayDivergence& d) {
   std::ostringstream out;
@@ -120,196 +23,34 @@ std::string DivergenceJson(const ReplayDivergence& d) {
 
 }  // namespace
 
-std::string HexU64(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
-
-bool ParseHexU64(std::string_view s, std::uint64_t* out) {
-  if (s.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  *out = v;
-  return true;
-}
-
 std::string ReplayArtifactJson(const ReplayArtifact& artifact) {
-  std::ostringstream out;
-  out << "{\"schema\":" << artifact.schema
-      << ",\"candidate\":" << CandidateJson(artifact.candidate)
-      << ",\"verdict\":" << VerdictJson(artifact.verdict)
-      << ",\"outcome\":" << JsonEscape(artifact.outcome)
-      << ",\"report_digest\":" << JsonEscape(HexU64(artifact.report_digest))
-      << ",\"ticks\":[";
-  for (std::size_t i = 0; i < artifact.ticks.size(); ++i) {
-    if (i > 0) out << ",";
-    out << TickSignatureJson(artifact.ticks[i]);
-  }
-  out << "]}";
-  return out.str();
+  return support::JsonWriter::Document(kReplayArtifactSchema, artifact);
 }
 
-bool ParseScenarioConfig(const JsonValue& v, adpilot::ScenarioConfig* out,
-                         std::string* error) {
-  if (v.kind != JsonValue::Kind::kObject) {
-    *error = "scenario is not an object";
-    return false;
-  }
-  return GetInt(v, "num_vehicles", &out->num_vehicles, error) &&
-         GetInt(v, "num_pedestrians", &out->num_pedestrians, error) &&
-         GetDouble(v, "road_length", &out->road_length, error) &&
-         GetDouble(v, "lane_width", &out->lane_width, error) &&
-         GetInt(v, "num_lanes", &out->num_lanes, error) &&
-         GetDouble(v, "vehicle_speed_min", &out->vehicle_speed_min, error) &&
-         GetDouble(v, "vehicle_speed_max", &out->vehicle_speed_max, error) &&
-         GetU64(v, "seed", &out->seed, error);
+bool ParseScenarioConfig(const support::JsonValue& v,
+                         adpilot::ScenarioConfig* out, std::string* error) {
+  return support::JsonReader::Read(v, out, error);
 }
 
-bool ParseFaultSpec(const JsonValue& v, adpilot::FaultSpec* out,
+bool ParseFaultSpec(const support::JsonValue& v, adpilot::FaultSpec* out,
                     std::string* error) {
-  if (v.kind != JsonValue::Kind::kObject) {
-    *error = "fault is not an object";
-    return false;
-  }
-  std::string kind;
-  if (!GetString(v, "kind", &kind, error)) return false;
-  if (!adpilot::FaultKindFromName(kind, &out->kind)) {
-    return FailField("kind", "unknown fault kind", error);
-  }
-  return GetI64(v, "onset", &out->onset_tick, error) &&
-         GetI64(v, "duration", &out->duration_ticks, error) &&
-         GetDouble(v, "magnitude", &out->magnitude, error);
+  return support::JsonReader::Read(v, out, error);
 }
 
-bool ParseCandidate(const JsonValue& v, Candidate* out, std::string* error) {
-  if (v.kind != JsonValue::Kind::kObject) {
-    *error = "candidate is not an object";
-    return false;
-  }
-  if (!GetI64(v, "id", &out->id, error) ||
-      !GetI64(v, "parent", &out->parent_id, error) ||
-      !GetInt(v, "generation", &out->generation, error)) {
-    return false;
-  }
-  const JsonValue* scenario = v.Find("scenario");
-  if (scenario == nullptr) return FailField("scenario", "missing", error);
-  if (!ParseScenarioConfig(*scenario, &out->scenario, error)) return false;
-  std::string backend;
-  if (!GetString(v, "backend", &backend, error)) return false;
-  if (!BackendFromTag(backend, &out->backend)) {
-    return FailField("backend", "unknown backend tag", error);
-  }
-  if (!GetBool(v, "quantized", &out->quantized, error)) return false;
-  const JsonValue* input = v.Find("detector_input");
-  if (input == nullptr || input->kind != JsonValue::Kind::kArray ||
-      input->items.size() != 2 ||
-      input->items[0].kind != JsonValue::Kind::kNumber ||
-      input->items[1].kind != JsonValue::Kind::kNumber) {
-    return FailField("detector_input", "not a [h,w] pair", error);
-  }
-  out->detector_input_h = static_cast<int>(input->items[0].number);
-  out->detector_input_w = static_cast<int>(input->items[1].number);
-  if (!GetInt(v, "ticks", &out->ticks, error) ||
-      !GetU64(v, "fault_seed", &out->fault_seed, error)) {
-    return false;
-  }
-  const JsonValue* faults = v.Find("faults");
-  if (faults == nullptr || faults->kind != JsonValue::Kind::kArray) {
-    return FailField("faults", "missing or not an array", error);
-  }
-  out->faults.clear();
-  out->faults.reserve(faults->items.size());
-  for (const JsonValue& f : faults->items) {
-    adpilot::FaultSpec spec;
-    if (!ParseFaultSpec(f, &spec, error)) return false;
-    out->faults.push_back(spec);
-  }
-  return true;
+bool ParseCandidate(const support::JsonValue& v, Candidate* out,
+                    std::string* error) {
+  return support::JsonReader::Read(v, out, error);
 }
 
-bool ParseVerdict(const JsonValue& v, OracleVerdict* out,
+bool ParseVerdict(const support::JsonValue& v, OracleVerdict* out,
                   std::string* error) {
-  if (v.kind != JsonValue::Kind::kObject) {
-    *error = "verdict is not an object";
-    return false;
-  }
-  std::string state;
-  if (!GetString(v, "final_state", &state, error)) return false;
-  if (!SafetyStateFromName(state, &out->final_state)) {
-    return FailField("final_state", "unknown safety state", error);
-  }
-  if (!GetI64(v, "violations", &out->safety.total, error) ||
-      !GetI64(v, "warnings", &out->safety.warnings, error) ||
-      !GetI64(v, "criticals", &out->safety.criticals, error) ||
-      !GetI64(v, "handled", &out->safety.handled, error)) {
-    return false;
-  }
-  const JsonValue* monitors = v.Find("by_monitor");
-  if (monitors == nullptr || monitors->kind != JsonValue::Kind::kObject) {
-    return FailField("by_monitor", "missing or not an object", error);
-  }
-  for (int m = 0; m < adpilot::kNumMonitors; ++m) {
-    const char* name = adpilot::MonitorName(static_cast<adpilot::MonitorId>(m));
-    if (!GetI64(*monitors, name, &out->safety.by_monitor[m], error)) {
-      return false;
-    }
-  }
-  return GetBool(v, "collision", &out->collision, error) &&
-         GetBool(v, "non_finite_command", &out->non_finite_command, error) &&
-         GetBool(v, "reached_goal", &out->reached_goal, error) &&
-         GetI64(v, "command_overrides", &out->command_overrides, error) &&
-         GetI64(v, "ticks", &out->ticks, error);
+  return support::JsonReader::Read(v, out, error);
 }
 
 bool ParseReplayArtifact(std::string_view json, ReplayArtifact* out,
                          std::string* error) {
-  JsonValue root;
-  if (!support::ParseJson(json, &root, error)) return false;
-  if (root.kind != JsonValue::Kind::kObject) {
-    *error = "artifact is not an object";
-    return false;
-  }
-  if (!GetInt(root, "schema", &out->schema, error)) return false;
-  if (out->schema != kReplayArtifactSchema) {
-    *error = "unsupported artifact schema " + std::to_string(out->schema);
-    return false;
-  }
-  const JsonValue* candidate = root.Find("candidate");
-  if (candidate == nullptr) return FailField("candidate", "missing", error);
-  if (!ParseCandidate(*candidate, &out->candidate, error)) return false;
-  const JsonValue* verdict = root.Find("verdict");
-  if (verdict == nullptr) return FailField("verdict", "missing", error);
-  if (!ParseVerdict(*verdict, &out->verdict, error)) return false;
-  if (!GetString(root, "outcome", &out->outcome, error) ||
-      !GetHexU64(root, "report_digest", &out->report_digest, error)) {
-    return false;
-  }
-  const JsonValue* ticks = root.Find("ticks");
-  if (ticks == nullptr || ticks->kind != JsonValue::Kind::kArray) {
-    return FailField("ticks", "missing or not an array", error);
-  }
-  out->ticks.clear();
-  out->ticks.reserve(ticks->items.size());
-  for (const JsonValue& t : ticks->items) {
-    adpilot::TickSignature sig;
-    if (!ParseTickSignature(t, &sig, error)) return false;
-    out->ticks.push_back(sig);
-  }
-  return true;
+  support::JsonReader doc(error);
+  return doc.Open(json, "artifact", kReplayArtifactSchema) && doc.Fields(out);
 }
 
 ReplayArtifact MakeArtifact(const Candidate& candidate,

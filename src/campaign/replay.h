@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "campaign/runner.h"
+#include "support/fnv.h"
 #include "support/json.h"
 
 namespace certkit::campaign {
@@ -32,21 +33,29 @@ namespace certkit::campaign {
 inline constexpr int kReplayArtifactSchema = 1;
 
 struct ReplayArtifact {
-  int schema = kReplayArtifactSchema;
   Candidate candidate;
   OracleVerdict verdict;
   std::string outcome;  // OutcomeSignature(verdict), for quick triage
   std::uint64_t report_digest = 0;
   std::vector<adpilot::TickSignature> ticks;
+
+  // The artifact document's body, after its "schema" (support/record.h).
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& a) {
+    io("candidate", a.candidate);
+    io("verdict", a.verdict);
+    io("outcome", a.outcome);
+    io("report_digest", support::Hex{a.report_digest});
+    io("ticks", a.ticks);
+  }
 };
 
-// Fixed-width lowercase hex (16 digits) — u64 digests do not fit a JSON
-// double, so artifacts carry them as strings.
-std::string HexU64(std::uint64_t v);
-bool ParseHexU64(std::string_view s, std::uint64_t* out);
+// Digests print as 16 lowercase hex digits (support/fnv.h).
+using support::HexU64;
+using support::ParseHexU64;
 
-// Serialization. ReplayArtifactJson is the inverse of ParseReplayArtifact:
-// emit -> parse -> emit is byte-identical (round-trip tested).
+// Serialization over the records' field lists (support/record.h): emit ->
+// parse -> emit is byte-identical, and parsing rejects what replay aborts on.
 std::string ReplayArtifactJson(const ReplayArtifact& artifact);
 bool ParseScenarioConfig(const support::JsonValue& v,
                          adpilot::ScenarioConfig* out, std::string* error);

@@ -94,6 +94,20 @@ struct GenerationStats {
   std::vector<cov::CoverageRow> rows; // cumulative, after this generation
   cov::CoverageRow average;
   double seconds = 0.0;               // wall clock (include_timing only)
+
+  // The checkpointed form (support/record.h): exact doubles, so a resumed
+  // run re-renders the campaign JSON's %.4f rows bit-identically.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    io("generation", s.generation);
+    io("evaluated", s.evaluated);
+    io("kept", s.kept);
+    io("new_facts", s.new_facts);
+    io("distinct_outcomes", s.distinct_outcomes);
+    io("rows", s.rows);
+    io("average", s.average);
+    io("seconds", s.seconds);
+  }
 };
 
 // The campaign's complete serial state between generations. Everything the
@@ -109,6 +123,19 @@ struct CampaignState {
   CoverageMap cover;
   std::vector<GenerationStats> generations;
   std::int64_t evaluated_total = 0;
+
+  // The checkpoint's body, after its schema and fingerprint.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    io("next_generation", s.next_generation);
+    io("scheduler", s.scheduler);
+    io("select_rng", support::Hex{s.select_rng});
+    io("evaluated_total", s.evaluated_total);
+    io("oracle", s.oracle);
+    io("cover", s.cover);
+    io("corpus", s.corpus);
+    io("generations", s.generations);
+  }
 };
 
 // One shard's evaluations of its candidate slice for one generation.
@@ -121,6 +148,16 @@ struct ShardEval {
   std::string outcome;
   std::uint64_t report_digest = 0;
   cov::CoverSet cover;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& e) {
+    io("index", e.index);
+    io("candidate", support::Hex{e.candidate_hash});
+    io("verdict", e.verdict);
+    io("outcome", e.outcome);
+    io("report_digest", support::Hex{e.report_digest});
+    io("cover", e.cover);
+  }
 };
 
 struct ShardDelta {
@@ -128,6 +165,15 @@ struct ShardDelta {
   int shard_index = 0;
   int shard_count = 1;
   std::vector<ShardEval> evals;
+
+  // The shard delta's body, after its schema and fingerprint.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& d) {
+    io("generation", d.generation);
+    io("shard_index", d.shard_index);
+    io("shard_count", d.shard_count);
+    io("evals", d.evals);
+  }
 };
 
 struct CampaignResult {

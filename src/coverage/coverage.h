@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "support/record.h"
+
 namespace certkit::cov {
 
 // Global probe switch. Coverage collection is a build flavor in real
@@ -79,6 +81,15 @@ struct DecisionCover {
   std::set<std::pair<std::uint64_t, bool>> vectors;
 
   bool operator==(const DecisionCover&) const = default;
+
+  // The persisted form (support/record.h); vectors as [[hex mask, outcome]].
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& d) {
+    io("conds", d.num_conditions);
+    io("t", d.seen_true);
+    io("f", d.seen_false);
+    io("vectors", support::Hex{d.vectors});
+  }
 };
 
 // Execution state of one unit.
@@ -87,6 +98,13 @@ struct UnitCover {
   std::map<int, DecisionCover> decisions;  // by decision id
 
   bool operator==(const UnitCover&) const = default;
+
+  // A CoverSet persists as an object of these, keyed by unit name.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& u) {
+    io("stmts", u.stmts);
+    io("decisions", support::Keyed{"id", u.decisions});
+  }
 };
 
 // Covers for many units, keyed by unit name (stable iteration order).
@@ -217,6 +235,15 @@ struct CoverageRow {
   double statement = 0.0;
   double branch = 0.0;
   double mcdc = 0.0;
+
+  // The checkpointed form (support/record.h): exact ratios.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& r) {
+    io("unit", r.unit);
+    io("statement", r.statement);
+    io("branch", r.branch);
+    io("mcdc", r.mcdc);
+  }
 };
 
 // Snapshot of all registered units.

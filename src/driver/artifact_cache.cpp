@@ -1,6 +1,5 @@
 #include "driver/artifact_cache.h"
 
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -8,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "support/fnv.h"
 #include "support/io.h"
 
 namespace certkit::driver {
@@ -566,13 +566,6 @@ bool ReadDefensive(Reader& r, rules::DefensiveResult* d) {
   return r.ok() && ReadCheckReport(r, &d->report);
 }
 
-std::string HexU64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
-}
-
 void WriteHeader(Writer& w, const char (&magic)[4], std::uint64_t fingerprint,
                  std::uint64_t key) {
   for (char c : magic) w.U8(static_cast<std::uint8_t>(c));
@@ -686,7 +679,7 @@ ArtifactCache::ArtifactCache(std::string dir,
 
 std::string ArtifactCache::EntryFile(std::uint64_t key,
                                      const char* extension) const {
-  return (fs::path(dir_) / (HexU64(key) + extension)).string();
+  return (fs::path(dir_) / (support::HexU64(key) + extension)).string();
 }
 
 std::string ArtifactCache::EntryPath(const std::string& path,

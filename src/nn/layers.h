@@ -23,6 +23,7 @@ enum class Backend {
   kOpenSim,    // isaac_sim / cutlass_sim stand-ins for the open libraries
   kCpuNaive,   // single-threaded CPU reference (ATLAS/OpenBLAS stand-in)
 };
+inline constexpr int kNumBackends = 3;
 const char* BackendName(Backend backend);
 
 class Layer {

@@ -6,11 +6,15 @@
 // digests) are built from one implementation. Doubles are hashed by bit
 // pattern — the digests gate *bit* identity, not approximate equality —
 // with -0.0 and every NaN payload hashing as distinct values on purpose.
+// A u64 digest does not fit a JSON double, so artifacts, checkpoints and
+// corpus/cache entry names print it as HexU64's 16 lowercase hex digits.
 #ifndef CERTKIT_SUPPORT_FNV_H_
 #define CERTKIT_SUPPORT_FNV_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <string_view>
 
 namespace certkit::support {
@@ -55,6 +59,24 @@ inline std::uint64_t FnvFloat(float v,
   std::uint32_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return FnvBytes(&bits, sizeof(bits), seed);
+}
+
+// Fixed-width lowercase hex: 16 digits, zero-padded.
+inline std::string HexU64(std::uint64_t v) {
+  std::string out(16, '0');
+  for (auto it = out.rbegin(); it != out.rend(); ++it, v >>= 4) {
+    *it = "0123456789abcdef"[v & 0xF];
+  }
+  return out;
+}
+
+// Inverse of HexU64: exactly 16 lowercase hex digits (uppercase, short and
+// long forms are rejected); *out is untouched on failure.
+inline bool ParseHexU64(std::string_view s, std::uint64_t* out) {
+  return s.size() == 16 &&
+         s.find_first_not_of("0123456789abcdef") == std::string_view::npos &&
+         std::from_chars(s.data(), s.data() + s.size(), *out, 16).ec ==
+             std::errc();
 }
 
 }  // namespace certkit::support

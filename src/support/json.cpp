@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace certkit::support {
 
@@ -357,9 +358,20 @@ void AppendJson(const JsonValue& v, std::string* out) {
   }
 }
 
-bool FailField(const std::string& key, const char* what, std::string* error) {
-  *error = "field '" + key + "': " + what;
-  return false;
+// Exact integer literal of type T: fractions, exponents and overflow fail.
+template <class T>
+const char* IntegerLiteral(const JsonValue* v, T* out, const char* what) {
+  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
+    return "missing or not a number";
+  }
+  const char* end = v->literal.data() + v->literal.size();
+  const auto res = std::from_chars(v->literal.data(), end, *out);
+  return res.ec == std::errc() && res.ptr == end ? nullptr : what;
+}
+
+bool Member(const std::string& key, const char* what, std::string* error) {
+  if (what != nullptr) *error = "field '" + key + "': " + what;
+  return what == nullptr;
 }
 
 }  // namespace
@@ -370,75 +382,60 @@ std::string JsonToString(const JsonValue& v) {
   return out;
 }
 
+const char* JsonAs(const JsonValue* v, std::int64_t* out) {
+  return IntegerLiteral(v, out, "not a 64-bit integer");
+}
+
+const char* JsonAs(const JsonValue* v, std::uint64_t* out) {
+  return IntegerLiteral(v, out, "not a 64-bit unsigned integer");
+}
+
+const char* JsonAs(const JsonValue* v, int* out) {
+  return IntegerLiteral(v, out, "not an integer in int range");
+}
+
+const char* JsonAs(const JsonValue* v, double* out) {
+  const bool number = v != nullptr && v->kind == JsonValue::Kind::kNumber;
+  const bool null = v != nullptr && v->is_null();
+  *out = number ? v->number : std::numeric_limits<double>::quiet_NaN();
+  return number || null ? nullptr : "missing or not a number";
+}
+
+const char* JsonAs(const JsonValue* v, bool* out) {
+  const bool ok = v != nullptr && v->kind == JsonValue::Kind::kBool;
+  if (ok) *out = v->boolean;
+  return ok ? nullptr : "missing or not a bool";
+}
+
+const char* JsonAs(const JsonValue* v, std::string* out) {
+  const bool ok = v != nullptr && v->kind == JsonValue::Kind::kString;
+  if (ok) *out = v->string;
+  return ok ? nullptr : "missing or not a string";
+}
+
 bool JsonGetI64(const JsonValue& obj, const std::string& key,
                 std::int64_t* out, std::string* error) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-    return FailField(key, "missing or not a number", error);
-  }
-  const auto res = std::from_chars(
-      v->literal.data(), v->literal.data() + v->literal.size(), *out);
-  if (res.ec != std::errc() ||
-      res.ptr != v->literal.data() + v->literal.size()) {
-    return FailField(key, "not a 64-bit integer", error);
-  }
-  return true;
+  return Member(key, JsonAs(obj.Find(key), out), error);
 }
 
 bool JsonGetU64(const JsonValue& obj, const std::string& key,
                 std::uint64_t* out, std::string* error) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-    return FailField(key, "missing or not a number", error);
-  }
-  const auto res = std::from_chars(
-      v->literal.data(), v->literal.data() + v->literal.size(), *out);
-  if (res.ec != std::errc() ||
-      res.ptr != v->literal.data() + v->literal.size()) {
-    return FailField(key, "not a 64-bit unsigned integer", error);
-  }
-  return true;
+  return Member(key, JsonAs(obj.Find(key), out), error);
 }
 
 bool JsonGetInt(const JsonValue& obj, const std::string& key, int* out,
                 std::string* error) {
-  std::int64_t wide = 0;
-  if (!JsonGetI64(obj, key, &wide, error)) return false;
-  *out = static_cast<int>(wide);
-  if (static_cast<std::int64_t>(*out) != wide) {
-    return FailField(key, "out of int range", error);
-  }
-  return true;
-}
-
-bool JsonGetDouble(const JsonValue& obj, const std::string& key, double* out,
-                   std::string* error) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-    return FailField(key, "missing or not a number", error);
-  }
-  *out = v->number;
-  return true;
+  return Member(key, JsonAs(obj.Find(key), out), error);
 }
 
 bool JsonGetBool(const JsonValue& obj, const std::string& key, bool* out,
                  std::string* error) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kBool) {
-    return FailField(key, "missing or not a bool", error);
-  }
-  *out = v->boolean;
-  return true;
+  return Member(key, JsonAs(obj.Find(key), out), error);
 }
 
 bool JsonGetString(const JsonValue& obj, const std::string& key,
                    std::string* out, std::string* error) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kString) {
-    return FailField(key, "missing or not a string", error);
-  }
-  *out = v->string;
-  return true;
+  return Member(key, JsonAs(obj.Find(key), out), error);
 }
 
 }  // namespace certkit::support

@@ -18,7 +18,9 @@
 // This is certkit's one JSON reader: round-trip artifact IO and the obs
 // validators (trace and flight dump, behind tools/trace_lint) all parse
 // with it. The validators stay independent of the emitters they check,
-// which escape and format with their own code.
+// which escape and format with their own code. The record reader
+// (support/record.h) reads every persisted campaign record through the
+// typed JsonAs/JsonGet* reads below, as do serve requests and validators.
 #ifndef CERTKIT_SUPPORT_JSON_H_
 #define CERTKIT_SUPPORT_JSON_H_
 
@@ -72,20 +74,27 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
 // corpus-store payload is compared in.
 std::string JsonToString(const JsonValue& v);
 
-// Typed object-member extraction shared by every round-trip format
-// (replay artifacts, checkpoints, corpus entries, serve requests). All
-// return false with *error = "field '<key>': <what>" on absence or type
-// mismatch. The 64-bit getters re-parse JsonValue::literal with
-// from_chars — the double `number` field loses precision above 2^53 and
-// seeds are full-width u64.
+// Typed reads of one value (`v` == nullptr: absent): nullptr on success,
+// else what is wrong ("missing or not a number", ...). Integers re-parse
+// JsonValue::literal as an exact literal of the target type (the double
+// `number` loses precision above 2^53, and a cast double is undefined out
+// of range), so "1e3", "2.0" and out-of-range values fail. A double reads
+// null, JsonNumber's encoding of a non-finite value, as NaN.
+const char* JsonAs(const JsonValue* v, std::int64_t* out);
+const char* JsonAs(const JsonValue* v, std::uint64_t* out);
+const char* JsonAs(const JsonValue* v, int* out);
+const char* JsonAs(const JsonValue* v, double* out);
+const char* JsonAs(const JsonValue* v, bool* out);
+const char* JsonAs(const JsonValue* v, std::string* out);
+
+// The same reads of an object member. All return false with
+// *error = "field '<key>': <what>" on absence or type mismatch.
 bool JsonGetI64(const JsonValue& obj, const std::string& key,
                 std::int64_t* out, std::string* error);
 bool JsonGetU64(const JsonValue& obj, const std::string& key,
                 std::uint64_t* out, std::string* error);
 bool JsonGetInt(const JsonValue& obj, const std::string& key, int* out,
                 std::string* error);
-bool JsonGetDouble(const JsonValue& obj, const std::string& key, double* out,
-                   std::string* error);
 bool JsonGetBool(const JsonValue& obj, const std::string& key, bool* out,
                  std::string* error);
 bool JsonGetString(const JsonValue& obj, const std::string& key,
