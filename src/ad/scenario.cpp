@@ -140,39 +140,71 @@ nn::Tensor Scenario::RenderCameraFrame(const Pose& ego_pose) {
   return frame;
 }
 
-void Scenario::RenderCameraFrameInto(const Pose& ego_pose,
-                                     nn::Tensor* frame_out) {
-  constexpr int kSize = CameraModel::kImageSize;
-  // Every pixel is overwritten below, so reshaping without clearing is safe.
-  frame_out->Reshape(1, 3, kSize, kSize);
-  nn::Tensor& frame = *frame_out;
-  // Road background with mild sensor noise.
-  for (int c = 0; c < 3; ++c) {
-    for (int y = 0; y < kSize; ++y) {
-      for (int x = 0; x < kSize; ++x) {
-        frame.At(0, c, y, x) =
-            20.0f + static_cast<float>(rng_.UniformDouble(0.0, 6.0));
-      }
+namespace {
+
+constexpr int kSize = CameraModel::kImageSize;
+constexpr std::size_t kPlane = kSize * kSize;
+
+// The pixel span [*first, *last] one axis of an obstacle covers: the
+// half-pixel samples center - half, + step, ... <= center + half that
+// `to_pixel` puts in view, mapped to clamped indices. EgoToPixel tests and
+// maps x and y independently, so an obstacle covers (the rows its x samples
+// hit) x (the columns its y samples hit): exactly the pixels a loop over
+// every (x, y) sample pair paints. Returns false when no sample is in view.
+template <class ToPixel>
+bool PixelSpan(double center, double half, ToPixel to_pixel, int* first,
+               int* last) {
+  int hits = 0;
+  for (double e = center - half; e <= center + half;
+       e += CameraModel::kMetersPerPixel / 2.0) {
+    double pixel = 0.0;
+    if (to_pixel(e, &pixel)) {
+      const int i = std::clamp(static_cast<int>(pixel), 0, kSize - 1);
+      *first = hits == 0 ? i : std::min(*first, i);
+      *last = hits == 0 ? i : std::max(*last, i);
+      ++hits;
     }
   }
-  // Obstacles as bright axis-aligned rectangles (ego frame).
+  return hits > 0;
+}
+
+// EgoToPixel along one axis, the other coordinate held inside the window.
+bool RowOf(double ex, double* py) {
+  double px = 0.0;
+  return CameraModel::EgoToPixel({ex, 0.0}, &px, py);
+}
+bool ColumnOf(double ey, double* px) {
+  double py = 0.0;
+  return CameraModel::EgoToPixel({0.0, ey}, px, &py);
+}
+
+}  // namespace
+
+void Scenario::RenderCameraFrameInto(const Pose& ego_pose,
+                                     nn::Tensor* frame_out) {
+  // Every pixel is overwritten below, so reshaping without clearing is safe.
+  frame_out->Reshape(1, 3, kSize, kSize);
+  float* frame = frame_out->data();
+  // Road background with mild sensor noise: one draw per element, in
+  // buffer (channel, row, column) order.
+  for (std::size_t i = 0; i < 3 * kPlane; ++i) {
+    frame[i] = 20.0f + static_cast<float>(rng_.UniformDouble(0.0, 6.0));
+  }
+  // Obstacles as bright axis-aligned rectangles (ego frame), later agents
+  // painted over earlier ones.
   for (const Obstacle& a : agents_) {
     const Vec2 center = ego_pose.WorldToEgo(a.position);
-    const double hx = a.length / 2.0;
-    const double hy = a.width / 2.0;
+    int row0 = 0, row1 = 0, col0 = 0, col1 = 0;
+    if (!PixelSpan(center.x, a.length / 2.0, RowOf, &row0, &row1) ||
+        !PixelSpan(center.y, a.width / 2.0, ColumnOf, &col0, &col1)) {
+      continue;
+    }
     const float brightness = a.cls == ObstacleClass::kVehicle ? 230.0f
                                                               : 180.0f;
-    for (double ex = center.x - hx; ex <= center.x + hx;
-         ex += CameraModel::kMetersPerPixel / 2.0) {
-      for (double ey = center.y - hy; ey <= center.y + hy;
-           ey += CameraModel::kMetersPerPixel / 2.0) {
-        double px = 0.0, py = 0.0;
-        if (!CameraModel::EgoToPixel({ex, ey}, &px, &py)) continue;
-        const int ix = std::clamp(static_cast<int>(px), 0, kSize - 1);
-        const int iy = std::clamp(static_cast<int>(py), 0, kSize - 1);
-        for (int c = 0; c < 3; ++c) {
-          frame.At(0, c, iy, ix) = brightness;
-        }
+    for (std::size_t c = 0; c < 3; ++c) {
+      for (int y = row0; y <= row1; ++y) {
+        float* row = frame + c * kPlane + y * kSize;
+        std::fill(row + col0, row + col1 + 1, brightness);
       }
     }
   }

@@ -92,6 +92,8 @@ class Scenario {
 
   const std::vector<Obstacle>& ground_truth() const { return agents_; }
   double time() const { return time_; }
+  // The sensor-noise generator; its state() pins how many draws ran.
+  const certkit::support::Xoshiro256& rng() const { return rng_; }
 
  private:
   ScenarioConfig config_;

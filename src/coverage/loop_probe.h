@@ -4,7 +4,8 @@
 // through WithProbes, which picks the policy from cov::ProbesEnabled():
 //
 //  * NullProbe (release flavour) compiles every probe call away, so its
-//    instantiation is the uninstrumented loop;
+//    instantiation is the uninstrumented loop, run at the CPU's widest
+//    vector width;
 //  * LoopProbe (instrumented flavour) folds each element's statements and
 //    (mask, outcome) vectors into two local words and fires each distinct
 //    fact into the Unit once, when the loop returns.
@@ -21,6 +22,7 @@
 #include <cstdint>
 
 #include "coverage/coverage.h"
+#include "support/isa.h"
 
 namespace certkit::cov {
 
@@ -83,6 +85,8 @@ class LoopProbe {
 
 // Runs `body(probe)` with a LoopProbe over `unit` when probes are on, firing
 // its facts after the body returns, and with a NullProbe when they are off.
+// The NullProbe run is the release loop, so it runs at the widest level of
+// the ISA ladder (support/isa.h), whose rules its loops follow.
 template <class Body>
 void WithProbes(Unit& unit, Body&& body) {
   if (ProbesEnabled()) {
@@ -91,8 +95,10 @@ void WithProbes(Unit& unit, Body&& body) {
     probe.Fire();
     return;
   }
-  NullProbe probe;
-  body(probe);
+  support::RunWidest([&body](auto) {
+    NullProbe probe;
+    body(probe);
+  });
 }
 
 }  // namespace certkit::cov

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <vector>
+
+#include "support/isa.h"
 
 #if !defined(__x86_64__)
 #error "the int8 pair microkernel is written for x86-64 (SSE2 baseline)"
@@ -115,6 +118,12 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s,
 }  // namespace cublas_sim
 
 namespace micro {
+
+using certkit::support::Isa;
+using certkit::support::IsaTag;
+using certkit::support::RunAt;
+using certkit::support::RunWidest;
+using certkit::support::WidestIsa;
 
 namespace {
 
@@ -299,10 +308,10 @@ void SgemmWithConfig(const float* a, const float* b, float* c, GemmShape s,
 // madd+add into int32 accumulators that stay in registers for all of K.
 //
 // The SSE2 policy is the x86-64 baseline and carries no target. The AVX2
-// and AVX-512BW policies are compiled under exactly "avx2" and
-// "avx512f,avx512bw": neither enables FMA, so no float code in this file can
-// be contracted differently (GCC defaults to -ffp-contract=fast, so
-// x86-64-v3/v4 or "fma" here could change fp32 bits).
+// and AVX-512BW policies are compiled under "avx2" and "avx512f,avx512bw",
+// the levels of the ISA ladder (support/isa.h) that runs PairGemm. GCC's
+// "avx512f" target enables FMA; the kernels library builds with
+// -ffp-contract=off, so no float code here is contracted at any level.
 namespace {
 
 // Unaligned SSE2 access to int16 and int32 arrays.
@@ -487,85 +496,46 @@ template <class V>
   if (j < s.n) Panel<V, 1, true>(t, s.m, j, s.n - j);
 }
 
-[[gnu::flatten]] void PairGemmSse2(const std::int32_t* a,
-                                   const std::int32_t* b, std::int32_t* c,
-                                   GemmShape s) {
-  PairGemm<Sse2>(a, b, c, s);
-}
+// The pair GEMM at one ladder level, on that level's policy.
+struct PairGemmCall {
+  const std::int32_t* a;
+  const std::int32_t* b;
+  std::int32_t* c;
+  GemmShape s;
 
-[[gnu::target("avx2"), gnu::flatten]] void PairGemmAvx2(
-    const std::int32_t* a, const std::int32_t* b, std::int32_t* c,
-    GemmShape s) {
-  PairGemm<Avx2>(a, b, c, s);
-}
-
-[[gnu::target("avx512f,avx512bw"), gnu::flatten]] void PairGemmAvx512(
-    const std::int32_t* a, const std::int32_t* b, std::int32_t* c,
-    GemmShape s) {
-  PairGemm<Avx512>(a, b, c, s);
-}
-
-struct PairKernelTable {
-  PairKernel kernels[3];
-  std::size_t count = 0;
+  template <Isa L>
+  void operator()(IsaTag<L>) const {
+    using V = std::conditional_t<
+        L == Isa::kAvx512, Avx512,
+        std::conditional_t<L == Isa::kAvx2, Avx2, Sse2>>;
+    PairGemm<V>(a, b, c, s);
+  }
 };
 
-// __builtin_cpu_supports also checks that the OS saves the wider register
-// state.
-PairKernelTable DetectPairKernels() {
-  __builtin_cpu_init();
-  PairKernelTable t;
-  t.kernels[t.count++] = {"sse2", &PairGemmSse2};
-  if (__builtin_cpu_supports("avx2")) {
-    t.kernels[t.count++] = {"avx2", &PairGemmAvx2};
-  }
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw")) {
-    t.kernels[t.count++] = {"avx512bw", &PairGemmAvx512};
-  }
-  return t;
+template <Isa L>
+void PairGemmAt(const std::int32_t* a, const std::int32_t* b,
+                std::int32_t* c, GemmShape s) {
+  RunAt(L, PairGemmCall{a, b, c, s});
 }
 
-const PairKernelTable& Table() {
-  static const PairKernelTable table = DetectPairKernels();  // once
-  return table;
-}
+// One instance per ladder level, narrowest first.
+constexpr PairKernel kPairKernels[] = {
+    {"sse2", &PairGemmAt<Isa::kBaseline>},
+    {"avx2", &PairGemmAt<Isa::kAvx2>},
+    {"avx512bw", &PairGemmAt<Isa::kAvx512>}};
 
 }  // namespace
 
-void PackPairRuns(const std::int16_t* lo, const std::int16_t* hi,
-                  std::size_t src_stride, int count, int runs,
-                  std::int32_t* dst) {
-  // SSE2 is the baseline: PUNPCKLWD/PUNPCKHWD interleave eight pairs.
-  const auto load8 = [](const std::int16_t* p) {
-    return p != nullptr ? LoadU128(p) : _mm_setzero_si128();
-  };
-  for (int r = 0; r < runs; ++r, dst += count) {
-    const std::int16_t* l = lo + r * src_stride;
-    const std::int16_t* h = hi != nullptr ? hi + r * src_stride : nullptr;
-    int i = 0;
-    for (; i + 8 <= count; i += 8) {
-      const __m128i vl = load8(l + i);
-      const __m128i vh = load8(h != nullptr ? h + i : nullptr);
-      StoreU128(dst + i, _mm_unpacklo_epi16(vl, vh));
-      StoreU128(dst + i + 4, _mm_unpackhi_epi16(vl, vh));
-    }
-    for (; i < count; ++i) {
-      dst[i] = PackPair(l[i], h != nullptr ? h[i] : std::int16_t{0});
-    }
-  }
-}
-
 std::span<const PairKernel> SupportedPairKernels() {
-  const PairKernelTable& t = Table();
-  return {t.kernels, t.count};
+  const Isa widest = WidestIsa();  // one entry per level up to the widest
+  return {kPairKernels,
+          1u + (widest >= Isa::kAvx2) + (widest >= Isa::kAvx512)};
 }
 
 void GemmPairS16S32(const std::int32_t* a, const std::int32_t* b,
                     std::int32_t* c, GemmShape s) {
   CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  static const PairGemmFn widest = SupportedPairKernels().back().gemm;
-  widest(a, b, c, s);
+  RunWidest(PairGemmCall{a, b, c, s});
 }
 
 void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,

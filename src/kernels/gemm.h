@@ -135,11 +135,12 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s,
 // output element is accumulated as the same K-ordered dot product a single
 // scalar loop would produce — register tiling spans M and N only, K is never
 // split — so micro::Sgemm is bit-identical to cpublas::Sgemm,
-// ComputeTileTuned, and every cutlass_sim tile instantiation. (The build
-// never enables FMA contraction on the baseline x86-64 target, so
-// mul-then-add sequences round identically everywhere.) The int8 kernel
-// accumulates in int32, where every sum of int8-grid products is exact, so
-// its blocking and vector width are unconstrained.
+// ComputeTileTuned, and every cutlass_sim tile instantiation. (The
+// baseline x86-64 target has no FMA, and the tick-path libraries build with
+// -ffp-contract=off, so mul-then-add sequences round identically
+// everywhere.) The int8 kernel accumulates in int32, where every sum of
+// int8-grid products is exact, so its blocking and vector width are
+// unconstrained.
 namespace micro {
 
 // A block configuration: an mr×nr register tile (accumulators held in
@@ -194,10 +195,19 @@ inline std::int32_t PackPair(std::int16_t lo, std::int16_t hi) {
 // Packs `runs` runs of `count` pairs into B: run r reads lo and hi at
 // offset r·src_stride and writes dst at offset r·count, with
 // dst[i] = PackPair(lo[i], hi[i]). hi == nullptr packs 0 into the high
-// halves (an odd K's last pair).
-void PackPairRuns(const std::int16_t* lo, const std::int16_t* hi,
-                  std::size_t src_stride, int count, int runs,
-                  std::int32_t* dst);
+// halves (an odd K's last pair). Inline and plain, so it vectorizes at the
+// width of the ISA-ladder level its caller runs at.
+inline void PackPairRuns(const std::int16_t* lo, const std::int16_t* hi,
+                         std::size_t src_stride, int count, int runs,
+                         std::int32_t* dst) {
+  for (int r = 0; r < runs; ++r, dst += count) {
+    const std::int16_t* l = lo + r * src_stride;
+    const std::int16_t* h = hi != nullptr ? hi + r * src_stride : nullptr;
+    for (int i = 0; i < count; ++i) {
+      dst[i] = PackPair(l[i], h != nullptr ? h[i] : std::int16_t{0});
+    }
+  }
+}
 
 // C[M,N] = A·B over paired operands (layout above); `shape.k` is K, not P.
 using PairGemmFn = void (*)(const std::int32_t* a, const std::int32_t* b,
@@ -209,12 +219,13 @@ struct PairKernel {
   PairGemmFn gemm;
 };
 
-// The instances this CPU runs, narrowest first: SSE2 (the x86-64 baseline)
-// always, then AVX2 and AVX-512BW when cpuid reports them. Read from cpuid
-// once per process; there is no way to set it. Tests check every entry.
+// The instances this CPU runs, narrowest first: one per level of the ISA
+// ladder (support/isa.h) up to the widest, so SSE2 (the x86-64 baseline)
+// always, then AVX2 and AVX-512BW when cpuid reports them. There is no way
+// to set it. Tests check every entry.
 std::span<const PairKernel> SupportedPairKernels();
 
-// The conv path's entry: runs the widest supported instance.
+// The conv path's entry: runs the instance of the widest ladder level.
 void GemmPairS16S32(const std::int32_t* a, const std::int32_t* b,
                     std::int32_t* c, GemmShape shape);
 

@@ -6,6 +6,7 @@
 #include "coverage/coverage.h"
 #include "coverage/loop_probe.h"
 #include "nn/layers.h"
+#include "support/isa.h"
 
 namespace nn {
 
@@ -92,6 +93,32 @@ ActProbes& ActP() {
   }();
   return p;
 }
+
+// `kind` over `size` elements. The pointers and the slope are by-value
+// parameters, so the loops hold the slope in a register and vectorize
+// (support/isa.h).
+template <class Probe>
+void Activate(Probe& probe, const ActProbes& p, Activation kind,
+              const float* in, float* o, std::size_t size, float slope) {
+  if (probe.Branch(p.d_linear, kind == Activation::kLinear)) {
+    probe.Stmt(ActProbes::kSLinear);
+    std::copy(in, in + size, o);
+  } else if (probe.Branch(p.d_relu, kind == Activation::kRelu)) {
+    for (std::size_t i = 0; i < size; ++i) {
+      const float v = in[i];
+      const bool negative = probe.Branch(p.d_negative, v < 0.0f);
+      probe.Stmt(negative ? ActProbes::kSReluClamp : ActProbes::kSReluPass);
+      o[i] = negative ? 0.0f : v;
+    }
+  } else {
+    for (std::size_t i = 0; i < size; ++i) {
+      const float v = in[i];
+      const bool negative = probe.Branch(p.d_negative, v < 0.0f);
+      probe.Stmt(negative ? ActProbes::kSLeakyScale : ActProbes::kSLeakyPass);
+      o[i] = negative ? slope * v : v;
+    }
+  }
+}
 }  // namespace
 
 ActivationLayer::ActivationLayer(Activation kind, float leaky_slope)
@@ -101,32 +128,9 @@ void ActivationLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
   ActProbes& p = ActP();
   CERTKIT_CHECK(out_t != nullptr && out_t != &input);
   out_t->Reshape(input.n(), input.c(), input.h(), input.w());
-  const float* in = input.data();
-  float* o = out_t->data();
-  const std::size_t size = input.size();
-  const float slope = leaky_slope_;
   certkit::cov::WithProbes(*p.u, [&](auto& probe) {
-    if (probe.Branch(p.d_linear, kind_ == Activation::kLinear)) {
-      probe.Stmt(ActProbes::kSLinear);
-      std::copy(in, in + size, o);
-      return;
-    }
-    if (probe.Branch(p.d_relu, kind_ == Activation::kRelu)) {
-      for (std::size_t i = 0; i < size; ++i) {
-        const float v = in[i];
-        const bool negative = probe.Branch(p.d_negative, v < 0.0f);
-        probe.Stmt(negative ? ActProbes::kSReluClamp : ActProbes::kSReluPass);
-        o[i] = negative ? 0.0f : v;
-      }
-    } else {
-      for (std::size_t i = 0; i < size; ++i) {
-        const float v = in[i];
-        const bool negative = probe.Branch(p.d_negative, v < 0.0f);
-        probe.Stmt(negative ? ActProbes::kSLeakyScale
-                            : ActProbes::kSLeakyPass);
-        o[i] = negative ? slope * v : v;
-      }
-    }
+    Activate(probe, p, kind_, input.data(), out_t->data(), input.size(),
+             leaky_slope_);
   });
 }
 
@@ -265,6 +269,21 @@ UpProbes& UpP() {
   }();
   return p;
 }
+
+// The 2x fast path: each of `rows` input rows of `w` pixels becomes two
+// output rows of 2w, each pixel written twice into the first and the first
+// copied whole into the second.
+void Upsample2xRows(const float* in, float* out, std::size_t rows,
+                    std::size_t w) {
+  const std::size_t ow = 2 * w;
+  for (std::size_t r = 0; r < rows; ++r, in += w, out += 2 * ow) {
+    for (std::size_t x = 0; x < w; ++x) {
+      out[2 * x] = in[x];
+      out[2 * x + 1] = in[x];
+    }
+    std::copy(out, out + ow, out + ow);
+  }
+}
 }  // namespace
 
 UpsampleLayer::UpsampleLayer(int factor) : factor_(factor) {
@@ -278,21 +297,13 @@ void UpsampleLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
                  input.w() * factor_);
   Tensor& out = *out_t;
   if (p.u->Branch(p.d_factor2, factor_ == 2)) {
-    // Unrolled 2x fast path.
     p.u->Stmt(UpProbes::kSFast2x);
-    for (int n = 0; n < input.n(); ++n) {
-      for (int c = 0; c < input.c(); ++c) {
-        for (int y = 0; y < input.h(); ++y) {
-          for (int x = 0; x < input.w(); ++x) {
-            const float v = input.At(n, c, y, x);
-            out.At(n, c, 2 * y, 2 * x) = v;
-            out.At(n, c, 2 * y, 2 * x + 1) = v;
-            out.At(n, c, 2 * y + 1, 2 * x) = v;
-            out.At(n, c, 2 * y + 1, 2 * x + 1) = v;
-          }
-        }
-      }
-    }
+    const float* in = input.data();
+    float* o = out.data();
+    const std::size_t w = input.w();
+    const std::size_t rows = input.size() / w;
+    certkit::support::RunWidest(
+        [=](auto) { Upsample2xRows(in, o, rows, w); });
     return;
   }
   p.u->Stmt(UpProbes::kSGeneric);

@@ -60,7 +60,8 @@ void PreprocessWith(Probe& probe, const PreProbes& p, const Tensor& frame,
     out_t->Reshape(frame.n(), frame.c(), target_h, target_w);
     const float* in = frame.data();
     float* o = out_t->data();
-    for (std::size_t i = 0; i < frame.size(); ++i) o[i] = in[i] * kScale;
+    const std::size_t size = frame.size();
+    for (std::size_t i = 0; i < size; ++i) o[i] = in[i] * kScale;
     return;
   }
 

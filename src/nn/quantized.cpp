@@ -17,7 +17,9 @@
 // Layout: the input is quantized once into zero-bordered int16 planes, and
 // the patch matrix is pixel-major with K paired — B[p][n] holds patch rows
 // 2p and 2p+1 at output pixel n in one int32 — so the microkernel runs
-// PMADDWD across output pixels. See kernels::micro::GemmPairS16S32.
+// PMADDWD across output pixels. See kernels::micro::GemmPairS16S32. The
+// passes around the GEMM (amax, quantize, pack, dequantize) run at the
+// widest level of the ISA ladder, as by-value functions (support/isa.h).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -27,10 +29,13 @@
 
 #include "kernels/gemm.h"
 #include "nn/layers.h"
+#include "support/isa.h"
 
 namespace nn {
 
 namespace {
+
+using certkit::support::RunWidest;
 
 struct QuantScratch {
   std::vector<std::int16_t> image;    // quantized input, zero-bordered planes
@@ -114,7 +119,7 @@ struct PatchGeometry {
 // inside the plane, so there are no bounds checks. Each output row of a
 // patch row is a run of out_w taps; at stride 1 (the detector's 3×3 and 1×1
 // convs) that run is a shifted copy of an image row.
-void PackPatches(const std::int16_t* image, const PatchGeometry& g,
+void PackPatches(const std::int16_t* image, PatchGeometry g,
                  std::int32_t* patches) {
   const int taps = g.kernel * g.kernel;
   const std::size_t pw = g.pw;  // index arithmetic in size_t
@@ -151,6 +156,22 @@ void PackPatches(const std::int16_t* image, const PatchGeometry& g,
           dst[ow] = kernels::micro::PackPair(
               r0[x], has_hi ? s1[oh * row_stride + x] : std::int16_t{0});
         }
+      }
+    }
+  }
+}
+
+// out[b][oc] = combined · acc[oc][b·hw + j] + bias[oc] for j < hw: the
+// GEMM's column index un-interleaved back into NCHW. `bias` may be null.
+void Dequantize(const std::int32_t* acc, const float* bias, float combined,
+                int batch, int out_c, std::size_t hw, float* out) {
+  const std::size_t cols_n = batch * hw;
+  for (int b = 0; b < batch; ++b) {
+    for (int oc = 0; oc < out_c; ++oc, out += hw) {
+      const float add = bias != nullptr ? bias[oc] : 0.0f;
+      const std::int32_t* arow = acc + oc * cols_n + b * hw;
+      for (std::size_t j = 0; j < hw; ++j) {
+        out[j] = combined * static_cast<float>(arow[j]) + add;
       }
     }
   }
@@ -200,8 +221,9 @@ bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   // disables quantization for this call (containment policy in layers.h).
   const float* in = input.data();
   float in_amax = 0.0f;
-  if (!ScanAmax(in, input.size(), &in_amax)) return false;
-  if (in_amax == 0.0f) return false;
+  const bool finite = RunWidest(
+      [&](auto) { return ScanAmax(in, input.size(), &in_amax); });
+  if (!finite || in_amax == 0.0f) return false;
 
   const int patch = in_c_ * kernel_ * kernel_;  // K
   if (q_weight_pairs_.size() !=
@@ -223,12 +245,13 @@ bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   const float in_scale = in_amax / 127.0f;
   std::int16_t* image =
       AtLeast(&s.image, static_cast<std::size_t>(batch) * in_c_ * g.ph * g.pw);
-  QuantizeBordered(in, batch * in_c_, in_h, in_w, pad_, 127.0f / in_amax,
-                   image);
-
   std::int32_t* patches = AtLeast(
       &s.patches, static_cast<std::size_t>((patch + 1) / 2) * cols_n);
-  PackPatches(image, g, patches);
+  RunWidest([&](auto) {
+    QuantizeBordered(in, batch * in_c_, in_h, in_w, pad_, 127.0f / in_amax,
+                     image);
+    PackPatches(image, g, patches);
+  });
 
   // C[M,N] = W·B in int32 on the widest pair microkernel this CPU runs.
   std::int32_t* acc =
@@ -236,25 +259,13 @@ bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   kernels::micro::GemmPairS16S32(q_weight_pairs_.data(), patches, acc,
                                  kernels::GemmShape{out_c_, cols_n, patch});
 
-  // Dequantize with the combined scale and add bias, un-interleaving the
-  // column index back into NCHW.
   out->Reshape(batch, out_c_, out_h, out_w);
-  const float combined = in_scale * w_scale_;
-  float* o = out->data();
-  const std::size_t hw = static_cast<std::size_t>(out_h) * out_w;
-  for (int b = 0; b < batch; ++b) {
-    for (int oc = 0; oc < out_c_; ++oc) {
-      const float bias = bias_.empty() ? 0.0f : bias_[oc];
-      const std::int32_t* arow = acc +
-                                 static_cast<std::size_t>(oc) * cols_n +
-                                 static_cast<std::size_t>(b) * hw;
-      float* orow =
-          o + (static_cast<std::size_t>(b) * out_c_ + oc) * hw;
-      for (std::size_t j = 0; j < hw; ++j) {
-        orow[j] = combined * static_cast<float>(arow[j]) + bias;
-      }
-    }
-  }
+  const float* bias = bias_.empty() ? nullptr : bias_.data();
+  const std::size_t hw = out_h * out_w;
+  RunWidest([&](auto) {
+    Dequantize(acc, bias, in_scale * w_scale_, batch, out_c_, hw,
+               out->data());
+  });
   return true;
 }
 

@@ -2,11 +2,13 @@
 //
 // Every stochastic component (corpus generation, workload synthesis, test
 // sweeps) uses these generators with explicit seeds so that all experiments
-// are reproducible bit-for-bit across runs and platforms.
+// are reproducible bit-for-bit across runs and platforms. The draws are
+// inline: the camera render takes 12,288 of them per frame.
 #ifndef CERTKIT_SUPPORT_RNG_H_
 #define CERTKIT_SUPPORT_RNG_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "support/check.h"
@@ -41,16 +43,31 @@ class Xoshiro256 {
   static constexpr result_type max() { return ~0ULL; }
 
   result_type operator()() { return Next(); }
-  std::uint64_t Next();
+  std::uint64_t Next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [lo, hi] inclusive; requires lo <= hi.
   std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
 
-  // Uniform double in [0, 1).
-  double UniformDouble();
+  // Uniform double in [0, 1): the 53 high bits of one draw.
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform double in [lo, hi); requires lo < hi.
-  double UniformDouble(double lo, double hi);
+  double UniformDouble(double lo, double hi) {
+    CERTKIT_CHECK(lo < hi);
+    return lo + (hi - lo) * UniformDouble();
+  }
 
   // Standard normal via Box–Muller (no cached spare: keeps state minimal).
   double Gaussian();

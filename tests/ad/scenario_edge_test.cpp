@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "support/check.h"
+#include "support/fnv.h"
 
 namespace adpilot {
 namespace {
@@ -139,6 +143,193 @@ TEST(ScenarioEdgeTest, ConfigJsonIsStable) {
             "\"road_length\":400,\"lane_width\":4,\"num_lanes\":2,"
             "\"vehicle_speed_min\":2,\"vehicle_speed_max\":8,"
             "\"seed\":1234}");
+}
+
+// ------------------------------------------------ render golden and raster
+
+constexpr int kSize = CameraModel::kImageSize;
+constexpr int kPlane = kSize * kSize;
+
+// Folds the frame's bytes and the noise generator's state after the render
+// into `h`, so both the pixels and the number of draws are pinned.
+std::uint64_t FoldRender(const nn::Tensor& frame, const Scenario& scenario,
+                         std::uint64_t h) {
+  h = certkit::support::FnvBytes(frame.data(), frame.size() * sizeof(float),
+                                 h);
+  for (const std::uint64_t word : scenario.rng().state()) {
+    h = certkit::support::FnvU64(word, h);
+  }
+  return h;
+}
+
+// The ego pose with heading `heading` that sees `world` at ego-frame `at`.
+Pose PoseSeeing(const Vec2& world, const Vec2& at, double heading) {
+  const Pose rotation{{0.0, 0.0}, heading};
+  return {world - rotation.EgoToWorld(at), heading};
+}
+
+// Poses around `world`: centered, on each window edge and corner, turned
+// by +-0.5 rad, and far enough away that nothing is in view.
+std::vector<Pose> PosesAround(const Vec2& world) {
+  constexpr double kFront = CameraModel::kAhead;
+  constexpr double kBack = -CameraModel::kBehind;
+  constexpr double kSide = CameraModel::kHalfWidth;
+  const Vec2 ats[] = {{10.0, 0.0},   {kFront, 0.0},  {kBack, 0.0},
+                      {10.0, -kSide}, {10.0, kSide}, {kFront, kSide},
+                      {kBack, -kSide}, {kFront - 0.3, -kSide + 0.2}};
+  std::vector<Pose> poses;
+  for (const Vec2& at : ats) poses.push_back(PoseSeeing(world, at, 0.0));
+  for (const double heading : {0.5, -0.5}) {
+    poses.push_back(PoseSeeing(world, {10.0, 0.0}, heading));
+    poses.push_back(PoseSeeing(world, {kFront - 1.0, kSide - 1.0}, heading));
+  }
+  poses.push_back(PoseSeeing(world, {-300.0, 900.0}, 0.0));
+  return poses;
+}
+
+// True when the footprints of `a` and `b` intersect (heading 0 keeps both
+// axis-aligned in the ego frame).
+bool Overlap(const Obstacle& a, const Obstacle& b) {
+  return std::abs(a.position.x - b.position.x) < (a.length + b.length) / 2 &&
+         std::abs(a.position.y - b.position.y) < (a.width + b.width) / 2;
+}
+
+// Steps `scenario` until a vehicle and a pedestrian overlap; returns the
+// midpoint of the first such pair, or nothing after `max_steps`.
+bool StepToOverlap(Scenario* scenario, int max_steps, Vec2* midpoint) {
+  bool found = false;
+  for (int step = 0; step < max_steps && !found; ++step) {
+    scenario->Step(0.1);
+    for (const Obstacle& v : scenario->ground_truth()) {
+      for (const Obstacle& p : scenario->ground_truth()) {
+        if (!found && v.cls == ObstacleClass::kVehicle &&
+            p.cls == ObstacleClass::kPedestrian && Overlap(v, p)) {
+          *midpoint = (v.position + p.position) * 0.5;
+          found = true;
+        }
+      }
+    }
+  }
+  return found;
+}
+
+// One digest over frames from several seeds and actor counts, every pose of
+// PosesAround for a few agents, and a vehicle overlapping a pedestrian.
+// Recorded before render became one loop over the frame buffer with a
+// rows x columns obstacle raster; any change to the noise draws, their
+// order or count, or to an obstacle's pixel set moves it.
+TEST(ScenarioRenderGolden, FramesAndDrawCountArePinned) {
+  struct World {
+    std::uint64_t seed;
+    int vehicles, pedestrians;
+  };
+  const World worlds[] = {{1, 0, 0}, {2, 1, 0}, {3, 0, 1},
+                          {4, 32, 32}, {1234, 32, 32}};
+  std::uint64_t digest = certkit::support::kFnvOffsetBasis;
+  nn::Tensor frame;
+  for (const World& w : worlds) {
+    ScenarioConfig cfg;
+    cfg.seed = w.seed;
+    cfg.num_vehicles = w.vehicles;
+    cfg.num_pedestrians = w.pedestrians;
+    Scenario scenario(cfg);
+    scenario.Step(0.1);
+    std::vector<Vec2> anchors = {{0.0, 0.0}};
+    for (std::size_t i = 0; i < scenario.ground_truth().size(); i += 9) {
+      anchors.push_back(scenario.ground_truth()[i].position);
+    }
+    for (const Vec2& anchor : anchors) {
+      for (const Pose& ego : PosesAround(anchor)) {
+        scenario.RenderCameraFrameInto(ego, &frame);
+        digest = FoldRender(frame, scenario, digest);
+      }
+    }
+    if (w.vehicles > 0 && w.pedestrians > 0) {
+      Vec2 midpoint;
+      ASSERT_TRUE(StepToOverlap(&scenario, 2000, &midpoint)) << w.seed;
+      for (const double heading : {0.0, 0.5, -0.5}) {
+        scenario.RenderCameraFrameInto(
+            PoseSeeing(midpoint, {10.0, 0.0}, heading), &frame);
+        digest = FoldRender(frame, scenario, digest);
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x891e99fec0cf6d89ull) << std::hex << digest;
+}
+
+// The half-pixel sampler obstacles were painted with before the rows x
+// columns raster, kept as the reference: every (ex, ey) sample of each
+// agent's rectangle, in agent order, so a later agent overwrites an earlier
+// one. Returns the expected brightness per pixel, 0 where no agent lands.
+std::vector<float> ReferenceObstaclePixels(const Scenario& scenario,
+                                           const Pose& ego) {
+  std::vector<float> expected(kPlane, 0.0f);
+  for (const Obstacle& a : scenario.ground_truth()) {
+    const Vec2 center = ego.WorldToEgo(a.position);
+    const double hx = a.length / 2.0;
+    const double hy = a.width / 2.0;
+    const float brightness =
+        a.cls == ObstacleClass::kVehicle ? 230.0f : 180.0f;
+    for (double ex = center.x - hx; ex <= center.x + hx;
+         ex += CameraModel::kMetersPerPixel / 2.0) {
+      for (double ey = center.y - hy; ey <= center.y + hy;
+           ey += CameraModel::kMetersPerPixel / 2.0) {
+        double px = 0.0, py = 0.0;
+        if (!CameraModel::EgoToPixel({ex, ey}, &px, &py)) continue;
+        const int ix = std::clamp(static_cast<int>(px), 0, kSize - 1);
+        const int iy = std::clamp(static_cast<int>(py), 0, kSize - 1);
+        expected[iy * kSize + ix] = brightness;
+      }
+    }
+  }
+  return expected;
+}
+
+// Ego poses on a 1/64-pixel grid over one pixel, at five headings, against a
+// 32+32 world: every covered pixel holds the brightness of the last agent
+// covering it in all three channels, and every other pixel is road noise.
+// Noise is 20 + U[0, 6) summed in float, which rounds up to exactly 26
+// about once in six million draws, so the noise test here is [20, 26].
+TEST(ScenarioRenderRaster, MatchesHalfPixelSamplerOnSubpixelPoseGrid) {
+  ScenarioConfig cfg;
+  cfg.seed = 77;
+  cfg.num_vehicles = ScenarioConfig::kMaxVehicles;
+  cfg.num_pedestrians = ScenarioConfig::kMaxPedestrians;
+  Scenario scenario(cfg);
+  constexpr double kStep = CameraModel::kMetersPerPixel / 64.0;
+  const double headings[] = {-0.5, -0.25, 0.0, 0.25, 0.5};
+  nn::Tensor frame;
+  long covered = 0;
+  long mismatches = 0;
+  for (int h = 0; h < 5; ++h) {
+    scenario.Step(0.7);
+    const Vec2 base{35.0 + 11.0 * h, 0.5 * (h - 2)};
+    for (int i = 0; i < 64; ++i) {
+      for (int j = 0; j < 64; ++j) {
+        const Pose ego{base + Vec2{i * kStep, j * kStep}, headings[h]};
+        scenario.RenderCameraFrameInto(ego, &frame);
+        const std::vector<float> expected =
+            ReferenceObstaclePixels(scenario, ego);
+        for (int px = 0; px < kPlane; ++px) {
+          const float want = expected[px];
+          covered += want > 0.0f;
+          for (int c = 0; c < 3; ++c) {
+            const float got = frame.data()[c * kPlane + px];
+            const bool ok =
+                want > 0.0f ? got == want : got >= 20.0f && got <= 26.0f;
+            if (!ok && mismatches++ == 0) {
+              ADD_FAILURE() << "heading " << headings[h] << " offset (" << i
+                            << ", " << j << ") pixel " << px << " channel "
+                            << c << ": got " << got << ", want "
+                            << (want > 0.0f ? want : 20.0f);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(covered, 0);
 }
 
 }  // namespace
