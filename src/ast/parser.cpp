@@ -1041,6 +1041,25 @@ const char* CastKindName(CastKind kind) {
   return "unknown";
 }
 
+const char* TypeKindName(TypeKind kind) {
+  constexpr const char* kNames[kNumTypeKinds] = {"class", "struct", "union",
+                                                 "enum"};
+  return kNames[static_cast<int>(kind)];
+}
+
+std::string ValidateTokenRanges(const SourceFileModel& model) {
+  const std::size_t tokens = model.lexed.tokens.size();
+  const bool in_order = std::all_of(
+      model.functions.begin(), model.functions.end(),
+      [tokens](const FunctionModel& fn) {
+        return fn.sig_begin <= fn.lparen && fn.lparen <= fn.body_begin &&
+               fn.body_begin <= fn.body_end && fn.body_end < tokens;
+      });
+  return in_order ? ""
+                  : "a function's token range is out of order or leaves the "
+                    "token stream";
+}
+
 support::Result<SourceFileModel> ParseSource(std::string path,
                                              std::string_view source,
                                              const ParseOptions& options) {

@@ -15,12 +15,20 @@
 #include <vector>
 
 #include "lex/token.h"
+#include "support/record.h"
 
 namespace certkit::ast {
 
 struct ParamModel {
   std::string type_text;  // e.g. "const std::string &"
   std::string name;       // may be empty (unnamed parameter)
+
+  // The persisted form (support/record.h), here and below.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& p) {
+    io("type_text", p.type_text);
+    io("name", p.name);
+  }
 };
 
 struct FunctionModel {
@@ -39,9 +47,28 @@ struct FunctionModel {
   bool is_cuda_kernel = false;  // declared __global__
   bool is_cuda_device = false;  // declared __device__
   bool is_static = false;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& f) {
+    io("name", f.name);
+    io("qualified_name", f.qualified_name);
+    io("params", f.params);
+    io("start_line", f.start_line);
+    io("end_line", f.end_line);
+    io("sig_begin", f.sig_begin);
+    io("lparen", f.lparen);
+    io("body_begin", f.body_begin);
+    io("body_end", f.body_end);
+    io("flags", support::PackBits(f.returns_void, f.is_method,
+                                  f.is_cuda_kernel, f.is_cuda_device,
+                                  f.is_static));
+  }
 };
 
 enum class TypeKind { kClass, kStruct, kUnion, kEnum };
+inline constexpr int kNumTypeKinds = 4;
+
+const char* TypeKindName(TypeKind kind);
 
 struct TypeModel {
   TypeKind kind = TypeKind::kClass;
@@ -51,6 +78,17 @@ struct TypeModel {
   std::int32_t method_count = 0;       // member functions defined inline
   std::int32_t field_count = 0;        // data members (heuristic)
   std::int32_t public_method_count = 0;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& t) {
+    io("kind", support::Named{t.kind, TypeKindName, kNumTypeKinds});
+    io("name", t.name);
+    io("qualified_name", t.qualified_name);
+    io("line", t.line);
+    io("method_count", t.method_count);
+    io("field_count", t.field_count);
+    io("public_method_count", t.public_method_count);
+  }
 };
 
 struct GlobalVarModel {
@@ -61,6 +99,15 @@ struct GlobalVarModel {
   bool is_const = false;      // const/constexpr (not counted as mutable state)
   bool is_extern_decl = false;
   bool has_initializer = false;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& g) {
+    io("name", g.name);
+    io("qualified_name", g.qualified_name);
+    io("line", g.line);
+    io("flags", support::PackBits(g.is_static, g.is_const, g.is_extern_decl,
+                                  g.has_initializer));
+  }
 };
 
 enum class CastKind {
@@ -71,6 +118,7 @@ enum class CastKind {
   kCStyle,       // (T)expr — heuristic detection
   kFunctional,   // T(expr) for fundamental types, e.g. int(x)
 };
+inline constexpr int kNumCastKinds = 6;
 
 const char* CastKindName(CastKind kind);
 
@@ -78,12 +126,26 @@ struct CastModel {
   CastKind kind = CastKind::kStaticCast;
   std::int32_t line = 0;
   std::string target_text;  // best-effort text of the target type
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& c) {
+    io("kind", support::Named{c.kind, CastKindName, kNumCastKinds});
+    io("line", c.line);
+    io("target_text", c.target_text);
+  }
 };
 
 struct MacroModel {
   std::string name;
   std::int32_t line = 0;
   bool function_like = false;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& m) {
+    io("name", m.name);
+    io("line", m.line);
+    io("function_like", m.function_like);
+  }
 };
 
 // Parse result for one translation unit. Owns the lexed token stream that the
@@ -99,7 +161,31 @@ struct SourceFileModel {
   std::vector<std::string> includes;      // include targets, as written
   std::int32_t using_namespace_count = 0;
   std::int32_t typedef_count = 0;  // typedef + alias using
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& m);
 };
+
+// Empty when every function's token range lies in order inside the token
+// stream (sig_begin <= lparen <= body_begin <= body_end < tokens.size()),
+// as the metrics and rules assume when they index tokens; otherwise why
+// not. Parsed models pass; decoders reject.
+std::string ValidateTokenRanges(const SourceFileModel& model);
+
+template <class Io, class Self>
+void SourceFileModel::Fields(Io& io, Self& m) {
+  io("path", m.path);
+  io("lexed", m.lexed);
+  io("functions", m.functions);
+  io.Check(m, ValidateTokenRanges);
+  io("types", m.types);
+  io("globals", m.globals);
+  io("casts", m.casts);
+  io("macros", m.macros);
+  io("includes", m.includes);
+  io("using_namespace_count", m.using_namespace_count);
+  io("typedef_count", m.typedef_count);
+}
 
 }  // namespace certkit::ast
 

@@ -16,8 +16,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kCheckpointMagic[4] = {'C', 'K', 'P', '1'};
-constexpr char kShardMagic[4] = {'C', 'K', 'S', '1'};
+constexpr char kCheckpointMagic[4] = {'C', 'K', 'P', '2'};
+constexpr char kShardMagic[4] = {'C', 'K', 'S', '2'};
 
 // The campaign identity both payloads carry right after their schema.
 struct ConfigStamp {
@@ -82,16 +82,12 @@ CheckpointLoad LoadCampaignCheckpoint(const std::string& dir,
   const std::string path = CheckpointPath(dir);
   std::error_code ec;
   if (!fs::exists(path, ec)) return CheckpointLoad::kFresh;
-  const auto bytes = support::ReadFile(path);
-  if (!bytes.ok()) {
-    *error = bytes.status().ToString();
-    return CheckpointLoad::kCorrupt;
-  }
+  std::string bytes;
   std::string_view payload;
-  if (!UnframeBlob(kCheckpointMagic,
-                   static_cast<std::uint32_t>(kCheckpointSchema),
-                   bytes.value(), &payload)) {
-    *error = "frame check failed (truncated, damaged, or version-skewed)";
+  const support::Status read = support::ReadFrame(
+      path, kCheckpointMagic, kCheckpointSchema, &bytes, &payload);
+  if (!read.ok()) {
+    *error = read.message();
     return CheckpointLoad::kCorrupt;
   }
   bool mismatch = false;
@@ -105,10 +101,8 @@ CheckpointLoad LoadCampaignCheckpoint(const std::string& dir,
 support::Status WriteCampaignCheckpoint(const std::string& dir,
                                         const CampaignConfig& config,
                                         const CampaignState& state) {
-  const std::string blob =
-      FrameBlob(kCheckpointMagic, static_cast<std::uint32_t>(kCheckpointSchema),
-                CheckpointJson(config, state));
-  return support::AtomicWriteFile(CheckpointPath(dir), blob);
+  return support::WriteFrame(CheckpointPath(dir), kCheckpointMagic,
+                             kCheckpointSchema, CheckpointJson(config, state));
 }
 
 std::string CheckpointDiagnostic(CheckpointLoad load, const std::string& dir,
@@ -146,13 +140,11 @@ bool ParseShardDelta(std::string_view payload, ShardDelta* out,
 support::Status WriteShardDelta(const std::string& dir,
                                 const CampaignConfig& config,
                                 const ShardDelta& delta) {
-  const std::string blob =
-      FrameBlob(kShardMagic, static_cast<std::uint32_t>(kShardDeltaSchema),
-                ShardDeltaJson(config, delta));
-  return support::AtomicWriteFile(
-      ShardDeltaPath(dir, delta.generation, delta.shard_index,
-                     delta.shard_count),
-      blob);
+  return support::WriteFrame(ShardDeltaPath(dir, delta.generation,
+                                            delta.shard_index,
+                                            delta.shard_count),
+                             kShardMagic, kShardDeltaSchema,
+                             ShardDeltaJson(config, delta));
 }
 
 bool LoadShardDeltas(const std::string& dir, const CampaignConfig& config,
@@ -166,18 +158,13 @@ bool LoadShardDeltas(const std::string& dir, const CampaignConfig& config,
   }
   const std::uint64_t want_fp = ConfigFingerprint(config);
   for (const std::string& path : files.value()) {
-    const auto bytes = support::ReadFile(path);
-    if (!bytes.ok()) {
-      *error = "shard delta '" + path + "' is unreadable; re-run that shard";
-      return false;
-    }
+    std::string bytes;
     std::string_view payload;
-    if (!UnframeBlob(kShardMagic,
-                     static_cast<std::uint32_t>(kShardDeltaSchema),
-                     bytes.value(), &payload)) {
-      *error = "shard delta '" + path +
-               "' failed its frame check (truncated or damaged); re-run "
-               "that shard";
+    const support::Status read = support::ReadFrame(
+        path, kShardMagic, kShardDeltaSchema, &bytes, &payload);
+    if (!read.ok()) {
+      *error = "shard delta '" + path + "': " + read.message() +
+               "; re-run that shard";
       return false;
     }
     ShardDelta delta;

@@ -1,7 +1,6 @@
 #include "campaign/corpus_store.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <set>
 
@@ -50,64 +49,7 @@ bool ParseCorpusEntry(std::string_view json, CorpusEntry* out,
 
 namespace {
 
-constexpr std::size_t kFrameHeaderSize = 4 + 4 + 8;
-
-void AppendU32Le(std::uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64Le(std::uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint32_t ReadU32Le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t ReadU64Le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-}  // namespace
-
-std::string FrameBlob(const char magic[4], std::uint32_t schema,
-                      std::string_view payload) {
-  std::string out;
-  out.reserve(kFrameHeaderSize + payload.size());
-  out.append(magic, 4);
-  AppendU32Le(schema, &out);
-  AppendU64Le(support::FnvStr(payload), &out);
-  out.append(payload);
-  return out;
-}
-
-bool UnframeBlob(const char magic[4], std::uint32_t schema,
-                 std::string_view blob, std::string_view* payload) {
-  if (blob.size() < kFrameHeaderSize) return false;
-  if (std::memcmp(blob.data(), magic, 4) != 0) return false;
-  if (ReadU32Le(blob.data() + 4) != schema) return false;
-  const std::uint64_t digest = ReadU64Le(blob.data() + 8);
-  const std::string_view body = blob.substr(kFrameHeaderSize);
-  if (support::FnvStr(body) != digest) return false;
-  *payload = body;
-  return true;
-}
-
-namespace {
-
-constexpr char kCorpusMagic[4] = {'C', 'K', 'C', '1'};
+constexpr char kCorpusMagic[4] = {'C', 'K', 'C', '2'};
 
 }  // namespace
 
@@ -119,20 +61,18 @@ std::string CorpusStore::EntryPath(std::uint64_t candidate_hash) const {
 
 support::Status CorpusStore::Put(const CorpusEntry& entry) const {
   if (!enabled()) return support::Status::Ok();
-  const std::string blob =
-      FrameBlob(kCorpusMagic, static_cast<std::uint32_t>(kCorpusSchema),
-                CorpusEntryJson(entry));
-  return support::AtomicWriteFile(EntryPath(CandidateHash(entry.candidate)),
-                                  blob);
+  return support::WriteFrame(EntryPath(CandidateHash(entry.candidate)),
+                             kCorpusMagic, kCorpusSchema,
+                             CorpusEntryJson(entry));
 }
 
 bool CorpusStore::Load(std::uint64_t candidate_hash, CorpusEntry* out) const {
   if (!enabled()) return false;
-  const auto bytes = support::ReadFile(EntryPath(candidate_hash));
-  if (!bytes.ok()) return false;
+  std::string bytes;
   std::string_view payload;
-  if (!UnframeBlob(kCorpusMagic, static_cast<std::uint32_t>(kCorpusSchema),
-                   bytes.value(), &payload)) {
+  if (!support::ReadFrame(EntryPath(candidate_hash), kCorpusMagic,
+                          kCorpusSchema, &bytes, &payload)
+           .ok()) {
     return false;
   }
   std::string error;

@@ -8,8 +8,8 @@
 //  * content addressing — every entry is keyed by the FNV-1a/64 hash of its
 //    candidate's canonical JSON, so identical candidates from different
 //    shards or sessions dedup to one file;
-//  * framed entries — a 4-byte magic, a u32 schema version, and a u64
-//    payload digest precede the JSON payload. Truncated, bit-flipped, or
+//  * framed entries — the JSON payload sits in the frame of support/io.h
+//    (magic, schema, payload digest). Truncated, bit-flipped, or
 //    version-skewed entries fail the frame check and are *silently
 //    recomputed* (Evaluate is a pure function of the candidate), never
 //    trusted, never fatal;
@@ -30,6 +30,7 @@
 #include "campaign/candidate.h"
 #include "campaign/oracle.h"
 #include "coverage/coverage.h"
+#include "support/io.h"
 #include "support/json.h"
 #include "support/status.h"
 
@@ -86,14 +87,9 @@ std::string CorpusEntryJson(const CorpusEntry& entry);
 bool ParseCorpusEntry(std::string_view json, CorpusEntry* out,
                       std::string* error);
 
-// --- framing --------------------------------------------------------------
-// blob := magic[4] | schema u32 LE | fnv64(payload) u64 LE | payload.
-// UnframeBlob returns false on any mismatch (wrong magic, short header,
-// schema skew, digest mismatch) — the caller recomputes.
-std::string FrameBlob(const char magic[4], std::uint32_t schema,
-                      std::string_view payload);
-bool UnframeBlob(const char magic[4], std::uint32_t schema,
-                 std::string_view blob, std::string_view* payload);
+// The frame of every campaign blob (support/io.h).
+using support::FrameBlob;
+using support::UnframeBlob;
 
 // --- the store ------------------------------------------------------------
 

@@ -28,6 +28,7 @@
 #include "rules/style.h"
 #include "rules/traceability.h"
 #include "rules/unit_design.h"
+#include "support/record.h"
 #include "support/status.h"
 
 namespace certkit::driver {
@@ -75,6 +76,23 @@ struct FileAnalysis {
   // Location of the parsed model: modules[module_index].files[file_index].
   std::size_t module_index = 0;
   std::size_t file_index = 0;
+
+  // What the artifact cache persists (support/record.h): no indices, and
+  // the text only by its digest and size, since every reader holds it.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& a) {
+    io("path", a.path);
+    io("module", a.module);
+    io("text", support::Elided{a.text});
+    io("functions", a.functions);
+    io("trace", a.trace);
+    io("misra", a.misra);
+    io("style_stats", a.style.stats);
+    io("style", a.style.report);
+    io("naming_entities", a.naming_entities);
+    io("naming_violations", a.naming_violations);
+    io("explicit_casts", a.explicit_casts);
+  }
 };
 
 // The merged artifact for a whole source tree. All vectors are in stable

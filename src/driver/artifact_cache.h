@@ -7,17 +7,19 @@
 // cached artifact from a freshly computed one, keeping the CodebaseAnalysis
 // bit-identical for any cached/fresh mix and any --jobs count.
 //
-// Entry format (binary, little-endian, fixed-width fields memcpy'd and
-// counts/positions LEB128-varint encoded — warm runs are IO + decode bound,
-// so the token stream is kept compact):
-//   magic "CKA1" | u32 schema | u64 options_fingerprint | u64 content_hash
-//   | FileAnalysis payload | SourceFileModel payload
-// Tokens are stored as (kind+tag byte, line, column, source-offset, length)
-// views into the file text — stored once — with an inline-bytes escape for
-// the rare lexemes that are not a contiguous source slice (spliced string
-// literals / line comments).
+// Entry format: the frame of support/io.h (magic "CKA2", payload digest)
+// around
+//   u64 options_fingerprint | u64 content_hash | FileAnalysis | model
+// written by the records' field lists (FileAnalysis::Fields,
+// ast::SourceFileModel::Fields and the records they name) through
+// support::BinaryWriter: fixed-width fields in host order, counts and
+// positions LEB128, since warm runs are IO + decode bound. Tokens and
+// comments go through the lexeme codec in artifact_cache.cpp as views into
+// the file text — stored once — with an inline-bytes escape for the rare
+// lexemes that are not a contiguous source slice (spliced string literals
+// / line comments).
 //
-// A second entry kind ("CKM1", *.ckmod) caches the per-module phase
+// A second entry kind ("CKM2", *.ckmod) caches the per-module phase
 // (rules::AnalyzeUnitDesign + rules::AnalyzeDefensive), keyed by the module
 // name and the member files' (path, content-hash) list in merge order — the
 // phase is a pure function of those inputs, and on a warm run it would
@@ -26,8 +28,9 @@
 // Invalidation is implicit: any change to the file bytes, the path, the
 // module key, or the options fingerprint selects a different entry name; a
 // bump of kArtifactSchemaVersion orphans every old entry. Unreadable,
-// truncated, or corrupt entries fail Load() and are silently recomputed —
-// the cache is an accelerator, never a source of truth.
+// truncated, or damaged entries (the frame digest is checked on every
+// load) fail Load() and are silently recomputed — the cache is an
+// accelerator, never a source of truth.
 #ifndef CERTKIT_DRIVER_ARTIFACT_CACHE_H_
 #define CERTKIT_DRIVER_ARTIFACT_CACHE_H_
 
@@ -64,11 +67,19 @@ std::string SerializeArtifact(const FileAnalysis& analysis,
 // Parses `bytes` into (*analysis, *model), rebuilding FileAnalysis::text
 // and the zero-copy token buffer from `content` — which must be the exact
 // bytes the artifact was serialized from (the cache verifies this via the
-// entry-header content hash before calling). Returns false on any
-// truncation, overrun, or structural inconsistency; outputs are
-// unspecified on failure.
+// content hash in the entry's stamp before calling). Returns false on any
+// truncation, overrun, out-of-range enum or token range, or trailing byte;
+// outputs are unspecified on failure.
 bool DeserializeArtifact(std::string_view bytes, std::string_view content,
                          FileAnalysis* analysis, ast::SourceFileModel* model);
+
+// The *.ckmod payload: a module's unit-design and defensive results. The
+// reader has Deserialize's contract.
+std::string SerializeModulePhase(const rules::UnitDesignResult& unit_design,
+                                 const rules::DefensiveResult& defensive);
+bool DeserializeModulePhase(std::string_view bytes,
+                            rules::UnitDesignResult* unit_design,
+                            rules::DefensiveResult* defensive);
 
 // Order-independent digest of a merged analysis: hashes every per-file
 // artifact plus the module-phase reports and the skipped list. Two
@@ -143,7 +154,6 @@ class ArtifactCache {
 
  private:
   std::string EntryFile(std::uint64_t key, const char* extension) const;
-  void StoreBlob(const std::string& entry, std::string blob) const;
 
   std::string dir_;
   std::uint64_t options_fingerprint_ = 0;

@@ -32,6 +32,7 @@ enum class TokenKind {
   kChar,        // 'a', L'\n'
   kPunct,       // operators and punctuation, maximal munch
 };
+inline constexpr int kNumTokenKinds = 6;
 
 const char* TokenKindName(TokenKind kind);
 
@@ -61,6 +62,13 @@ struct Directive {
   std::string name;           // "include", "define", "if", ... ("" if bare #)
   std::int32_t line = 0;      // line of the '#'
   std::vector<Token> tokens;  // tokens after the directive name
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& d) {
+    io("name", d.name);
+    io("line", d.line);
+    io("tokens", d.tokens);
+  }
 };
 
 // Per-file physical-line statistics, in the sense used by Figure 3 (LOC) and
@@ -71,6 +79,15 @@ struct LineStats {
   std::int64_t comment_only = 0;  // comment text, no code
   std::int64_t code = 0;          // at least one code token (NLOC)
   std::int64_t preprocessor = 0;  // directive lines (incl. continuations)
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    io("total", s.total);
+    io("blank", s.blank);
+    io("comment_only", s.comment_only);
+    io("code", s.code);
+    io("preprocessor", s.preprocessor);
+  }
 };
 
 // A retained comment (populated only with LexOptions::keep_comments).
@@ -97,6 +114,19 @@ struct LexedFile {
   // LexedFile share storage and all views stay valid.
   std::shared_ptr<const std::string> buffer;
   std::shared_ptr<std::deque<std::string>> owned_lexemes;
+
+  // The persisted form (support/record.h). Tokens and comments are views
+  // into the storage above, so they have no field list: the Io's codec
+  // stores them (the analysis cache's stores slices of `buffer`).
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& f) {
+    io("path", f.path);
+    io("tokens", f.tokens);
+    io("directives", f.directives);
+    io("comments", f.comments);
+    io("lines", f.lines);
+    io("comment_count", f.comment_count);
+  }
 
   std::string_view source() const {
     return buffer ? std::string_view(*buffer) : std::string_view();

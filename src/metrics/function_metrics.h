@@ -33,6 +33,24 @@ struct FunctionMetrics {
 
   // Distinct names invoked as `name(...)` in the body (fan-out).
   std::vector<std::string> callees;
+
+  // The persisted form (support/record.h).
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& m) {
+    io("name", m.name);
+    io("qualified_name", m.qualified_name);
+    io("start_line", m.start_line);
+    io("end_line", m.end_line);
+    io("cyclomatic_complexity", m.cyclomatic_complexity);
+    io("nloc", m.nloc);
+    io("token_count", m.token_count);
+    io("param_count", m.param_count);
+    io("max_nesting_depth", m.max_nesting_depth);
+    io("return_count", m.return_count);
+    io("goto_count", m.goto_count);
+    io("is_recursive_direct", m.is_recursive_direct);
+    io("callees", m.callees);
+  }
 };
 
 // Computes metrics for `fn`, whose token ranges refer to `file.lexed.tokens`.

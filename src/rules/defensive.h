@@ -27,6 +27,15 @@ struct DefensiveStats {
   std::int64_t discarded_results = 0;     // non-void results ignored
   std::int64_t assertion_sites = 0;       // assert/CHECK-family calls
 
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    io("functions_with_params", s.functions_with_params);
+    io("functions_validating_inputs", s.functions_validating_inputs);
+    io("call_sites_checked", s.call_sites_checked);
+    io("discarded_results", s.discarded_results);
+    io("assertion_sites", s.assertion_sites);
+  }
+
   double InputValidationRatio() const {
     return functions_with_params > 0
                ? static_cast<double>(functions_validating_inputs) /

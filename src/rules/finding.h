@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "support/record.h"
+
 namespace certkit::rules {
 
 enum class Severity {
@@ -13,6 +15,7 @@ enum class Severity {
   kWarning,   // recommended ('+') technique violated
   kRequired,  // highly recommended ('++') technique violated
 };
+inline constexpr int kNumSeverities = 3;
 
 const char* SeverityName(Severity severity);
 
@@ -22,6 +25,17 @@ struct Finding {
   std::string file;
   std::int32_t line = 0;
   std::string message;
+
+  // The persisted form (support/record.h), here and below: the artifact
+  // cache stores every record the driver computes.
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& f) {
+    io("rule_id", f.rule_id);
+    io("severity", support::Named{f.severity, SeverityName, kNumSeverities});
+    io("file", f.file);
+    io("line", f.line);
+    io("message", f.message);
+  }
 };
 
 // Aggregated result of one checker run.
@@ -32,6 +46,13 @@ struct CheckReport {
   // that violation *rates* can be reported, as the paper does (e.g. "41% of
   // functions have multiple exit points").
   std::int64_t entities_checked = 0;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& r) {
+    io("checker", r.checker);
+    io("findings", r.findings);
+    io("entities_checked", r.entities_checked);
+  }
 
   void Add(std::string rule_id, Severity severity, std::string file,
            std::int32_t line, std::string message) {

@@ -34,6 +34,13 @@ struct StyleOptions {
 struct StyleStats {
   std::int64_t lines_checked = 0;
   std::int64_t violations = 0;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    io("lines_checked", s.lines_checked);
+    io("violations", s.violations);
+  }
+
   // Compliance ratio in [0,1]: 1 - violations per checked entity, floored
   // at 0. "Entities" are lines plus named declarations.
   double ComplianceRatio() const {

@@ -27,6 +27,14 @@ struct RequirementLink {
   std::string file;
   std::int32_t comment_line = 0;
   std::string function;          // qualified name ("" when dangling)
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& l) {
+    io("requirement", l.requirement);
+    io("file", l.file);
+    io("comment_line", l.comment_line);
+    io("function", l.function);
+  }
 };
 
 struct TraceReport {
@@ -34,6 +42,13 @@ struct TraceReport {
   // Functions (qualified names) with no requirement annotation.
   std::vector<std::string> untraced_functions;
   std::int64_t functions_total = 0;
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& t) {
+    io("links", t.links);
+    io("untraced_functions", t.untraced_functions);
+    io("functions_total", t.functions_total);
+  }
 
   double TraceabilityRatio() const {
     if (functions_total == 0) return 1.0;

@@ -63,6 +63,25 @@ struct UnitDesignStats {
   // Row 10: recursion.
   std::int64_t recursive_functions_direct = 0;
   std::int64_t recursion_cycles_indirect = 0;  // SCCs of size >= 2
+
+  template <class Io, class Self>
+  static void Fields(Io& io, Self& s) {
+    io("module", s.module);
+    io("functions_total", s.functions_total);
+    io("functions_multi_exit", s.functions_multi_exit);
+    io("dynamic_alloc_sites", s.dynamic_alloc_sites);
+    io("uninitialized_locals", s.uninitialized_locals);
+    io("shadowing_decls", s.shadowing_decls);
+    io("mutable_globals", s.mutable_globals);
+    io("const_globals", s.const_globals);
+    io("pointer_params", s.pointer_params);
+    io("pointer_derefs", s.pointer_derefs);
+    io("explicit_casts", s.explicit_casts);
+    io("global_write_sites", s.global_write_sites);
+    io("goto_statements", s.goto_statements);
+    io("recursive_functions_direct", s.recursive_functions_direct);
+    io("recursion_cycles_indirect", s.recursion_cycles_indirect);
+  }
 };
 
 struct UnitDesignResult {

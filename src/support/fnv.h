@@ -37,6 +37,23 @@ inline std::uint64_t FnvStr(std::string_view s,
   return FnvBytes(s.data(), s.size(), seed);
 }
 
+// FNV-1a over 64-bit words (host order, little-endian on every target we
+// build for), then the tail bytewise: the frame digest (support/io.h). One
+// multiply per eight bytes makes it several times faster than FnvStr, and
+// like FnvStr every step is a bijection of the state, so changing any one
+// byte always changes the digest.
+inline std::uint64_t FnvWords(std::string_view s,
+                              std::uint64_t seed = kFnvOffsetBasis) {
+  std::size_t i = 0;
+  for (; i + sizeof(std::uint64_t) <= s.size(); i += sizeof(std::uint64_t)) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, s.data() + i, sizeof(word));
+    seed ^= word;
+    seed *= kFnvPrime;
+  }
+  return FnvBytes(s.data() + i, s.size() - i, seed);
+}
+
 inline std::uint64_t FnvU64(std::uint64_t v,
                             std::uint64_t seed = kFnvOffsetBasis) {
   return FnvBytes(&v, sizeof(v), seed);

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <thread>
 
+#include "support/fnv.h"
 #include "support/strings.h"
 
 namespace certkit::support {
@@ -64,6 +65,66 @@ Status AtomicWriteFile(const std::string& path, const std::string& content) {
     return IoError("cannot publish " + path);
   }
   return Status::Ok();
+}
+
+namespace {
+
+void AppendLe(std::uint64_t v, int bytes, std::string* out) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>(v >> (8 * i)));
+  }
+}
+
+std::uint64_t ReadLe(std::string_view bytes) {
+  std::uint64_t v = 0;
+  for (auto it = bytes.rbegin(); it != bytes.rend(); ++it) {
+    v = v << 8 | static_cast<unsigned char>(*it);
+  }
+  return v;
+}
+
+}  // namespace
+
+std::string FrameBlob(const char magic[4], std::uint32_t schema,
+                      std::string_view payload) {
+  std::string out;
+  out.reserve(kFrameHeaderSize + payload.size());
+  out.append(magic, 4);
+  AppendLe(schema, 4, &out);
+  AppendLe(FnvWords(payload), 8, &out);
+  out.append(payload);
+  return out;
+}
+
+bool UnframeBlob(const char magic[4], std::uint32_t schema,
+                 std::string_view blob, std::string_view* payload) {
+  const bool framed =
+      blob.size() >= kFrameHeaderSize &&
+      blob.substr(0, 4) == std::string_view(magic, 4) &&
+      ReadLe(blob.substr(4, 4)) == schema &&
+      ReadLe(blob.substr(8, 8)) == FnvWords(blob.substr(kFrameHeaderSize));
+  if (framed) *payload = blob.substr(kFrameHeaderSize);
+  return framed;
+}
+
+Status WriteFrame(const std::string& path, const char magic[4],
+                  std::uint32_t schema, std::string_view payload) {
+  return AtomicWriteFile(path, FrameBlob(magic, schema, payload));
+}
+
+Status ReadFrame(const std::string& path, const char magic[4],
+                 std::uint32_t schema, std::string* bytes,
+                 std::string_view* payload) {
+  Result<std::string> read = ReadFile(path);
+  Status status = read.status();
+  if (status.ok()) {
+    *bytes = std::move(read).value();
+    if (!UnframeBlob(magic, schema, *bytes, payload)) {
+      status = ParseError(
+          "frame check failed (truncated, damaged, or version-skewed)");
+    }
+  }
+  return status;
 }
 
 Result<std::vector<std::string>> ListFiles(

@@ -2,7 +2,9 @@
 #ifndef CERTKIT_SUPPORT_IO_H_
 #define CERTKIT_SUPPORT_IO_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/status.h"
@@ -20,6 +22,30 @@ Status WriteFile(const std::string& path, const std::string& content);
 // interleave and readers only ever see whole files. Creates parent
 // directories as needed.
 Status AtomicWriteFile(const std::string& path, const std::string& content);
+
+// --- the frame ------------------------------------------------------------
+// Every persisted blob (the analysis cache's .ckart and .ckmod entries, the
+// campaign's .ckcorp, .ckpt and .ckshard files) is framed:
+//   blob := magic[4] | u32 schema LE | u64 FnvWords(payload) LE | payload
+// The digest is checked on every read, so a truncated, damaged or
+// version-skewed blob never reaches a decoder; its owner recomputes or
+// reports it instead.
+inline constexpr std::size_t kFrameHeaderSize = 16;
+
+std::string FrameBlob(const char magic[4], std::uint32_t schema,
+                      std::string_view payload);
+// False on a short blob, another magic, schema skew or a digest mismatch.
+bool UnframeBlob(const char magic[4], std::uint32_t schema,
+                 std::string_view blob, std::string_view* payload);
+
+// Frames `payload` and publishes it at `path` with AtomicWriteFile.
+Status WriteFrame(const std::string& path, const char magic[4],
+                  std::uint32_t schema, std::string_view payload);
+// Reads the blob at `path` into *bytes and points *payload at its checked
+// payload: an IoError when unreadable, a ParseError when the frame fails.
+Status ReadFrame(const std::string& path, const char magic[4],
+                 std::uint32_t schema, std::string* bytes,
+                 std::string_view* payload);
 
 // Recursively lists regular files under `dir` whose name ends with one of
 // `extensions` (e.g. {".cc", ".h"}); empty `extensions` matches everything.

@@ -18,11 +18,23 @@
 // member, ignores unlisted ones, reads integers as exact literals (JsonAs),
 // and stops at the first failure: "field '<key>': <what>", naming the
 // innermost member or, for a Check, the key the record sits under.
+//
+// BinaryWriter and BinaryReader walk the same lists in a compact host-order
+// form, for records the writing machine reads back (the analysis cache,
+// whose frame carries the digest). Members follow list order, without keys:
+// bool, Named and Bits take one byte; int32, uint32, int64 and Hex u64s are
+// fixed-width; other u64s (sizes), string lengths and vector counts are
+// LEB128; Elided stands for a string by its digest and size. Item types
+// without a field list go to the Codec, an Encode/Decode overload set that
+// uses the primitives below. The reader bounds-checks every read, refuses
+// a count larger than the bytes left, range-checks each Named against its
+// count and reports the first failure as JsonReader does.
 #ifndef CERTKIT_SUPPORT_RECORD_H_
 #define CERTKIT_SUPPORT_RECORD_H_
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <ranges>
 #include <string>
@@ -58,6 +70,24 @@ template <class A, class B>
 std::pair<A&, B&> Pair(A& a, B& b) {
   return {a, b};
 }
+
+// Up to eight flags packed into one byte, the first in bit 0 (binary only).
+template <class B, std::size_t N>
+struct Bits {
+  std::array<B*, N> flags;
+};
+template <class B, class... More>
+Bits<B, 1 + sizeof...(More)> PackBits(B& first, More&... more) {
+  static_assert(sizeof...(More) < 8);
+  return {{&first, &more...}};
+}
+
+// A string the reader already holds, persisted as its FnvStr digest and
+// size; the reader checks the size (binary only).
+template <class S>
+struct Elided {
+  S& text;
+};
 
 class JsonWriter {
  public:
@@ -311,6 +341,244 @@ class JsonReader {
   Position at_;
   bool hex_ = false;  // inside a Hex
   const std::vector<JsonValue> no_items_;
+};
+
+struct NoCodec {};
+
+template <class Codec = NoCodec>
+class BinaryWriter {
+ public:
+  explicit BinaryWriter(Codec codec = {}) : codec_(codec) {}
+
+  // The bytes of `values`, one after another.
+  template <class... T>
+  static std::string Write(const T&... values) {
+    return BinaryWriter().Append(values...).Take();
+  }
+
+  template <class... T>
+  BinaryWriter& Append(const T&... values) {
+    (Put(values), ...);
+    return *this;
+  }
+  std::string Take() { return std::move(out_); }
+
+  // The field-list interface.
+  template <class T>
+  void operator()(const char*, const T& value) {
+    Put(value);
+  }
+  template <class R, class Validate>
+  void Check(const R&, Validate) {}
+
+  // Primitives for the Codec.
+  void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  void Var(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) U8((v & 0x7F) | 0x80);
+    U8(v);
+  }
+  void Str(std::string_view s) {
+    Var(s.size());
+    out_.append(s);
+  }
+
+ private:
+  template <class T>
+  void Fixed(T v) {
+    char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    out_.append(bytes, sizeof v);
+  }
+
+  void Put(bool v) { U8(v ? 1 : 0); }
+  void Put(std::int32_t v) { Fixed(v); }
+  void Put(std::uint32_t v) { Fixed(v); }
+  void Put(std::int64_t v) { Fixed(v); }
+  void Put(std::uint64_t v) { Var(v); }
+  void Put(const std::string& v) { Str(v); }
+  template <class T>
+  void Put(const Hex<T>& hex) {
+    Fixed<std::uint64_t>(hex.value);
+  }
+  template <class E, class NameFn>
+  void Put(const Named<E, NameFn>& named) {
+    U8(static_cast<std::uint8_t>(named.value));
+  }
+  template <class B, std::size_t N>
+  void Put(const Bits<B, N>& bits) {
+    unsigned byte = 0;
+    for (std::size_t i = 0; i < N; ++i) byte |= (*bits.flags[i] ? 1u : 0u) << i;
+    U8(byte);
+  }
+  template <class S>
+  void Put(const Elided<S>& elided) {
+    Fixed(FnvStr(elided.text));
+    Var(elided.text.size());
+  }
+  template <class T>
+  void Put(const std::vector<T>& items) {
+    Var(items.size());
+    for (const T& item : items) Put(item);
+  }
+  template <class R>
+  void Put(const R& record) {
+    if constexpr (requires { R::Fields(*this, record); }) {
+      R::Fields(*this, record);
+    } else {
+      codec_.Encode(*this, record);
+    }
+  }
+
+  Codec codec_;
+  std::string out_;
+};
+
+template <class Codec = NoCodec>
+class BinaryReader {
+ public:
+  BinaryReader(std::string_view bytes, std::string* error, Codec codec = {})
+      : bytes_(bytes), error_(error), codec_(codec) {}
+
+  // Reads `values` one after another. False with *error set to the first
+  // failure, which includes bytes left over.
+  template <class... T>
+  bool Read(T&... values) {
+    (Get(values), ...);
+    Report(pos_ == bytes_.size() ? nullptr : "trailing bytes");
+    if (!ok_) {
+      *error_ = failed_key_ == nullptr
+                    ? std::string(what_)
+                    : "field '" + std::string(failed_key_) + "': " + what_;
+    }
+    return ok_;
+  }
+
+  // The field-list interface.
+  template <class T>
+  void operator()(const char* key, T&& field) {
+    if (ok_) {
+      key_ = key;
+      Get(field);
+    }
+  }
+  template <class R, class Validate>
+  void Check(const R& record, Validate validate) {
+    if (ok_) reason_ = validate(record);
+    key_ = record_key_;
+    Report(reason_.empty() ? nullptr : reason_.c_str());
+  }
+
+  // Primitives for the Codec. Report records the first failure (nullptr
+  // means none); after one, the values read are unspecified.
+  void Report(const char* what) {
+    if (what != nullptr && ok_) {
+      ok_ = false;
+      what_ = what;
+      failed_key_ = key_;
+    }
+  }
+  std::uint8_t U8() { return Fixed<std::uint8_t>(); }
+  // Inlined, like Fixed: one token is four of these, and a warm cache
+  // load decodes hundreds of thousands of tokens.
+  [[gnu::always_inline]] std::uint64_t Var() {
+    std::uint64_t v = 0;
+    std::size_t pos = pos_;
+    const std::size_t end = bytes_.size();
+    std::uint8_t byte = 0x80;
+    for (int shift = 0; (byte & 0x80) != 0 && shift < 64 && pos < end;
+         shift += 7) {
+      byte = bytes_[pos++];
+      v |= std::uint64_t{byte & 0x7Fu} << shift;
+    }
+    pos_ = pos;
+    Report((byte & 0x80) == 0 ? nullptr : "truncated or overlong varint");
+    return v;
+  }
+  std::string Str() {
+    const std::uint64_t n = Count();
+    std::string s(bytes_.substr(pos_, n));
+    pos_ += n;
+    return s;
+  }
+  // A count no larger than the bytes left, so a damaged count cannot make
+  // a reader allocate gigabytes before its element reads fail.
+  std::uint64_t Count() {
+    const std::uint64_t n = Var();
+    Report(n <= bytes_.size() - pos_ ? nullptr : "count past the end");
+    return ok_ ? n : 0;
+  }
+
+ private:
+  template <class T>
+  [[gnu::always_inline]] T Fixed() {
+    T v{};
+    const bool fits = sizeof v <= bytes_.size() - pos_;
+    Report(fits ? nullptr : "truncated");
+    if (fits) {
+      std::memcpy(&v, bytes_.data() + pos_, sizeof v);
+      pos_ += sizeof v;
+    }
+    return v;
+  }
+
+  void Get(bool& v) {
+    const std::uint8_t byte = U8();
+    Report(byte > 1 ? "not 0 or 1" : nullptr);
+    v = byte == 1;
+  }
+  void Get(std::int32_t& v) { v = Fixed<std::int32_t>(); }
+  void Get(std::uint32_t& v) { v = Fixed<std::uint32_t>(); }
+  void Get(std::int64_t& v) { v = Fixed<std::int64_t>(); }
+  void Get(std::uint64_t& v) { v = Var(); }
+  void Get(std::string& v) { v = Str(); }
+  template <class T>
+  void Get(Hex<T>& hex) {
+    hex.value = Fixed<std::uint64_t>();
+  }
+  template <class E, class NameFn>
+  void Get(Named<E, NameFn>& named) {
+    const int v = U8();
+    Report(v < named.count ? nullptr : "out of range");
+    if (ok_) named.value = static_cast<E>(v);
+  }
+  template <class B, std::size_t N>
+  void Get(Bits<B, N>& bits) {
+    const unsigned byte = U8();
+    Report(byte >> N == 0 ? nullptr : "unknown flag bits");
+    for (std::size_t i = 0; i < N; ++i) *bits.flags[i] = (byte >> i & 1u) != 0;
+  }
+  template <class S>
+  void Get(Elided<S>& elided) {
+    Fixed<std::uint64_t>();  // the digest of the text the reader holds
+    Report(Var() == elided.text.size() ? nullptr : "not the held text's size");
+  }
+  template <class T>
+  void Get(std::vector<T>& items) {
+    items.resize(Count());
+    for (auto it = items.begin(); ok_ && it != items.end(); ++it) Get(*it);
+  }
+  template <class R>
+  void Get(R& record) {
+    if constexpr (requires { R::Fields(*this, record); }) {
+      const char* outer = record_key_;
+      record_key_ = key_;
+      R::Fields(*this, record);
+      record_key_ = outer;
+    } else {
+      codec_.Decode(*this, record);
+    }
+  }
+
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
+  std::string* error_;
+  Codec codec_;
+  bool ok_ = true;
+  const char* key_ = nullptr;         // the member being read
+  const char* record_key_ = nullptr;  // the key the current record sits under
+  const char* what_ = nullptr;        // the first failure, under failed_key_
+  const char* failed_key_ = nullptr;
+  std::string reason_;  // a failed Check's
 };
 
 }  // namespace certkit::support

@@ -5,13 +5,19 @@
 // analysis faster, never different.
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "corpus/analyze.h"
+#include "corpus/generator.h"
 #include "driver/analysis_driver.h"
 #include "driver/artifact_cache.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "support/io.h"
 
 namespace certkit::driver {
 namespace {
@@ -316,6 +322,112 @@ TEST_F(ArtifactCacheTest, DisabledCacheNeverTouchesDisk) {
   EXPECT_EQ(Counter("driver/cache_hits") - hits0, 0);
   EXPECT_EQ(Counter("driver/cache_misses") - misses0, 0);
   EXPECT_FALSE(fs::exists(dir_));
+}
+
+// --- damaged entries never reach a report --------------------------------
+
+// One bit flipped in any byte of any stored entry must miss: the frame
+// digest covers the whole payload. After each flip the driver recomputes
+// (and so repairs) the entry, and the analysis digests equal to the cold
+// run's.
+TEST_F(ArtifactCacheTest, EveryOneBitFlipOfAnEntryMisses) {
+  const std::uint64_t cold = DigestAnalysis(Analyze(1, dir_));
+  const ArtifactCache cache(dir_, OptionsFingerprint(DriverOptions{}));
+  std::vector<std::pair<std::string, std::function<bool()>>> entries;
+  std::map<std::string, std::vector<std::pair<std::string, std::uint64_t>>>
+      modules;
+  for (const SourceInput& in : TestSources()) {
+    const std::string module = in.path.substr(0, in.path.find('/'));
+    modules[module].emplace_back(in.path, HashBytes(in.content));
+    entries.emplace_back(cache.EntryPath(in.path, module, in.content),
+                         [&cache, in, module] {
+                           FileAnalysis fa;
+                           ast::SourceFileModel model;
+                           return cache.Load(in.path, module, in.content, &fa,
+                                             &model);
+                         });
+  }
+  for (const auto& [module, files] : modules) {
+    const std::uint64_t key = cache.ModulePhaseKey(module, files);
+    entries.emplace_back(cache.ModulePhaseEntryPath(key), [&cache, key] {
+      rules::UnitDesignResult unit_design;
+      rules::DefensiveResult defensive;
+      return cache.LoadModulePhase(key, &unit_design, &defensive);
+    });
+  }
+  ASSERT_EQ(entries.size(), 5u);
+  std::size_t flips = 0;
+  for (const auto& [path, load] : entries) {
+    ASSERT_TRUE(load()) << path;
+    const std::string original = support::ReadFile(path).value();
+    for (std::size_t i = 0; i < original.size(); ++i, ++flips) {
+      std::string damaged = original;
+      damaged[i] = static_cast<char>(damaged[i] ^ (1 << (i % 8)));
+      ASSERT_TRUE(support::WriteFile(path, damaged).ok());
+      EXPECT_FALSE(load()) << path << " byte " << i;
+      EXPECT_EQ(DigestAnalysis(Analyze(1, dir_)), cold)
+          << path << " byte " << i;
+    }
+    EXPECT_TRUE(load()) << path;  // the last recompute stored it again
+  }
+  EXPECT_GT(flips, 1000u);
+}
+
+// The rules index tokens by a function's ranges without checks, so a model
+// whose ranges leave its token stream, or run out of order, must not
+// decode, even when the stream is empty.
+TEST_F(ArtifactCacheTest, DeserializeRejectsFunctionRangesOutsideTokens) {
+  const CodebaseAnalysis cold = Analyze(1, "");
+  const FileAnalysis& fa = cold.files.front();
+  const ast::SourceFileModel& model =
+      cold.modules[fa.module_index].files[fa.file_index];
+  ASSERT_FALSE(model.functions.empty());
+  FileAnalysis out;
+  ast::SourceFileModel decoded;
+  ASSERT_TRUE(DeserializeArtifact(SerializeArtifact(fa, model), fa.text,
+                                  &out, &decoded));
+
+  ast::SourceFileModel empty = model;
+  empty.lexed.tokens.clear();
+  empty.functions.front().body_begin = 1000000;
+  empty.functions.front().body_end = 2000000;
+  EXPECT_FALSE(DeserializeArtifact(SerializeArtifact(fa, empty), fa.text,
+                                   &out, &decoded));
+
+  ast::SourceFileModel late_paren = model;
+  ast::FunctionModel& fn = late_paren.functions.front();
+  fn.lparen = fn.body_begin + 1;
+  EXPECT_FALSE(DeserializeArtifact(SerializeArtifact(fa, late_paren),
+                                   fa.text, &out, &decoded));
+}
+
+// --- golden: the bytes every entry name and digest is built from ----------
+// Recorded before the cached records moved to field lists. A change here
+// renames every cache entry and moves every analysis digest.
+
+TEST(ArtifactCacheGoldenTest, DigestsKeysAndEntryNamesAreUnchanged) {
+  DriverOptions options;
+  options.jobs = 2;
+  auto fixture = AnalysisDriver(options).AnalyzeSources(TestSources());
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  EXPECT_EQ(DigestAnalysis(fixture.value()), 0xe562a9f40ae14fd1ull);
+
+  auto corpus = corpus::AnalyzeGeneratedCorpus(
+      corpus::GenerateCorpus(corpus::ApolloLikeSpec(), 26262), 4, "");
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  EXPECT_EQ(DigestAnalysis(corpus.value()), 0xffe51d1579675657ull);
+
+  const std::uint64_t fingerprint = OptionsFingerprint(DriverOptions{});
+  EXPECT_EQ(fingerprint, 0x9e09c07b7f18c66bull);
+  const ArtifactCache cache("cache", fingerprint);
+  EXPECT_EQ(fs::path(cache.EntryPathForHash("alpha/a.cc", "alpha",
+                                            0x0123456789abcdefull))
+                .filename()
+                .string(),
+            "aca2245cac3879b2.ckart");
+  EXPECT_EQ(cache.ModulePhaseKey("alpha", {{"alpha/a.cc", 0x1111ull},
+                                           {"alpha/b.cc", 0x2222ull}}),
+            0x6e18d8274752e99dull);
 }
 
 }  // namespace
