@@ -49,10 +49,18 @@ struct Candidate {
   static void Fields(Io& io, Self& c);
 };
 
+// Caps on a decoded candidate's run length and detector input side, far
+// above anything the program emits (the breeder clamps ticks to 5-60 and
+// picks sides up to 128; `serve` caps a campaign's ticks at 120), so a
+// hostile record cannot ask for an unbounded run or detector.
+inline constexpr int kMaxCandidateTicks = 1000;
+inline constexpr int kMaxDetectorSide = 512;
+
 // Empty when CampaignRunner::Evaluate can run `candidate`, otherwise why
 // not: an invalid scenario (REQ-SCEN-001), a detector input side neither 0
-// nor a positive multiple of 16, negative ticks, or a fault that fails
-// adpilot::ValidateFaultSpec. Bred candidates pass; decoders reject.
+// nor a positive multiple of 16 up to kMaxDetectorSide, ticks outside
+// [0, kMaxCandidateTicks], or a fault that fails adpilot::ValidateFaultSpec.
+// Bred candidates pass; decoders reject.
 std::string ValidateCandidate(const Candidate& candidate);
 
 template <class Io, class Self>

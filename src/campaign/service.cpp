@@ -6,6 +6,8 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <streambuf>
+#include <string>
 #include <utility>
 
 #include "campaign/checkpoint.h"
@@ -203,6 +205,49 @@ ServiceResponse HandleRequest(const ServiceRequest& request,
   }
 }
 
+// Reads the next line into *line like std::getline, but stores at most
+// kServeMaxLineBytes of it: the rest, up to the newline, is consumed and
+// dropped, and *too_long says so. False at the end of the input.
+bool ReadCappedLine(std::istream& in, std::string* line, bool* too_long) {
+  using Traits = std::char_traits<char>;
+  line->clear();
+  *too_long = false;
+  std::streambuf* buf = in.rdbuf();
+  int c = buf->sbumpc();
+  const bool any = c != Traits::eof();
+  for (; c != Traits::eof() && c != '\n'; c = buf->sbumpc()) {
+    if (line->size() < kServeMaxLineBytes) {
+      line->push_back(Traits::to_char_type(c));
+    } else {
+      *too_long = true;
+    }
+  }
+  return any;
+}
+
+// The response to one line of the stdin loop; *shutdown is set when the
+// line was a shutdown request that succeeded.
+ServiceResponse AnswerLine(const std::string& line, bool too_long,
+                           CampaignService* service, bool* shutdown) {
+  ServiceResponse response;
+  response.id = "-";
+  std::vector<ServiceRequest> batch;
+  std::string error;
+  if (too_long) {
+    response.error = "request line longer than " +
+                     std::to_string(kServeMaxLineBytes) + " bytes";
+  } else if (!ParseServiceRequests(line, &batch, &error) ||
+             batch.size() != 1) {
+    response.error = error.empty()
+                         ? "expected exactly one request object per line"
+                         : error;
+  } else {
+    response = service->Process(batch)[0];
+    *shutdown = response.ok && batch[0].kind == "shutdown";
+  }
+  return response;
+}
+
 }  // namespace
 
 bool ParseServiceRequests(std::string_view text,
@@ -310,26 +355,16 @@ ServeLoopResult RunServeLoop(std::istream& in, std::ostream& out,
                              CampaignService* service) {
   ServeLoopResult result;
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::vector<ServiceRequest> batch;
-    std::string error;
-    ServiceResponse response;
-    if (!ParseServiceRequests(line, &batch, &error) || batch.size() != 1) {
-      response.id = "-";
-      response.error = error.empty()
-                           ? "expected exactly one request object per line"
-                           : error;
-    } else {
-      response = service->Process(batch)[0];
+  bool too_long = false;
+  while (!result.shutdown && ReadCappedLine(in, &line, &too_long)) {
+    if (!too_long && line.find_first_not_of(" \t\r") == std::string::npos) {
+      continue;
     }
+    const ServiceResponse response =
+        AnswerLine(line, too_long, service, &result.shutdown);
     out << ServiceResponseJson(response) << "\n" << std::flush;
     ++result.requests;
     if (!response.ok) ++result.failed;
-    if (response.ok && !batch.empty() && batch[0].kind == "shutdown") {
-      result.shutdown = true;
-      break;
-    }
   }
   return result;
 }

@@ -30,6 +30,7 @@
 #ifndef CERTKIT_CAMPAIGN_SERVICE_H_
 #define CERTKIT_CAMPAIGN_SERVICE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -46,6 +47,9 @@ namespace certkit::campaign {
 inline constexpr int kServeMaxPopulation = 64;
 inline constexpr int kServeMaxGenerations = 16;
 inline constexpr int kServeMaxTicks = 120;
+// The longest request line `serve --stdin` reads; a longer one is answered
+// with one error and skipped to its newline without being stored whole.
+inline constexpr std::size_t kServeMaxLineBytes = std::size_t{1} << 20;
 
 struct ServiceRequest {
   std::string id;    // [A-Za-z0-9_.-]+, unique within a batch
@@ -111,10 +115,11 @@ struct ServeLoopResult {
 // The long-lived `certkit serve --stdin` loop: reads one request per line
 // (a single request object; a multi-request array on one line is rejected
 // as malformed), processes it through `service`, and writes one response,
-// flushed, before reading the next. Malformed lines produce an ok=false
-// response with id "-" and do not end the loop; a `shutdown` request is
-// answered and then ends it. Request ids only need to be unique per line
-// here — a long-lived client may reuse ids across lines.
+// flushed, before reading the next. Malformed lines, and lines longer than
+// kServeMaxLineBytes, produce an ok=false response with id "-" and do not
+// end the loop; a `shutdown` request is answered and then ends it. Request
+// ids only need to be unique per line here — a long-lived client may reuse
+// ids across lines.
 ServeLoopResult RunServeLoop(std::istream& in, std::ostream& out,
                              CampaignService* service);
 

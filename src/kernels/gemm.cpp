@@ -304,14 +304,17 @@ void SgemmWithConfig(const float* a, const float* b, float* c, GemmShape s,
 //   LoadFirst, StoreFirst   the first `count` lanes only, 0 < count < kLanes,
 //                     touching no memory past them (the N fringe).
 // A register tile is MR weight rows × 2 vectors of pixels: per pair step it
-// loads two vectors of B, broadcasts one A pair per row, and runs MR·2
-// madd+add into int32 accumulators that stay in registers for all of K.
+// looks up the step's B row in the offset table, loads two vectors of it,
+// broadcasts one A pair per row, and runs MR·2 multiply-adds into int32
+// accumulators that stay in registers for all of K.
 //
-// The SSE2 policy is the x86-64 baseline and carries no target. The AVX2
-// and AVX-512BW policies are compiled under "avx2" and "avx512f,avx512bw",
-// the levels of the ISA ladder (support/isa.h) that runs PairGemm. GCC's
-// "avx512f" target enables FMA; the kernels library builds with
-// -ffp-contract=off, so no float code here is contracted at any level.
+// The SSE2 policy is the x86-64 baseline and carries no target. The AVX2,
+// AVX-512BW and AVX-512 VNNI policies are compiled under "avx2",
+// "avx512f,avx512bw" and "avx512f,avx512bw,avx512vnni", the levels of the
+// ISA ladder (support/isa.h) that runs PairGemm; the VNNI policy is the
+// AVX-512BW one with MaddAdd as one `vpdpwssd`. GCC's "avx512f" target
+// enables FMA; the kernels library builds with -ffp-contract=off, so no
+// float code here is contracted at any level.
 namespace {
 
 // Unaligned SSE2 access to int16 and int32 arrays.
@@ -400,11 +403,21 @@ struct Avx512 {
 };
 #pragma GCC pop_options
 
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512bw,avx512vnni")
+struct Avx512Vnni : Avx512 {
+  static Reg MaddAdd(Reg acc, Reg a, Reg b) {
+    return _mm512_dpwssd_epi32(acc, a, b);
+  }
+};
+#pragma GCC pop_options
+
 // The operands of one PairGemm call.
 struct PairTile {
-  const std::int32_t* a;  // [M, pairs]
-  const std::int32_t* b;  // [pairs, N]
-  std::int32_t* c;        // [M, N]
+  const std::int32_t* a;     // [M, pairs]
+  const std::int32_t* b;     // row p of B starts at b + rows[p]
+  const std::size_t* rows;   // [pairs]
+  std::int32_t* c;           // [M, N]
   int n, pairs;
 };
 
@@ -442,7 +455,7 @@ template <class V, int MR, int kVecs, bool kFringe>
   const std::int32_t* arow = t.a + i0 * pairs;
   const std::int32_t* bcol = t.b + j0;
   for (std::size_t p = 0; p < pairs; ++p) {
-    const std::int32_t* bp = bcol + p * n;
+    const std::int32_t* bp = bcol + t.rows[p];
     Reg bv[kVecs];
     for (int v = 0; v < kVecs; ++v) {
       bv[v] = LoadVec<V, kVecs, kFringe>(bp + v * L, v, last);
@@ -484,9 +497,10 @@ template <class V, int kVecs, bool kFringe>
 template <class V>
 [[gnu::always_inline]] inline void PairGemm(const std::int32_t* a,
                                             const std::int32_t* b,
+                                            const std::size_t* rows,
                                             std::int32_t* c, GemmShape s) {
   constexpr int L = V::kLanes;
-  const PairTile t{a, b, c, s.n, (s.k + 1) / 2};
+  const PairTile t{a, b, rows, c, s.n, (s.k + 1) / 2};
   int j = 0;
   for (; j + 2 * L <= s.n; j += 2 * L) Panel<V, 2, false>(t, s.m, j, L);
   if (s.n - j >= L) {
@@ -500,42 +514,69 @@ template <class V>
 struct PairGemmCall {
   const std::int32_t* a;
   const std::int32_t* b;
+  const std::size_t* rows;
   std::int32_t* c;
   GemmShape s;
 
   template <Isa L>
   void operator()(IsaTag<L>) const {
     using V = std::conditional_t<
-        L == Isa::kAvx512, Avx512,
-        std::conditional_t<L == Isa::kAvx2, Avx2, Sse2>>;
-    PairGemm<V>(a, b, c, s);
+        L == Isa::kAvx512Vnni, Avx512Vnni,
+        std::conditional_t<
+            L == Isa::kAvx512, Avx512,
+            std::conditional_t<L == Isa::kAvx2, Avx2, Sse2>>>;
+    PairGemm<V>(a, b, rows, c, s);
   }
 };
+
+// The offset table of a dense [P, N] B: rows[p] = p·N.
+const std::size_t* DenseRows(GemmShape s) {
+  thread_local std::vector<std::size_t> rows;
+  rows.resize((s.k + 1) / 2);
+  for (std::size_t p = 0; p < rows.size(); ++p) rows[p] = p * s.n;
+  return rows.data();
+}
+
+template <Isa L>
+void PairRowsGemmAt(const std::int32_t* a, const std::int32_t* b,
+                    const std::size_t* rows, std::int32_t* c, GemmShape s) {
+  RunAt(L, PairGemmCall{a, b, rows, c, s});
+}
 
 template <Isa L>
 void PairGemmAt(const std::int32_t* a, const std::int32_t* b,
                 std::int32_t* c, GemmShape s) {
-  RunAt(L, PairGemmCall{a, b, c, s});
+  PairRowsGemmAt<L>(a, b, DenseRows(s), c, s);
 }
 
 // One instance per ladder level, narrowest first.
 constexpr PairKernel kPairKernels[] = {
-    {"sse2", &PairGemmAt<Isa::kBaseline>},
-    {"avx2", &PairGemmAt<Isa::kAvx2>},
-    {"avx512bw", &PairGemmAt<Isa::kAvx512>}};
+    {"sse2", &PairGemmAt<Isa::kBaseline>, &PairRowsGemmAt<Isa::kBaseline>},
+    {"avx2", &PairGemmAt<Isa::kAvx2>, &PairRowsGemmAt<Isa::kAvx2>},
+    {"avx512bw", &PairGemmAt<Isa::kAvx512>, &PairRowsGemmAt<Isa::kAvx512>},
+    {"avx512vnni", &PairGemmAt<Isa::kAvx512Vnni>,
+     &PairRowsGemmAt<Isa::kAvx512Vnni>}};
 
 }  // namespace
 
 std::span<const PairKernel> SupportedPairKernels() {
   const Isa widest = WidestIsa();  // one entry per level up to the widest
-  return {kPairKernels,
-          1u + (widest >= Isa::kAvx2) + (widest >= Isa::kAvx512)};
+  return {kPairKernels, 1u + (widest >= Isa::kAvx2) +
+                            (widest >= Isa::kAvx512) +
+                            (widest >= Isa::kAvx512Vnni)};
 }
 
 void GemmPairS16S32(const std::int32_t* a, const std::int32_t* b,
                     std::int32_t* c, GemmShape s) {
   CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  RunWidest(PairGemmCall{a, b, c, s});
+  RunWidest(PairGemmCall{a, b, DenseRows(s), c, s});
+}
+
+void GemmPairRowsS16S32(const std::int32_t* a, const std::int32_t* b,
+                        const std::size_t* rows, std::int32_t* c,
+                        GemmShape s) {
+  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
+  RunWidest(PairGemmCall{a, b, rows, c, s});
 }
 
 void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,

@@ -13,7 +13,8 @@
 //    register-tiled fp32 microkernel whose block sizes are picked by an
 //    integer cost model, never by wall clock, and the int8 microkernel the
 //    quantized conv path runs (K-paired int16 operands, int32 accumulators,
-//    one SIMD template dispatched on cpuid).
+//    B rows through an offset table, one SIMD template dispatched on
+//    cpuid).
 //
 // The fp32 kernels operate on row-major float matrices:
 // C[M,N] = A[M,K] * B[K,N].
@@ -128,8 +129,9 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s,
 // Host microkernels: the CPU path the pipeline tick actually runs. Unlike
 // the device sims above they never go through gpusim::Device — no launches,
 // no std::function, no heap traffic — and they are allocation-free by
-// construction (registers + caller-owned buffers only; the one exception is
-// the GemmS16S32DotT adapter's thread_local pack buffers).
+// construction (registers + caller-owned buffers only; the exceptions are
+// the thread_local offset table of the dense GemmPairS16S32 and the
+// GemmS16S32DotT adapter's pack buffers, which a warm caller reuses).
 //
 // Bit-exactness contract (what the gemm property test pins): every fp32
 // output element is accumulated as the same K-ordered dot product a single
@@ -175,16 +177,21 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape shape,
 // ------------------------------------------------------------------ int8
 // The int8 kernel runs on K-paired int16 operands. A pair is one int32
 // holding two int16 values, the lower-index one in the low half: A is
-// [M, P] pairs with A[m][p] = (a[m][2p], a[m][2p+1]), and the patch matrix
-// B is [P, N] pairs with B[p][n] = (b[2p][n], b[2p+1][n]), P = (K + 1) / 2.
-// When K is odd the high half of the last pair is 0. One PMADDWD step then
+// [M, P] pairs with A[m][p] = (a[m][2p], a[m][2p+1]), and row p of B holds
+// the pairs (b[2p][n], b[2p+1][n]) for n < N, P = (K + 1) / 2. When K is
+// odd the high half of the last pair is 0. One PMADDWD step then
 // multiplies a broadcast weight pair into a vector of pixels and sums each
 // pair, so the kernel vectorizes across output pixels, not along K.
+//
+// B's rows need not be one dense matrix: the kernel reads row p from
+// b + rows[p], an offset table. A dense [P, N] matrix is rows[p] = p·N; the
+// conv path's stride-1 rows are windows of its quantized input planes,
+// read in place (nn/quantized.cpp). Rows may overlap.
 //
 // Exactness: operands are int8-grid values (|v| <= 127), so a pair sum is
 // at most 2·127² and an accumulator at most K·127², which fits int32 for
 // any K below 133000. Integer addition is associative, so every vector
-// width produces the same bits.
+// width, and VNNI's fused multiply-add, produces the same bits.
 inline std::int32_t PackPair(std::int16_t lo, std::int16_t hi) {
   const std::uint16_t lo_bits = lo;  // two's-complement bit patterns
   const std::uint16_t hi_bits = hi;
@@ -192,42 +199,38 @@ inline std::int32_t PackPair(std::int16_t lo, std::int16_t hi) {
   return std::bit_cast<std::int32_t>(word);
 }
 
-// Packs `runs` runs of `count` pairs into B: run r reads lo and hi at
-// offset r·src_stride and writes dst at offset r·count, with
-// dst[i] = PackPair(lo[i], hi[i]). hi == nullptr packs 0 into the high
-// halves (an odd K's last pair). Inline and plain, so it vectorizes at the
-// width of the ISA-ladder level its caller runs at.
-inline void PackPairRuns(const std::int16_t* lo, const std::int16_t* hi,
-                         std::size_t src_stride, int count, int runs,
-                         std::int32_t* dst) {
-  for (int r = 0; r < runs; ++r, dst += count) {
-    const std::int16_t* l = lo + r * src_stride;
-    const std::int16_t* h = hi != nullptr ? hi + r * src_stride : nullptr;
-    for (int i = 0; i < count; ++i) {
-      dst[i] = PackPair(l[i], h != nullptr ? h[i] : std::int16_t{0});
-    }
-  }
-}
-
-// C[M,N] = A·B over paired operands (layout above); `shape.k` is K, not P.
+// C[M,N] = A·B over paired operands (layout above), B dense [P, N];
+// `shape.k` is K, not P.
 using PairGemmFn = void (*)(const std::int32_t* a, const std::int32_t* b,
                             std::int32_t* c, GemmShape shape);
 
+// The same product with row p of B at b + rows[p] (rows has P entries).
+// Every row must hold N readable pairs.
+using PairRowsGemmFn = void (*)(const std::int32_t* a, const std::int32_t* b,
+                                const std::size_t* rows, std::int32_t* c,
+                                GemmShape shape);
+
 // One instantiation of the pair microkernel for one instruction set.
 struct PairKernel {
-  const char* isa;  // "sse2", "avx2" or "avx512bw"
+  const char* isa;  // "sse2", "avx2", "avx512bw" or "avx512vnni"
   PairGemmFn gemm;
+  PairRowsGemmFn gemm_rows;
 };
 
 // The instances this CPU runs, narrowest first: one per level of the ISA
 // ladder (support/isa.h) up to the widest, so SSE2 (the x86-64 baseline)
-// always, then AVX2 and AVX-512BW when cpuid reports them. There is no way
-// to set it. Tests check every entry.
+// always, then AVX2, AVX-512BW and AVX-512 VNNI when cpuid reports them.
+// There is no way to set it. Tests check every entry.
 std::span<const PairKernel> SupportedPairKernels();
 
-// The conv path's entry: runs the instance of the widest ladder level.
+// The conv path's entries: run the instance of the widest ladder level.
+// The dense form builds its offset table in thread_local scratch, so a warm
+// caller does not allocate.
 void GemmPairS16S32(const std::int32_t* a, const std::int32_t* b,
                     std::int32_t* c, GemmShape shape);
+void GemmPairRowsS16S32(const std::int32_t* a, const std::int32_t* b,
+                        const std::size_t* rows, std::int32_t* c,
+                        GemmShape shape);
 
 // C[M,N] = A·Bᵀ with A[M,K] and BT[N,K] both row-major int16 on the int8
 // grid, int32 accumulation. An adapter kept for the benches that time the

@@ -79,7 +79,10 @@ void FakeQuantizeTensor(Tensor* t) {
     const float a = std::fabs(data[i]);
     if (a > amax) amax = a;
   }
-  if (amax == 0.0f) return;
+  // No usable grid: all zeros, or an amax below ~3.7e-37, whose inverse
+  // scale overflows (its scale is denormal, and 0 below ~1.8e-43, where
+  // x / scale is not finite) — the same rule as the conv layer's int8 path.
+  if (amax == 0.0f || !std::isfinite(127.0f / amax)) return;
   const float scale = amax / 127.0f;
   for (std::size_t i = 0; i < size; ++i) {
     data[i] = std::round(data[i] / scale) * scale;

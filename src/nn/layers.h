@@ -58,22 +58,26 @@ class ConvLayer : public Layer {
 
   // Int8 inference mode: when enabled, ForwardInto runs a true int8 path —
   // per-layer symmetric scales (weight scale = max|w| / 127 for this layer,
-  // activation scale = max|x| / 127 per input tensor), int8 im2col, an
-  // int32-accumulating micro-GEMM, and a combined-scale dequantize. Integer
+  // activation scale = max|x| / 127 per input tensor), the input quantized
+  // once into channel-paired, zero-bordered planes that an
+  // int32-accumulating micro-GEMM reads in place (stride 1) or gathers
+  // (other strides), and a combined-scale dequantize. Integer
   // accumulation is exact, so the path is deterministic and
   // backend-independent; it serves as the quantized arm of the replay
   // differential oracle, with the fp32 path kept as the bit-exact reference.
   // Quantization is threaded through as an argument, never by mutating
   // state, so a layer shared across ThreadPool threads is race-free.
   //
-  // Non-finite containment: if the input holds any non-finite value (or is
-  // all-zero), quantization is SKIPPED for that call and the fp32 path runs
+  // Non-finite containment: if the input holds any non-finite value, is
+  // all-zero, or has an amax so small (below ~3.7e-37) that 127 / amax
+  // overflows, quantization is SKIPPED for that call and the fp32 path runs
   // instead — NaN/inf then propagate to the safety layer's range monitor,
   // which owns non-finite rejection, rather than being laundered through an
   // undefined int8 grid.
-  // Enabling snapshots the layer's weights onto the int8 grid (as K-paired
-  // int16 values for the PMADDWD pair microkernel) along with the per-layer
-  // scale, so steady-state forwards never re-quantize the constant operand.
+  // Enabling snapshots the layer's weights onto the int8 grid (as int16
+  // pairs of adjacent input channels, in (channel pair, kh, kw) order, for
+  // the PMADDWD pair microkernel) along with the per-layer scale, so
+  // steady-state forwards never re-quantize the constant operand.
   // Call it AFTER the weights are final; re-call it to refresh the snapshot
   // if mutable_weights() changed. Defined in quantized.cpp.
   void SetInputQuantization(bool enabled);
@@ -92,17 +96,20 @@ class ConvLayer : public Layer {
   bool quantize_inputs_ = false;
   // Int8-mode weight snapshot (set by SetInputQuantization, const during
   // forwards — reentrancy depends on that): weights snapped to the int8
-  // grid, stored as [out_c, P] pairs of int16 (kernels::micro::PackPair,
-  // P = (in_c*k*k + 1) / 2); w_scale_ == 0 marks "no usable grid" (all-zero
-  // or non-finite weights), which quantizes the weight operand to zero
-  // exactly like the pre-snapshot path did.
+  // grid, stored as [out_c, P] pairs of int16 (kernels::micro::PackPair),
+  // pair (q, kh, kw) = (w[2q][kh][kw], w[2q+1][kh][kw]) with 0 past in_c,
+  // P = (in_c + 1) / 2 * k * k; w_scale_ == 0 marks "no usable grid"
+  // (all-zero, non-finite, or too small for a finite inverse scale), which
+  // quantizes the weight operand to zero exactly like the pre-snapshot path
+  // did.
   std::vector<std::int32_t> q_weight_pairs_;
   float w_scale_ = 0.0f;
 };
 
 // Snaps every value of `t` to the symmetric per-tensor int8 grid
 // (scale = max|x| / 127, round half away from zero). A no-op on an
-// all-zero tensor AND on any tensor containing a non-finite value: the
+// all-zero tensor, on one whose amax is too small for a finite inverse
+// scale, AND on any tensor containing a non-finite value: the
 // undefined-scale bug class (amax = inf → scale = inf → NaN everywhere) is
 // excluded by skipping quantization, matching the conv layer's containment
 // policy above. Exposed for the quantization tests.

@@ -1,6 +1,7 @@
-// The int8 inference path of ConvLayer: per-layer symmetric scales, a
-// pair-packed int8-grid patch matrix, the int32-accumulating pair
-// microkernel, combined-scale dequantize.
+// The int8 inference path of ConvLayer: per-layer symmetric scales, the
+// input quantized once into channel-paired int8-grid planes, the
+// int32-accumulating pair microkernel reading them in place, and a
+// combined-scale dequantize.
 //
 // Properties the rest of the tree relies on:
 //  * Deterministic and backend-independent — integer accumulation is exact,
@@ -14,12 +15,18 @@
 //  * Allocation-free in steady state — every scratch vector only ever grows
 //    to the layer's peak working-set size and is then reused.
 //
-// Layout: the input is quantized once into zero-bordered int16 planes, and
-// the patch matrix is pixel-major with K paired — B[p][n] holds patch rows
-// 2p and 2p+1 at output pixel n in one int32 — so the microkernel runs
-// PMADDWD across output pixels. See kernels::micro::GemmPairS16S32. The
-// passes around the GEMM (amax, quantize, pack, dequantize) run at the
-// widest level of the ISA ladder, as by-value functions (support/isa.h).
+// Layout: the input is quantized once into zero-bordered int32 planes, one
+// per channel pair q and batch image, each element
+// PackPair(x[2q], x[2q+1]) (an odd channel count pairs its last channel
+// with 0). The weights are snapshotted in the matching (channel pair, kh,
+// kw) order, so pair row p = (q, kh, kw) of the patch matrix at stride 1 is
+// plane q read from offset kh·PW + kw: the microkernel takes it in place
+// through an offset table (kernels::micro::GemmPairRowsS16S32), over the
+// padded width — output pixel (oh, ow) is column oh·PW + ow — and
+// Dequantize drops the border columns. Other strides gather dense rows
+// from the same planes. The passes around the GEMM (amax, quantize,
+// gather, dequantize) run at the widest level of the ISA ladder, as
+// by-value functions (support/isa.h).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -38,8 +45,9 @@ namespace {
 using certkit::support::RunWidest;
 
 struct QuantScratch {
-  std::vector<std::int16_t> image;    // quantized input, zero-bordered planes
-  std::vector<std::int32_t> patches;  // pair-packed patch matrix [P, N]
+  std::vector<std::int32_t> planes;   // quantized input, paired + bordered
+  std::vector<std::int32_t> patches;  // gathered rows [P, N] (stride > 1)
+  std::vector<std::size_t> rows;      // offset of each B row [P]
   std::vector<std::int32_t> acc;      // GEMM accumulators [M, N]
 };
 
@@ -75,13 +83,21 @@ bool ScanAmax(const float* data, std::size_t size, float* amax) {
   return true;
 }
 
+// The grid's inverse scale 127 / amax for a finite amax, or 0 when there is
+// no usable grid: amax is 0, or so small (below ~3.7e-37) that the inverse
+// overflows to inf and every snap would cast inf or NaN to int.
+float InverseScale(float amax) {
+  const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
+  return std::isfinite(inv) ? inv : 0.0f;
+}
+
 // Symmetric int8-grid snap, round half away from zero — the same grid
 // FakeQuantizeTensor documents — computed as truncate(q + ±0.5). The ±0.5
 // is selected before the add: under GCC's default -ftrapping-math the
 // vectorizer will not speculate a conditional add, but it does vectorize a
 // select followed by one unconditional add (bit-identical, since q - 0.5
 // and q + (-0.5) round the same). Values are bounded by amax, so the clamp
-// only guards FP edge rounding.
+// only guards FP edge rounding. A finite v at inv_scale 0 snaps to 0.
 inline std::int16_t SnapToGrid(float v, float inv_scale) {
   const float q = v * inv_scale;
   int i = static_cast<int>(q + (q >= 0.0f ? 0.5f : -0.5f));  // toward zero
@@ -89,89 +105,122 @@ inline std::int16_t SnapToGrid(float v, float inv_scale) {
   return static_cast<std::int16_t>(i);
 }
 
-// Quantizes `planes` h×w float planes into zero-bordered int16 planes of
-// (h + 2·pad) × (w + 2·pad), writing every element once.
-void QuantizeBordered(const float* in, int planes, int h, int w, int pad,
-                      float inv_scale, std::int16_t* out) {
-  const std::size_t pw = w + 2 * pad;
-  const std::size_t border = pad * pw;
-  for (int c = 0; c < planes; ++c) {
-    std::fill_n(out, border, std::int16_t{0});
-    out += border;
-    for (int y = 0; y < h; ++y, in += w, out += pw) {
-      std::fill_n(out, pad, std::int16_t{0});
-      for (int x = 0; x < w; ++x) out[pad + x] = SnapToGrid(in[x], inv_scale);
-      std::fill_n(out + pad + w, pad, std::int16_t{0});
-    }
-    std::fill_n(out, border, std::int16_t{0});
-    out += border;
+// Pair rows of the patch matrix: one per (channel pair, kh, kw).
+int WeightPairs(int in_c, int kernel) {
+  return (in_c + 1) / 2 * kernel * kernel;
+}
+
+// One row of a paired plane: out[x] = (snap(lo[x]), snap(hi[x])).
+void QuantizePairRow(const float* lo, const float* hi, float lo_inv,
+                     float hi_inv, int w, std::int32_t* out) {
+  for (int x = 0; x < w; ++x) {
+    out[x] = kernels::micro::PackPair(SnapToGrid(lo[x], lo_inv),
+                                      SnapToGrid(hi[x], hi_inv));
   }
 }
 
 // Geometry of one conv over zero-bordered planes of ph × pw.
-struct PatchGeometry {
-  int batch, in_c, ph, pw, kernel, stride, out_h, out_w, k;
+struct ConvGeometry {
+  int batch, in_c, h, w, pad, kernel, stride, out_h, out_w;
+  std::size_t pw() const { return w + 2 * pad; }
+  std::size_t image() const { return (h + 2 * pad) * pw(); }
+  std::size_t plane() const { return batch * image(); }  // one pair's plane
 };
 
-// Builds the pair-packed patch matrix B[P][N], N = batch·out_h·out_w. Patch
-// row r = (ci, kh, kw) at output pixel (b, oh, ow) reads plane (b, ci) of
-// the bordered image at (oh·stride + kh, ow·stride + kw), which is always
-// inside the plane, so there are no bounds checks. Each output row of a
-// patch row is a run of out_w taps; at stride 1 (the detector's 3×3 and 1×1
-// convs) that run is a shifted copy of an image row.
-void PackPatches(const std::int16_t* image, PatchGeometry g,
-                 std::int32_t* patches) {
-  const int taps = g.kernel * g.kernel;
-  const std::size_t pw = g.pw;  // index arithmetic in size_t
-  const std::size_t plane = g.ph * pw;
-  const std::size_t image_stride = plane * g.in_c;
-  // Offset of patch row r's tap (0, 0) within one batch image.
-  const auto tap = [&](int r) {
-    const int ci = r / taps;
-    const int kh = (r % taps) / g.kernel;
-    const int kw = r % g.kernel;
-    return ci * plane + kh * pw + kw;
-  };
-  const int pairs = (g.k + 1) / 2;
-  const std::size_t row_stride = g.stride * pw;
-  std::int32_t* dst = patches;
-  for (int p = 0; p < pairs; ++p) {
-    const std::size_t lo = tap(2 * p);
-    const bool has_hi = 2 * p + 1 < g.k;  // odd K: the last high half is 0
-    const std::size_t hi = has_hi ? tap(2 * p + 1) : lo;
+// Quantizes the NCHW input into (in_c + 1) / 2 planes [batch, ph, pw],
+// writing every element once. Channels 2q and 2q + 1 go to plane q; with
+// an odd channel count the last plane's high halves read channel 2q again
+// at inverse scale 0, which snaps every (finite) value to 0.
+void QuantizePairPlanes(const float* in, ConvGeometry g, float inv_scale,
+                        std::int32_t* out) {
+  const std::size_t hw = g.h * g.w;
+  const std::size_t pw = g.pw();
+  const std::size_t border = g.pad * pw;
+  for (int c = 0; c < g.in_c; c += 2) {
+    const bool has_hi = c + 1 < g.in_c;
+    const float hi_inv = has_hi ? inv_scale : 0.0f;
     for (int b = 0; b < g.batch; ++b) {
-      const std::int16_t* s0 = image + b * image_stride + lo;
-      const std::int16_t* s1 = has_hi ? image + b * image_stride + hi
-                                      : nullptr;
-      if (g.stride == 1) {
-        kernels::micro::PackPairRuns(s0, s1, row_stride, g.out_w, g.out_h,
-                                     dst);
-        dst += static_cast<std::size_t>(g.out_h) * g.out_w;
-        continue;
+      const float* lo = in + (b * g.in_c + c) * hw;
+      const float* hi = has_hi ? lo + hw : lo;
+      std::fill_n(out, border, 0);
+      out += border;
+      for (int y = 0; y < g.h; ++y, lo += g.w, hi += g.w, out += pw) {
+        std::fill_n(out, g.pad, 0);
+        QuantizePairRow(lo, hi, inv_scale, hi_inv, g.w, out + g.pad);
+        std::fill_n(out + g.pad + g.w, g.pad, 0);
       }
-      for (int oh = 0; oh < g.out_h; ++oh, dst += g.out_w) {
-        const std::int16_t* r0 = s0 + oh * row_stride;
-        for (int ow = 0; ow < g.out_w; ++ow) {
-          const int x = ow * g.stride;
-          dst[ow] = kernels::micro::PackPair(
-              r0[x], has_hi ? s1[oh * row_stride + x] : std::int16_t{0});
-        }
+      std::fill_n(out, border, 0);
+      out += border;
+    }
+  }
+}
+
+// Offset of pair row p = (q, kh, kw)'s tap (0, 0) in the planes.
+std::size_t TapOffset(ConvGeometry g, int p) {
+  const int taps = g.kernel * g.kernel;
+  const std::size_t q = p / taps;
+  const int kh = (p % taps) / g.kernel;
+  const int kw = p % g.kernel;
+  return q * g.plane() + kh * g.pw() + kw;
+}
+
+// Gathers the dense patch matrix B[P][N], N = batch·out_h·out_w, for a
+// stride above 1: B[p][(b, oh, ow)] is plane q at image b, row
+// oh·stride + kh, column ow·stride + kw — always inside the bordered plane.
+void GatherPatches(const std::int32_t* planes, ConvGeometry g, int pairs,
+                   std::int32_t* patches) {
+  const std::size_t row_stride = g.stride * g.pw();
+  for (int p = 0; p < pairs; ++p) {
+    const std::int32_t* tap = planes + TapOffset(g, p);
+    for (int b = 0; b < g.batch; ++b, tap += g.image()) {
+      for (int oh = 0; oh < g.out_h; ++oh, patches += g.out_w) {
+        const std::int32_t* src = tap + oh * row_stride;
+        for (int ow = 0; ow < g.out_w; ++ow) patches[ow] = src[ow * g.stride];
       }
     }
   }
 }
 
-// out[b][oc] = combined · acc[oc][b·hw + j] + bias[oc] for j < hw: the
-// GEMM's column index un-interleaved back into NCHW. `bias` may be null.
+// Where the GEMM put output pixel (b, oh, ow): column b·image + oh·row + ow
+// of each accumulator row of `cols` columns.
+struct AccColumns {
+  std::size_t cols, image, row;
+};
+
+// At stride 1 the B rows are the bordered planes themselves, read in place,
+// so pixel (b, oh, ow) is column b·image + oh·pw + ow of a plane. Other
+// strides gather dense rows, one column per output pixel. Either way the
+// GEMM runs up to the last image's last output pixel.
+AccColumns GemmColumns(ConvGeometry g) {
+  const bool in_place = g.stride == 1;
+  const std::size_t hw = g.out_h * g.out_w;
+  const std::size_t image = in_place ? g.image() : hw;
+  const std::size_t row = in_place ? g.pw() : g.out_w;
+  return {(g.batch - 1) * image + (g.out_h - 1) * row + g.out_w, image, row};
+}
+
+// The offset of each B row: tap p's window of its plane at stride 1, row p
+// of the gathered matrix otherwise.
+void RowOffsets(ConvGeometry g, int pairs, AccColumns cols,
+                std::size_t* rows) {
+  for (int p = 0; p < pairs; ++p) {
+    rows[p] = g.stride == 1 ? TapOffset(g, p) : p * cols.cols;
+  }
+}
+
+// out[b][oc] = combined · acc[oc][column of (b, oh, ow)] + bias[oc]: the
+// GEMM's columns, border columns dropped, back into NCHW. `bias` may be
+// null.
 void Dequantize(const std::int32_t* acc, const float* bias, float combined,
-                int batch, int out_c, std::size_t hw, float* out) {
-  const std::size_t cols_n = batch * hw;
-  for (int b = 0; b < batch; ++b) {
-    for (int oc = 0; oc < out_c; ++oc, out += hw) {
+                ConvGeometry g, int out_c, AccColumns cols, float* out) {
+  for (int b = 0; b < g.batch; ++b) {
+    for (int oc = 0; oc < out_c; ++oc) {
       const float add = bias != nullptr ? bias[oc] : 0.0f;
-      const std::int32_t* arow = acc + oc * cols_n + b * hw;
-      for (std::size_t j = 0; j < hw; ++j) {
-        out[j] = combined * static_cast<float>(arow[j]) + add;
+      const std::int32_t* arow = acc + oc * cols.cols + b * cols.image;
+      for (int oh = 0; oh < g.out_h; ++oh, arow += cols.row, out += g.out_w) {
+        for (int ow = 0; ow < g.out_w; ++ow) {
+          out[ow] = combined * static_cast<float>(arow[ow]) + add;
+        }
       }
     }
   }
@@ -186,85 +235,82 @@ void ConvLayer::SetInputQuantization(bool enabled) {
   if (!enabled) return;
 
   // Per-layer weight scale: max|w| / 127 over this layer's weights. A
-  // non-finite weight (or an all-zero filter bank) has no usable grid; the
-  // snapshot is then all zeros with scale 0, making the quantized output
-  // exactly the bias — the same result the unsnapshotted path produced.
+  // non-finite weight, an all-zero filter bank or an amax too small for a
+  // finite inverse scale has no usable grid; the snapshot is then all zeros
+  // with scale 0, making the quantized output exactly the bias — the same
+  // result the unsnapshotted path produced.
   float w_amax = 0.0f;
-  bool finite = true;
-  for (const float w : weights_) {
-    if (!std::isfinite(w)) finite = false;
-    const float a = std::fabs(w);
-    if (a > w_amax) w_amax = a;
-  }
-  const int k = in_c_ * kernel_ * kernel_;
-  const int pairs = (k + 1) / 2;
+  const bool finite = ScanAmax(weights_.data(), weights_.size(), &w_amax);
+  const int taps = kernel_ * kernel_;
+  const int pairs = WeightPairs(in_c_, kernel_);
   q_weight_pairs_.assign(static_cast<std::size_t>(out_c_) * pairs, 0);
-  if (!finite || w_amax == 0.0f) return;
+  const float w_inv = finite ? InverseScale(w_amax) : 0.0f;
+  if (w_inv == 0.0f) return;
   w_scale_ = w_amax / 127.0f;
-  const float w_inv = 127.0f / w_amax;
-  // A[m][p] = (w[m][2p], w[m][2p+1]) on the grid; odd K pads the last high
-  // half with 0.
+  // A[m][(q, t)] = (w[m][2q][t], w[m][2q+1][t]) on the grid for tap t; an
+  // odd channel count pads the last pair's high halves with 0.
+  std::int32_t* dst = q_weight_pairs_.data();
   for (int m = 0; m < out_c_; ++m) {
-    const float* row = weights_.data() + static_cast<std::size_t>(m) * k;
-    for (int p = 0; p < pairs; ++p) {
-      const std::int16_t lo = SnapToGrid(row[2 * p], w_inv);
-      const std::int16_t hi =
-          2 * p + 1 < k ? SnapToGrid(row[2 * p + 1], w_inv) : 0;
-      q_weight_pairs_[static_cast<std::size_t>(m) * pairs + p] =
-          kernels::micro::PackPair(lo, hi);
+    const float* filter = weights_.data() +
+                          static_cast<std::size_t>(m) * in_c_ * taps;
+    for (int c = 0; c < in_c_; c += 2) {
+      const float* lo = filter + c * taps;
+      for (int t = 0; t < taps; ++t) {
+        const std::int16_t hi =
+            c + 1 < in_c_ ? SnapToGrid(lo[taps + t], w_inv) : 0;
+        *dst++ = kernels::micro::PackPair(SnapToGrid(lo[t], w_inv), hi);
+      }
     }
   }
 }
 
 bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   // Dynamic per-tensor activation scale over the input. Any non-finite value
-  // disables quantization for this call (containment policy in layers.h).
+  // or an input with no usable grid disables quantization for this call
+  // (containment policy in layers.h).
   const float* in = input.data();
   float in_amax = 0.0f;
   const bool finite = RunWidest(
       [&](auto) { return ScanAmax(in, input.size(), &in_amax); });
-  if (!finite || in_amax == 0.0f) return false;
+  const float in_inv = finite ? InverseScale(in_amax) : 0.0f;
+  if (in_inv == 0.0f) return false;
 
-  const int patch = in_c_ * kernel_ * kernel_;  // K
-  if (q_weight_pairs_.size() !=
-      static_cast<std::size_t>(out_c_) * ((patch + 1) / 2)) {
+  const int pairs = WeightPairs(in_c_, kernel_);  // P
+  if (q_weight_pairs_.size() != static_cast<std::size_t>(out_c_) * pairs) {
     return false;  // no snapshot
   }
 
   const int batch = input.n();
-  const int in_h = input.h();
-  const int in_w = input.w();
-  const int out_h = (in_h + 2 * pad_ - kernel_) / stride_ + 1;
-  const int out_w = (in_w + 2 * pad_ - kernel_) / stride_ + 1;
+  const int out_h = (input.h() + 2 * pad_ - kernel_) / stride_ + 1;
+  const int out_w = (input.w() + 2 * pad_ - kernel_) / stride_ + 1;
   CERTKIT_CHECK(out_h > 0 && out_w > 0);
-  const PatchGeometry g{batch,  in_c_, in_h + 2 * pad_, in_w + 2 * pad_,
-                        kernel_, stride_, out_h, out_w, patch};
-  const int cols_n = batch * out_h * out_w;  // N
+  const ConvGeometry g{batch, in_c_,   input.h(), input.w(), pad_,
+                       kernel_, stride_, out_h,   out_w};
   QuantScratch& s = Scratch();
-
-  const float in_scale = in_amax / 127.0f;
-  std::int16_t* image =
-      AtLeast(&s.image, static_cast<std::size_t>(batch) * in_c_ * g.ph * g.pw);
-  std::int32_t* patches = AtLeast(
-      &s.patches, static_cast<std::size_t>((patch + 1) / 2) * cols_n);
+  std::int32_t* planes = AtLeast(&s.planes, (in_c_ + 1) / 2 * g.plane());
+  std::size_t* rows = AtLeast(&s.rows, pairs);
+  const AccColumns cols = GemmColumns(g);
+  RowOffsets(g, pairs, cols, rows);
+  const bool in_place = stride_ == 1;
+  std::int32_t* patches =
+      in_place ? planes : AtLeast(&s.patches, pairs * cols.cols);
   RunWidest([&](auto) {
-    QuantizeBordered(in, batch * in_c_, in_h, in_w, pad_, 127.0f / in_amax,
-                     image);
-    PackPatches(image, g, patches);
+    QuantizePairPlanes(in, g, in_inv, planes);
+    if (!in_place) GatherPatches(planes, g, pairs, patches);
   });
 
   // C[M,N] = W·B in int32 on the widest pair microkernel this CPU runs.
-  std::int32_t* acc =
-      AtLeast(&s.acc, static_cast<std::size_t>(out_c_) * cols_n);
-  kernels::micro::GemmPairS16S32(q_weight_pairs_.data(), patches, acc,
-                                 kernels::GemmShape{out_c_, cols_n, patch});
+  const int cols_n = static_cast<int>(cols.cols);
+  std::int32_t* acc = AtLeast(&s.acc, out_c_ * cols.cols);
+  kernels::micro::GemmPairRowsS16S32(
+      q_weight_pairs_.data(), patches, rows, acc,
+      kernels::GemmShape{out_c_, cols_n, 2 * pairs});
 
   out->Reshape(batch, out_c_, out_h, out_w);
   const float* bias = bias_.empty() ? nullptr : bias_.data();
-  const std::size_t hw = out_h * out_w;
+  const float combined = in_amax / 127.0f * w_scale_;
   RunWidest([&](auto) {
-    Dequantize(acc, bias, in_scale * w_scale_, batch, out_c_, hw,
-               out->data());
+    Dequantize(acc, bias, combined, g, out_c_, cols, out->data());
   });
   return true;
 }

@@ -8,7 +8,11 @@ Isa DetectWidestIsa() {
   const bool avx2 = __builtin_cpu_supports("avx2");
   const bool avx512 = avx2 && __builtin_cpu_supports("avx512f") &&
                       __builtin_cpu_supports("avx512bw");
-  return avx512 ? Isa::kAvx512 : avx2 ? Isa::kAvx2 : Isa::kBaseline;
+  const bool vnni = avx512 && __builtin_cpu_supports("avx512vnni");
+  return vnni     ? Isa::kAvx512Vnni
+         : avx512 ? Isa::kAvx512
+         : avx2   ? Isa::kAvx2
+                  : Isa::kBaseline;
 }
 }  // namespace
 

@@ -1,8 +1,10 @@
 // certkit support: the instruction-set ladder the tick path's loops run on.
 //
-// Three levels, each containing the one below it: the x86-64 baseline
-// (SSE2), AVX2, and AVX-512 (F and BW). WidestIsa() is read from cpuid once
-// per process; there is no way to set it. RunWidest(body) calls
+// Four levels, each containing the one below it: the x86-64 baseline
+// (SSE2), AVX2, AVX-512 (F and BW), and AVX-512 with VNNI, whose
+// `vpdpwssd` is the int8 pair GEMM's multiply-add in one instruction.
+// WidestIsa() is read from cpuid once per process; there is no way to set
+// it. RunWidest(body) calls
 // body(IsaTag<L>{}) for the widest level L, inside a wrapper compiled for L
 // with [[gnu::target]] whose [[gnu::flatten]] inlines the body, so the loops
 // the body runs are vectorized at that width. A body that needs its width
@@ -26,7 +28,7 @@
 
 namespace certkit::support {
 
-enum class Isa { kBaseline, kAvx2, kAvx512 };
+enum class Isa { kBaseline, kAvx2, kAvx512, kAvx512Vnni };
 
 template <Isa L>
 using IsaTag = std::integral_constant<Isa, L>;
@@ -52,12 +54,19 @@ RunAvx512(Body& body) {
   return body(IsaTag<Isa::kAvx512>{});
 }
 
+template <class Body>
+[[gnu::target("avx512f,avx512bw,avx512vnni"), gnu::flatten]] inline
+decltype(auto) RunAvx512Vnni(Body& body) {
+  return body(IsaTag<Isa::kAvx512Vnni>{});
+}
+
 // Runs `body` at `level`, which this CPU must support.
 template <class Body>
 decltype(auto) RunAt(Isa level, Body&& body) {
-  return level == Isa::kAvx512 ? RunAvx512(body)
-         : level == Isa::kAvx2 ? RunAvx2(body)
-                               : RunBaseline(body);
+  return level == Isa::kAvx512Vnni ? RunAvx512Vnni(body)
+         : level == Isa::kAvx512   ? RunAvx512(body)
+         : level == Isa::kAvx2     ? RunAvx2(body)
+                                   : RunBaseline(body);
 }
 
 template <class Body>

@@ -69,6 +69,13 @@ TEST(HostileRecordTest, CandidatesTheEvaluatorAbortsOnAreRejected) {
   using Mutation = std::function<void(Candidate*)>;
   const std::vector<std::pair<std::string, Mutation>> cases = {
       {"negative ticks", [](Candidate* c) { c->ticks = -1; }},
+      {"ticks past the cap",
+       [](Candidate* c) { c->ticks = kMaxCandidateTicks + 1; }},
+      {"a billion ticks", [](Candidate* c) { c->ticks = 1000000000; }},
+      {"detector side past the cap",
+       [](Candidate* c) { c->detector_input_h = kMaxDetectorSide + 16; }},
+      {"detector width past the cap",
+       [](Candidate* c) { c->detector_input_w = 1 << 20; }},
       {"detector input off the 16-pixel grid",
        [](Candidate* c) {
          c->detector_input_h = 50;
@@ -145,6 +152,19 @@ TEST(HostileRecordTest, BredCandidatesPassValidation) {
       EXPECT_EQ(ValidateCandidate(candidate), "") << CandidateJson(candidate);
     }
   }
+}
+
+// The caps themselves are runnable: a candidate at both limits passes.
+TEST(HostileRecordTest, CandidatesAtTheCapsPassValidation) {
+  Candidate candidate = ValidCandidate();
+  candidate.ticks = kMaxCandidateTicks;
+  candidate.detector_input_h = kMaxDetectorSide;
+  candidate.detector_input_w = kMaxDetectorSide;
+  EXPECT_EQ(ValidateCandidate(candidate), "");
+  ReplayArtifact parsed;
+  std::string error;
+  EXPECT_TRUE(ParseReplayArtifact(ArtifactJson(candidate), &parsed, &error))
+      << error;
 }
 
 TEST(HostileRecordTest, DigestsPrintThroughOneHexHelper) {

@@ -101,6 +101,33 @@ TEST(ServeStdin, EofEndsLoopWithoutShutdownFlag) {
   EXPECT_FALSE(result.shutdown);
 }
 
+// A request line longer than kServeMaxLineBytes gets one error response,
+// whatever it holds — here a valid stats request padded with 2 MiB of JSON
+// whitespace — and the loop serves the next line.
+TEST(ServeStdin, OverlongLineIsAnsweredOnceAndSkipped) {
+  ResetTelemetry();
+  campaign::CampaignService service(1);
+  std::istringstream in("{\"id\":\"big\"," + std::string(2u << 20, ' ') +
+                        "\"kind\":\"stats\"}\n"
+                        "{\"id\":\"s1\",\"kind\":\"stats\"}\n");
+  std::ostringstream out;
+  const campaign::ServeLoopResult result =
+      campaign::RunServeLoop(in, out, &service);
+  EXPECT_EQ(result.requests, 2);
+  EXPECT_EQ(result.failed, 1);
+  EXPECT_FALSE(result.shutdown);
+
+  const std::vector<std::string> lines = Lines(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"id\":\"-\""), std::string::npos);
+  EXPECT_NE(lines[0].find("longer than " +
+                          std::to_string(campaign::kServeMaxLineBytes)),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"id\":\"s1\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos);
+}
+
 TEST(ServeStdin, MultiRequestArrayOnOneLineIsMalformed) {
   ResetTelemetry();
   campaign::CampaignService service(1);

@@ -204,26 +204,58 @@ TEST(GemmExhaustiveProperty, Int8KernelExactOnLongOddK) {
   }
 }
 
-// The conv path's packer: every run length around the 8-pair SSE2 step,
-// strided sources, and the zero high halves of an odd K's last pair.
-TEST(GemmExhaustiveProperty, Int8PackPairRunsMatchesPackPair) {
-  Xoshiro256 rng(29);
-  for (int count = 1; count <= 20; ++count) {
-    constexpr int kRuns = 3;
-    const std::size_t stride = static_cast<std::size_t>(count) + 5;
-    std::vector<std::int16_t> lo(stride * kRuns), hi(stride * kRuns);
-    for (auto& x : lo) x = static_cast<std::int16_t>(rng.UniformInt(-127, 127));
-    for (auto& x : hi) x = static_cast<std::int16_t>(rng.UniformInt(-127, 127));
-    for (const bool has_hi : {true, false}) {
-      std::vector<std::int32_t> out(static_cast<std::size_t>(count) * kRuns);
-      micro::PackPairRuns(lo.data(), has_hi ? hi.data() : nullptr, stride,
-                          count, kRuns, out.data());
-      for (int r = 0; r < kRuns; ++r) {
-        for (int i = 0; i < count; ++i) {
-          const std::size_t src = r * stride + i;
-          ASSERT_EQ(out[static_cast<std::size_t>(r) * count + i],
-                    micro::PackPair(lo[src], has_hi ? hi[src] : 0))
-              << "count=" << count << " run=" << r << " i=" << i;
+// The offset-table entry of every instance: B's rows are windows of one
+// pool of pairs, overlapping and out of order, one of them ending exactly
+// at the pool's end (the conv path reads its quantized planes this way),
+// against a scalar int32 reference.
+TEST(GemmExhaustiveProperty, Int8KernelReadsRowsThroughOffsetTable) {
+  Xoshiro256 rng(31);
+  const auto half = [](std::int32_t pair, int shift) {
+    return static_cast<std::int16_t>(static_cast<std::uint32_t>(pair) >>
+                                     shift);
+  };
+  for (int m = 1; m <= 9; ++m) {
+    for (int n = 1; n <= 70; n += 3) {
+      for (int pairs = 1; pairs <= 5; ++pairs) {
+        const std::size_t pool_size = n + 2 * pairs + 7;
+        const auto draw = [&] {
+          return micro::PackPair(
+              static_cast<std::int16_t>(rng.UniformInt(-127, 127)),
+              static_cast<std::int16_t>(rng.UniformInt(-127, 127)));
+        };
+        std::vector<std::int32_t> pool(pool_size), a(m * pairs);
+        for (auto& x : pool) x = draw();
+        for (auto& x : a) x = draw();
+        std::vector<std::size_t> rows(pairs);
+        for (int p = 0; p < pairs; ++p) {
+          rows[p] = p == pairs / 2
+                        ? pool_size - n
+                        : static_cast<std::size_t>(
+                              rng.UniformInt(0, pool_size - n));
+        }
+        std::vector<std::int32_t> ref(m * n, 0);
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            for (int p = 0; p < pairs; ++p) {
+              const std::int32_t w = a[i * pairs + p];
+              const std::int32_t x = pool[rows[p] + j];
+              ref[i * n + j] +=
+                  half(w, 0) * half(x, 0) + half(w, 16) * half(x, 16);
+            }
+          }
+        }
+        constexpr std::int32_t kSentinel = 0x5a5a5a5a;
+        for (const micro::PairKernel& kernel : micro::SupportedPairKernels()) {
+          std::vector<std::int32_t> out(ref.size() + 64, kSentinel);
+          kernel.gemm_rows(a.data(), pool.data(), rows.data(), out.data(),
+                           {m, n, 2 * pairs});
+          const std::vector<std::int32_t> head(out.begin(),
+                                               out.begin() + ref.size());
+          ASSERT_EQ(head, ref) << kernel.isa << " m=" << m << " n=" << n
+                               << " pairs=" << pairs;
+          for (std::size_t g = ref.size(); g < out.size(); ++g) {
+            ASSERT_EQ(out[g], kSentinel) << kernel.isa << " wrote past C";
+          }
         }
       }
     }
@@ -240,6 +272,9 @@ TEST(GemmExhaustiveProperty, Int8InstancesFollowCpuid) {
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw")) {
     expected.push_back("avx512bw");
+    if (__builtin_cpu_supports("avx512vnni")) {
+      expected.push_back("avx512vnni");
+    }
   }
   EXPECT_EQ(isas, expected);
 }

@@ -168,4 +168,41 @@ TEST(QuantizeContainment, Int8PathTracksFp32WithinGridErrorBound) {
       << "quantized arm is bit-identical to fp32 — int8 path did not run";
 }
 
+// An amax below ~3.7e-37 makes the inverse scale 127 / amax overflow to
+// inf, and snapping then casts inf or NaN to int: undefined behaviour
+// (UBSan's float-cast-overflow), and on x86 every element clamps to -127.
+// Such a tensor has no usable grid. An input that small falls back to fp32,
+// so a 1x1 identity conv returns it unchanged, and FakeQuantizeTensor leaves
+// it alone; weights that small take the all-zero snapshot, so the output is
+// exactly the bias.
+TEST(QuantizeContainment, TinyAmaxHasNoUsableGrid) {
+  nn::ConvLayer identity(1, 1, 1, 1, 0, {1.0f}, {}, nn::Backend::kCpuNaive);
+  identity.SetInputQuantization(true);
+  const float tiny[] = {1e-37f, 0.0f, -1e-37f, 5e-38f};
+  nn::Tensor input(1, 1, 1, 4);
+  std::memcpy(input.data(), tiny, sizeof(tiny));
+  nn::Tensor got;
+  identity.ForwardInto(input, &got);
+  ASSERT_EQ(got.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got.data()[i], tiny[i]) << i;
+  nn::FakeQuantizeTensor(&input);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(input.data()[i], tiny[i]) << i;
+
+  const int in_c = 2, out_c = 3, k = 3;
+  std::vector<float> weights(static_cast<std::size_t>(out_c) * in_c * k * k);
+  certkit::support::Xoshiro256 rng(0x7155u);
+  for (float& w : weights) {
+    w = static_cast<float>(rng.UniformDouble(-1e-38, 1e-38));
+  }
+  const std::vector<float> bias = {0.25f, 0.0f, -0.5f};
+  nn::ConvLayer tiny_weights(in_c, out_c, k, 1, 1, weights, bias,
+                             nn::Backend::kCpuNaive);
+  tiny_weights.SetInputQuantization(true);
+  tiny_weights.ForwardInto(MakeInput(in_c, 6, 6, 5u), &got);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(out_c) * 36);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.data()[i], bias[i / 36]) << i;
+  }
+}
+
 }  // namespace
