@@ -32,8 +32,8 @@ struct WorkerResult {
   bool ok = false;
   FileAnalysis analysis;
   ast::SourceFileModel model;
-  // FNV-1a/64 of the file bytes — computed once per file when the artifact
-  // cache is enabled, reused for the per-module phase key.
+  // HashBytes of the file bytes — computed once per file when the artifact
+  // cache is enabled, reused for the store and the per-module phase key.
   std::uint64_t content_hash = 0;
   // Spans this file's analysis fired (tracing enabled only) — captured on
   // the worker thread, merged into the TraceRecorder in stable path order.
@@ -115,7 +115,7 @@ WorkerResult AnalyzeOneFile(std::string path, std::string module,
         obs::MetricsRegistry::Instance()
             .GetCounter("driver/cache_misses")
             .Add();
-        cache.Store(fa.text, out.analysis, out.model);
+        cache.Store(out.content_hash, out.analysis, out.model);
       }
     }
   }

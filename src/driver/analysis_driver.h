@@ -78,7 +78,7 @@ struct FileAnalysis {
   std::size_t file_index = 0;
 
   // What the artifact cache persists (support/record.h): no indices, and
-  // the text only by its digest and size, since every reader holds it.
+  // the text only as Elided, since every reader holds it.
   template <class Io, class Self>
   static void Fields(Io& io, Self& a) {
     io("path", a.path);

@@ -1,10 +1,11 @@
 // certkit driver: content-hash artifact cache for per-file analysis.
 //
 // Every FileAnalysis is a pure function of (path, module, file bytes,
-// analysis options). The cache exploits that: an FNV-1a/64 digest over those
-// four inputs keys a serialized artifact on disk, so a re-run only pays for
-// files whose bytes (or options) changed — the merge layer cannot tell a
-// cached artifact from a freshly computed one, keeping the CodebaseAnalysis
+// analysis options). The cache exploits that: the file bytes' content key
+// (HashBytes) and an FNV-1a/64 digest over it and the other three inputs
+// name a serialized artifact on disk, so a re-run only pays for files whose
+// bytes (or options) changed — the merge layer cannot tell a cached
+// artifact from a freshly computed one, keeping the CodebaseAnalysis
 // bit-identical for any cached/fresh mix and any --jobs count.
 //
 // Entry format: the frame of support/io.h (magic "CKA2", payload digest)
@@ -14,10 +15,13 @@
 // ast::SourceFileModel::Fields and the records they name) through
 // support::BinaryWriter: fixed-width fields in host order, counts and
 // positions LEB128, since warm runs are IO + decode bound. Tokens and
-// comments go through the lexeme codec in artifact_cache.cpp as views into
-// the file text — stored once — with an inline-bytes escape for the rare
+// comments go through the codecs in artifact_cache.cpp as views into the
+// file text — stored once — with an inline-bytes escape for the rare
 // lexemes that are not a contiguous source slice (spliced string literals
-// / line comments).
+// / line comments). Schema 2 delta-codes token vectors (kind, gap from the
+// previous slice, length, line delta, column: five bytes for almost every
+// token, decoded eight bytes at a time) and stands for the text by its
+// size alone.
 //
 // A second entry kind ("CKM2", *.ckmod) caches the per-module phase
 // (rules::AnalyzeUnitDesign + rules::AnalyzeDefensive), keyed by the module
@@ -46,11 +50,13 @@
 namespace certkit::driver {
 
 // Bump when the serialized layout of any payload struct changes.
-inline constexpr std::uint32_t kArtifactSchemaVersion = 1;
+inline constexpr std::uint32_t kArtifactSchemaVersion = 2;
 
-// FNV-1a/64 over `bytes`, continuing from `seed` (chainable).
-std::uint64_t HashBytes(std::string_view bytes,
-                        std::uint64_t seed = 1469598103934665603ull);
+// The content key of a file's bytes: a 64-bit hash read eight bytes at a
+// time in four lanes, with an avalanche at the end, so that any change to
+// the bytes moves the key (a hit would otherwise return a stale analysis).
+// The driver computes it once per file per pass.
+std::uint64_t HashBytes(std::string_view bytes);
 
 // Digest of the per-file analysis options — part of every cache key, so a
 // changed MISRA/style/lex configuration never resurrects stale artifacts.
@@ -81,10 +87,12 @@ bool DeserializeModulePhase(std::string_view bytes,
                             rules::UnitDesignResult* unit_design,
                             rules::DefensiveResult* defensive);
 
-// Order-independent digest of a merged analysis: hashes every per-file
-// artifact plus the module-phase reports and the skipped list. Two
-// CodebaseAnalysis values digest equal iff the analysis output is the same —
-// the bit-identity check used by the cache tests and the incremental bench.
+// Order-independent digest of a merged analysis: an FNV-1a/64 chain over
+// every per-file artifact in a canonical encoding (absolute token offsets,
+// the text by its FnvStr digest and size; independent of the entry layout)
+// plus the module-phase reports and the skipped list. Two CodebaseAnalysis
+// values digest equal iff the analysis output is the same — the
+// bit-identity check used by the cache tests and the incremental bench.
 std::uint64_t DigestAnalysis(const CodebaseAnalysis& analysis);
 
 class ArtifactCache {
@@ -110,7 +118,11 @@ class ArtifactCache {
   // Writes the artifact for later runs. Best-effort: IO failures are
   // swallowed (the run already has its result). Atomic via temp + rename so
   // concurrent workers and concurrent processes never observe torn entries.
+  // The overload taking `content_hash` (== HashBytes(content)) is the
+  // driver's, which hashed the bytes once already.
   void Store(const std::string& content, const FileAnalysis& analysis,
+             const ast::SourceFileModel& model) const;
+  void Store(std::uint64_t content_hash, const FileAnalysis& analysis,
              const ast::SourceFileModel& model) const;
 
   // The on-disk entry file for (path, module, content) under this cache's

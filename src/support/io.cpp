@@ -1,8 +1,11 @@
 #include "support/io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -17,16 +20,29 @@ namespace certkit::support {
 namespace fs = std::filesystem;
 
 Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return IoError("cannot open for reading: " + path);
   }
-  std::ostringstream os;
-  os << in.rdbuf();
-  if (in.bad()) {
+  // A regular file's size is known, so one read fills it; the reads after
+  // that one, and all of a pipe's or a procfs file's (whose size reads 0),
+  // go on until EOF, doubling the buffer as it fills.
+  struct stat st {};
+  const bool sized = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  std::string out(sized ? st.st_size + 1 : 4096, '\0');
+  std::size_t filled = 0;
+  ssize_t got = 0;
+  do {
+    if (filled == out.size()) out.resize(2 * out.size());
+    got = ::read(fd, out.data() + filled, out.size() - filled);
+    filled += got > 0 ? got : 0;
+  } while (got > 0 || (got < 0 && errno == EINTR));
+  ::close(fd);
+  if (got < 0) {
     return IoError("read failure: " + path);
   }
-  return os.str();
+  out.resize(filled);
+  return out;
 }
 
 Status WriteFile(const std::string& path, const std::string& content) {

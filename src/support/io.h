@@ -11,7 +11,9 @@
 
 namespace certkit::support {
 
-// Reads an entire file into a string.
+// Reads an entire file into a string: a regular file with one read of its
+// size, then on until EOF, so that a pipe or a procfs file (whose size
+// reads 0) comes back whole too.
 Result<std::string> ReadFile(const std::string& path);
 
 // Writes `content` to `path`, creating parent directories as needed.

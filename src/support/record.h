@@ -24,11 +24,12 @@
 // whose frame carries the digest). Members follow list order, without keys:
 // bool, Named and Bits take one byte; int32, uint32, int64 and Hex u64s are
 // fixed-width; other u64s (sizes), string lengths and vector counts are
-// LEB128; Elided stands for a string by its digest and size. Item types
-// without a field list go to the Codec, an Encode/Decode overload set that
-// uses the primitives below. The reader bounds-checks every read, refuses
-// a count larger than the bytes left, range-checks each Named against its
-// count and reports the first failure as JsonReader does.
+// LEB128. Item types without a field list (Elided among them) go to the
+// Codec, an Encode/Decode overload set that uses the primitives below; a
+// Codec with EncodeAll/DecodeAll for a vector type writes and reads whole
+// vectors of it, count included. The reader bounds-checks every read,
+// refuses a count larger than the bytes left, range-checks each Named
+// against its count and reports the first failure as JsonReader does.
 #ifndef CERTKIT_SUPPORT_RECORD_H_
 #define CERTKIT_SUPPORT_RECORD_H_
 
@@ -82,8 +83,8 @@ Bits<B, 1 + sizeof...(More)> PackBits(B& first, More&... more) {
   return {{&first, &more...}};
 }
 
-// A string the reader already holds, persisted as its FnvStr digest and
-// size; the reader checks the size (binary only).
+// A string the reader already holds (binary only): the Codec writes what
+// stands for it and checks that on reading.
 template <class S>
 struct Elided {
   S& text;
@@ -410,15 +411,14 @@ class BinaryWriter {
     for (std::size_t i = 0; i < N; ++i) byte |= (*bits.flags[i] ? 1u : 0u) << i;
     U8(byte);
   }
-  template <class S>
-  void Put(const Elided<S>& elided) {
-    Fixed(FnvStr(elided.text));
-    Var(elided.text.size());
-  }
   template <class T>
   void Put(const std::vector<T>& items) {
-    Var(items.size());
-    for (const T& item : items) Put(item);
+    if constexpr (requires { codec_.EncodeAll(*this, items); }) {
+      codec_.EncodeAll(*this, items);
+    } else {
+      Var(items.size());
+      for (const T& item : items) Put(item);
+    }
   }
   template <class R>
   void Put(const R& record) {
@@ -470,6 +470,7 @@ class BinaryReader {
 
   // Primitives for the Codec. Report records the first failure (nullptr
   // means none); after one, the values read are unspecified.
+  bool ok() const { return ok_; }
   void Report(const char* what) {
     if (what != nullptr && ok_) {
       ok_ = false;
@@ -478,8 +479,7 @@ class BinaryReader {
     }
   }
   std::uint8_t U8() { return Fixed<std::uint8_t>(); }
-  // Inlined, like Fixed: one token is four of these, and a warm cache
-  // load decodes hundreds of thousands of tokens.
+  // Inlined, like Fixed: every count, size and LEB128 field is one.
   [[gnu::always_inline]] std::uint64_t Var() {
     std::uint64_t v = 0;
     std::size_t pos = pos_;
@@ -507,6 +507,10 @@ class BinaryReader {
     Report(n <= bytes_.size() - pos_ ? nullptr : "count past the end");
     return ok_ ? n : 0;
   }
+  // The bytes not read yet, for a Codec that decodes a run of them in
+  // place and then Skips the ones it used (at most Rest().size()).
+  std::string_view Rest() const { return bytes_.substr(pos_); }
+  void Skip(std::size_t n) { pos_ += n; }
 
  private:
   template <class T>
@@ -547,15 +551,14 @@ class BinaryReader {
     Report(byte >> N == 0 ? nullptr : "unknown flag bits");
     for (std::size_t i = 0; i < N; ++i) *bits.flags[i] = (byte >> i & 1u) != 0;
   }
-  template <class S>
-  void Get(Elided<S>& elided) {
-    Fixed<std::uint64_t>();  // the digest of the text the reader holds
-    Report(Var() == elided.text.size() ? nullptr : "not the held text's size");
-  }
   template <class T>
   void Get(std::vector<T>& items) {
-    items.resize(Count());
-    for (auto it = items.begin(); ok_ && it != items.end(); ++it) Get(*it);
+    if constexpr (requires { codec_.DecodeAll(*this, items); }) {
+      codec_.DecodeAll(*this, items);
+    } else {
+      items.resize(Count());
+      for (auto it = items.begin(); ok_ && it != items.end(); ++it) Get(*it);
+    }
   }
   template <class R>
   void Get(R& record) {

@@ -143,6 +143,44 @@ TEST(TickPerf, DetectorBatchEntryAllocatesNothingWarm) {
   }
 }
 
+// One fresh release pilot (int8 detector on the CPU backend, probes off, a
+// new world each time: what the perf ledger's tick_release drives), ticked
+// and destroyed.
+void DriveFreshReleasePilot(int p) {
+  adpilot::PilotConfig cfg =
+      MakeConfig(nn::Backend::kCpuNaive, /*quantized=*/true);
+  cfg.scenario.num_vehicles = p % 33;
+  cfg.scenario.num_pedestrians = (7 * p) % 33;
+  cfg.scenario.seed = 1000 + p;
+  cfg.scenario = adpilot::ClampScenarioConfig(cfg.scenario);
+  certkit::timing::TimerRegistry::Instance().ResetAll();
+  adpilot::ApolloPilot pilot(cfg);
+  for (int t = 0; t < 25; ++t) pilot.Tick();
+}
+
+// A long run of fresh release pilots holds no heap block past its pilot:
+// once the first kWarmPilots have filled every process-wide cache, the
+// count of live blocks stays where the last warm pilot left it.
+TEST(TickPerf, FreshReleasePilotsLeaveNoLiveBlocks) {
+  constexpr int kWarmPilots = 30;
+  constexpr int kPilots = 90;
+  const auto live = [] {
+    return certkit::support::TotalAllocations() -
+           certkit::support::TotalDeallocations();
+  };
+  for (int p = 1; p <= kWarmPilots; ++p) DriveFreshReleasePilot(p);
+  const std::uint64_t warm_live = live();
+  for (int p = kWarmPilots + 1; p <= kPilots; ++p) DriveFreshReleasePilot(p);
+  const std::uint64_t end_live = live();  // before gtest allocates
+  if (!AllocCountingActive()) {
+    GTEST_SKIP() << "alloc hooks not linked (sanitizer build tree)";
+  }
+  EXPECT_GT(warm_live, 0u);
+  EXPECT_EQ(end_live, warm_live)
+      << kPilots - kWarmPilots << " fresh pilots after the warm-up changed "
+      << "the live block count from " << warm_live << " to " << end_live;
+}
+
 // The counters themselves: scoped deltas must see exactly the allocations
 // made inside the scope (sanity for the instrument, not the pipeline).
 TEST(TickPerf, AllocScopeSeesAllocations) {

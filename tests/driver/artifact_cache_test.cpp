@@ -3,6 +3,7 @@
 // changed byte must invalidate exactly its own artifact, and damaged or
 // mismatched entries must silently recompute — the cache can only ever make
 // analysis faster, never different.
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -18,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "support/io.h"
+#include "support/rng.h"
 
 namespace certkit::driver {
 namespace {
@@ -401,9 +403,83 @@ TEST_F(ArtifactCacheTest, DeserializeRejectsFunctionRangesOutsideTokens) {
                                    fa.text, &out, &decoded));
 }
 
+// --- the content key -------------------------------------------------------
+// A hit returns the analysis stored under the key of the file's bytes, so
+// an edit that kept the key would bring back a stale analysis.
+
+// `size` pseudo-random bytes.
+std::string KeyText(std::size_t size) {
+  support::Xoshiro256 rng(size);
+  std::string text(size, '\0');
+  for (char& c : text) c = static_cast<char>(rng.UniformInt(0, 255));
+  return text;
+}
+
+// The key is XXH64 with seed 0: the empty input gives the published value.
+// The 300-byte value was recorded when the key was introduced; a change to
+// either renames every cache entry.
+TEST(ContentKeyTest, KeyIsXxh64) {
+  EXPECT_EQ(HashBytes(""), 0xef46db3751d8e999ull);
+  std::string text(300, '\0');
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<char>(i * 131 + (i >> 3));
+  }
+  EXPECT_EQ(HashBytes(text), 0xf561504d654672a1ull);
+}
+
+TEST(ContentKeyTest, EverySingleByteChangeMovesTheKey) {
+  // 256 bytes: eight 32-byte stripes. The short texts take each tail path.
+  for (std::size_t size : {1, 3, 4, 7, 8, 12, 31, 32, 33, 45, 63, 64, 256}) {
+    const std::string text = KeyText(size);
+    const std::uint64_t key = HashBytes(text);
+    for (std::size_t i = 0; i < size; ++i) {
+      std::string changed = text;
+      for (int delta = 1; delta < 256; ++delta) {
+        changed[i] = static_cast<char>(text[i] + delta);
+        ASSERT_NE(HashBytes(changed), key)
+            << "size " << size << " byte " << i << " +" << delta;
+      }
+    }
+  }
+}
+
+// A word-wise FNV multiply never carries a change in a word's top byte below
+// bit 56, so edits of the top bytes of two consecutive words collide for 255
+// of the 65,025 value pairs. The key must not.
+TEST(ContentKeyTest, TopBytesOfConsecutiveWordsNeverCollide) {
+  const std::string text = KeyText(256);
+  const std::uint64_t key = HashBytes(text);
+  for (std::size_t at = 7; at + 8 < text.size(); at += 8) {
+    std::string changed = text;
+    for (int a = 1; a < 256; ++a) {
+      changed[at] = static_cast<char>(text[at] + a);
+      for (int b = 1; b < 256; ++b) {
+        changed[at + 8] = static_cast<char>(text[at + 8] + b);
+        ASSERT_NE(HashBytes(changed), key)
+            << "bytes " << at << " +" << a << " and " << at + 8 << " +" << b;
+      }
+    }
+  }
+}
+
+TEST(ContentKeyTest, SingleBitFlipsChangeHalfTheKey) {
+  const std::string text = KeyText(256);
+  const std::uint64_t key = HashBytes(text);
+  int changed_bits = 0;
+  for (std::size_t bit = 0; bit < 8 * text.size(); ++bit) {
+    std::string flipped = text;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << bit % 8));
+    changed_bits += std::popcount(HashBytes(flipped) ^ key);
+  }
+  EXPECT_GE(changed_bits, 28 * 8 * static_cast<int>(text.size()));
+}
+
 // --- golden: the bytes every entry name and digest is built from ----------
-// Recorded before the cached records moved to field lists. A change here
-// renames every cache entry and moves every analysis digest.
+// The two analysis digests were recorded before the cached records moved to
+// field lists; a change to them means the analysis itself moved. The
+// fingerprint, entry name and module key were re-recorded at schema 2 (the
+// schema version is part of the fingerprint, which names every entry and
+// keys every module phase).
 
 TEST(ArtifactCacheGoldenTest, DigestsKeysAndEntryNamesAreUnchanged) {
   DriverOptions options;
@@ -418,16 +494,16 @@ TEST(ArtifactCacheGoldenTest, DigestsKeysAndEntryNamesAreUnchanged) {
   EXPECT_EQ(DigestAnalysis(corpus.value()), 0xffe51d1579675657ull);
 
   const std::uint64_t fingerprint = OptionsFingerprint(DriverOptions{});
-  EXPECT_EQ(fingerprint, 0x9e09c07b7f18c66bull);
+  EXPECT_EQ(fingerprint, 0x7fd06daab669ded6ull);
   const ArtifactCache cache("cache", fingerprint);
   EXPECT_EQ(fs::path(cache.EntryPathForHash("alpha/a.cc", "alpha",
                                             0x0123456789abcdefull))
                 .filename()
                 .string(),
-            "aca2245cac3879b2.ckart");
+            "b68cc56e09662e9b.ckart");
   EXPECT_EQ(cache.ModulePhaseKey("alpha", {{"alpha/a.cc", 0x1111ull},
                                            {"alpha/b.cc", 0x2222ull}}),
-            0x6e18d8274752e99dull);
+            0x8b18528001752cd0ull);
 }
 
 }  // namespace

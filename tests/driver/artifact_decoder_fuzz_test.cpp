@@ -4,8 +4,9 @@
 //
 // On disk the frame digest rejects damaged entries before a decoder sees
 // them, so this test feeds mutated payloads to the decoders directly. The
-// seeds are the payloads the three-file cache fixture and one generated
-// corpus file write. A support::Xoshiro256 stream mutates them with bit
+// seeds are the payloads the three-file cache fixture, a file that takes
+// every slow path of the token layout, and one generated corpus file
+// write. A support::Xoshiro256 stream mutates them with bit
 // flips, truncations, splices, ten-0xff varints and counts just past the
 // bytes left, a fixed budget of kMutantsPerDecoder mutants per decoder.
 // The invariants:
@@ -73,6 +74,31 @@ std::vector<SourceInput> FixtureSources() {
   };
 }
 
+// A file whose tokens take every slow path of the entry's token layout:
+// CRLF line ends, a line past column 128, a gap of 64+ bytes, a lexeme of
+// 128+ bytes, 64+ blank lines (a two-byte line delta), a spliced literal
+// (an inline lexeme), more than 64 KiB of text, and tokens in its last 8
+// bytes (no newline at the end).
+SourceInput SlowPathSource() {
+  std::string text =
+      "// REQ-003: the slow paths\r\n"
+      "#define WIDE_LIMIT 128\r\n"
+      "static const char* kSpliced = \"ab\\\r\ncd\";\r\n"
+      "static const char* kLong = \"" + std::string(130, 'x') + "\";\r\n"
+      "int g_before_gap = 1;" + std::string(70, ' ') + "int g_after_gap = 2;\r\n"
+      "int Wide(int a) { return a";
+  for (int i = 0; i < 40; ++i) text += " + a";
+  text += "; }\r\n";
+  for (int i = 0; i < 70; ++i) text += "\r\n";
+  for (int i = 0; text.size() <= 64 * 1024; ++i) {
+    const std::string n = std::to_string(i);
+    text += "int Filler" + n + "(int v) {\r\n  if (v > " + n +
+            ") {\r\n    return v - " + n + ";\r\n  }\r\n  return v;\r\n}\r\n";
+  }
+  text += "int Last() { return 0; }";
+  return {"beta/slow_paths.cc", text};
+}
+
 struct Seeds {
   std::vector<std::string> artifacts;
   std::vector<std::string> texts;  // the text each artifact was written from
@@ -82,6 +108,7 @@ struct Seeds {
 const Seeds& DecoderSeeds() {
   static const Seeds seeds = [] {
     std::vector<SourceInput> sources = FixtureSources();
+    sources.push_back(SlowPathSource());
     const auto corpus =
         corpus::GenerateCorpus(corpus::ApolloLikeSpec(), 26262);
     const corpus::GeneratedFile& generated = corpus.front().files.front();
@@ -204,7 +231,7 @@ void ExpectUsable(const FileAnalysis& analysis,
 
 TEST(ArtifactDecoderFuzzTest, ArtifactMutantsAreRejectedOrUsable) {
   const Seeds& seeds = DecoderSeeds();
-  ASSERT_EQ(seeds.artifacts.size(), 4u);
+  ASSERT_EQ(seeds.artifacts.size(), 5u);
   const int accepted = Fuzz(
       seeds.artifacts, 26262, [&](std::size_t i, const std::string& mutant) {
         FileAnalysis analysis;
@@ -237,6 +264,61 @@ TEST(ArtifactDecoderFuzzTest, ModulePhaseMutantsAreRejectedOrFixpoints) {
         return ok;
       });
   EXPECT_LT(accepted, kMutantsPerDecoder);
+}
+
+// The slow-path file round-trips exactly: its entry bytes reach a fixpoint
+// and every token comes back with its kind, text, line and column.
+TEST(ArtifactDecoderFuzzTest, SlowPathTokensRoundTripExactly) {
+  DriverOptions options;
+  options.jobs = 1;
+  auto analyzed = AnalysisDriver(options).AnalyzeSources({SlowPathSource()});
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const CodebaseAnalysis& analysis = analyzed.value();
+  ASSERT_EQ(analysis.files.size(), 1u);
+  const FileAnalysis& fa = analysis.files.front();
+  const ast::SourceFileModel& model = analysis.modules.front().files.front();
+  const std::vector<lex::Token>& tokens = model.lexed.tokens;
+  ASSERT_GT(fa.text.size(), 64u * 1024);
+  // The fixture reaches every slow path.
+  const std::string& text = *model.lexed.buffer;
+  const char* slice_end = text.data();
+  std::ptrdiff_t max_gap = 0;
+  std::size_t max_size = 0, inline_lexemes = 0;
+  std::int32_t max_column = 0, max_line_step = 0, line = 0;
+  for (const lex::Token& t : tokens) {
+    if (t.text.data() >= text.data() &&
+        t.text.data() < text.data() + text.size()) {
+      max_gap = std::max(max_gap, t.text.data() - slice_end);
+      slice_end = t.text.data() + t.text.size();
+    } else {
+      ++inline_lexemes;
+    }
+    max_size = std::max(max_size, t.text.size());
+    max_column = std::max(max_column, t.column);
+    max_line_step = std::max(max_line_step, t.line - line);
+    line = t.line;
+  }
+  EXPECT_GE(max_gap, 64);
+  EXPECT_GE(max_size, 128u);
+  EXPECT_GE(max_column, 128);
+  EXPECT_GE(max_line_step, 64);
+  EXPECT_GT(inline_lexemes, 0u);
+  EXPECT_EQ(slice_end, text.data() + text.size());  // tokens end the text
+
+  const std::string once = SerializeArtifact(fa, model);
+  FileAnalysis fa2;
+  ast::SourceFileModel model2;
+  ASSERT_TRUE(DeserializeArtifact(once, fa.text, &fa2, &model2));
+  EXPECT_EQ(SerializeArtifact(fa2, model2), once);
+  ASSERT_EQ(model2.lexed.tokens.size(), tokens.size());
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const lex::Token& a = tokens[i];
+    const lex::Token& b = model2.lexed.tokens[i];
+    ASSERT_EQ(b.kind, a.kind) << "token " << i;
+    ASSERT_EQ(b.text, a.text) << "token " << i;
+    ASSERT_EQ(b.line, a.line) << "token " << i;
+    ASSERT_EQ(b.column, a.column) << "token " << i;
+  }
 }
 
 // --- the frame -----------------------------------------------------------

@@ -1,9 +1,13 @@
 // Tests for the support library: strings, RNG, status/result, I/O.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/stat.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <thread>
 
 #include "support/check.h"
 #include "support/io.h"
@@ -227,6 +231,49 @@ TEST(IoTest, WriteReadRoundTrip) {
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(content.value(), "hello\nworld");
   std::filesystem::remove_all(dir);
+}
+
+// A FIFO has no size: ReadFile reads on until the writer closes, across
+// more than one pipe buffer's worth of writes.
+TEST(IoTest, ReadFileReadsAFifoWhole) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "certkit_io_fifo").string();
+  std::filesystem::remove(path);
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::string sent;
+  for (int i = 0; sent.size() < 300 * 1024; ++i) {
+    sent += "line " + std::to_string(i) + "\n";
+  }
+  std::thread writer([&] {
+    // A reader that stops early fails the writes below instead of raising
+    // SIGPIPE, which would end the whole test binary.
+    sigset_t pipe_signal;
+    sigemptyset(&pipe_signal);
+    sigaddset(&pipe_signal, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &pipe_signal, nullptr);
+    std::FILE* f = std::fopen(path.c_str(), "w");  // waits for the reader
+    ASSERT_NE(f, nullptr);
+    for (std::size_t at = 0; at < sent.size(); at += 4096) {
+      const std::size_t n = std::min<std::size_t>(4096, sent.size() - at);
+      ASSERT_EQ(std::fwrite(sent.data() + at, 1, n, f), n);
+      std::fflush(f);
+    }
+    std::fclose(f);
+  });
+  auto content = ReadFile(path);
+  writer.join();
+  std::filesystem::remove(path);
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  EXPECT_EQ(content.value(), sent);
+}
+
+// A procfs file reports size 0 and is read whole all the same.
+TEST(IoTest, ReadFileReadsAProcfsFileWhole) {
+  auto content = ReadFile("/proc/self/status");
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  EXPECT_TRUE(StartsWith(content.value(), "Name:"));
+  EXPECT_NE(content.value().find("\nVmRSS:"), std::string::npos);
+  EXPECT_TRUE(EndsWith(content.value(), "\n"));
 }
 
 TEST(IoTest, ReadMissingFileFails) {
