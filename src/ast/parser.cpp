@@ -1,7 +1,6 @@
 #include "ast/parser.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "support/check.h"
 #include "support/io.h"
@@ -11,27 +10,114 @@ namespace certkit::ast {
 
 namespace {
 
+using lex::kIdChar;
+using lex::kIdIdentifier;
+using lex::kIdNumber;
+using lex::kIdString;
+using lex::Nesting;
+using lex::Tok;
 using lex::Token;
+using lex::TokenId;
 using lex::TokenKind;
+using lex::TokenSet;
 
-const std::unordered_set<std::string_view>& TypeishKeywords() {
-  static const std::unordered_set<std::string_view> kSet = {
-      "const",    "volatile", "unsigned", "signed", "char",  "short",
-      "int",      "long",     "float",    "double", "bool",  "void",
-      "struct",   "enum",     "union",    "auto",   "wchar_t",
-      "char8_t",  "char16_t", "char32_t",
-  };
-  return kSet;
+constexpr TokenSet kOpeners = {Tok("("), Tok("["), Tok("{")};
+constexpr TokenSet kClassKeys = {Tok("class"), Tok("struct"), Tok("union")};
+constexpr TokenSet kAccessSpecifiers = {Tok("public"), Tok("private"),
+                                        Tok("protected")};
+// Declarations the parser counts or steps over without recording.
+constexpr TokenSet kSkippedHeads = {Tok("using"), Tok("typedef"),
+                                    Tok("template"), Tok("static_assert")};
+constexpr TokenSet kConstSpecifiers = {Tok("const"), Tok("constexpr")};
+// Where a declarator run is decided: a scope closer, a declaration's end,
+// an initializer, or a parameter list.
+constexpr TokenSet kDeclaratorEnds = {Tok("}"), Tok(";"), Tok("="), Tok("{"),
+                                      Tok("(")};
+constexpr TokenSet kSignatureEnds = {Tok("{"), Tok(";"), Tok("=")};
+constexpr TokenSet kBodyOrEnd = {Tok("{"), Tok(";")};
+constexpr TokenSet kAliasOrEnd = {Tok("="), Tok(";")};
+constexpr TokenSet kOperatorSymbolEnds = {Tok("("), Tok(";"), Tok("{")};
+constexpr TokenSet kTypeBodyStarts = {Tok("{"), Tok(":")};
+constexpr TokenSet kTrailingQualifiers = {Tok("const"), Tok("noexcept"),
+                                          Tok("volatile"), Tok("throw")};
+constexpr TokenSet kArrayBrackets = {Tok("["), Tok("]")};
+constexpr TokenSet kArrayExtent = {Tok("["), Tok("]"), kIdNumber};
+// Keywords that show a run is a statement, not a variable declaration.
+constexpr TokenSet kNotInDeclarations = {Tok("return"), Tok("if"), Tok("goto"),
+                                         Tok("friend")};
+constexpr TokenSet kNamedCasts = {Tok("static_cast"), Tok("dynamic_cast"),
+                                  Tok("reinterpret_cast"), Tok("const_cast")};
+// Before '(', these make a functional cast like `int(x)`.
+constexpr TokenSet kFundamentalTypes = {
+    Tok("char"),     Tok("short"),    Tok("int"),     Tok("long"),
+    Tok("float"),    Tok("double"),   Tok("bool"),    Tok("void"),
+    Tok("wchar_t"),  Tok("char8_t"),  Tok("char16_t"), Tok("char32_t"),
+    Tok("signed"),   Tok("unsigned")};
+// Punctuators after which a fundamental-type keyword begins a declaration
+// (as after any keyword) rather than a functional cast.
+constexpr TokenSet kTypePositionPuncts = {Tok(","), Tok("("), Tok(";"),
+                                          Tok("{"), Tok("<")};
+// Tokens before a '(' that make it a call, condition or operator operand,
+// not a C-style cast.
+constexpr TokenSet kCallPositionPrev = {
+    kIdIdentifier,  kIdNumber,     kIdString,       Tok(")"),
+    Tok("]"),       Tok(">"),      Tok("sizeof"),   Tok("alignof"),
+    Tok("if"),      Tok("while"),  Tok("for"),      Tok("switch"),
+    Tok("catch"),   Tok("this"),   Tok("noexcept"), Tok("decltype"),
+    Tok("alignas"), Tok("operator")};
+// What names a type in a C-style cast's parentheses, and what else they may
+// hold.
+constexpr TokenSet kCastTypeNames =
+    kFundamentalTypes | TokenSet{kIdIdentifier, Tok("struct"), Tok("enum"),
+                                 Tok("union"), Tok("auto")};
+constexpr TokenSet kCastTypeTokens =
+    kCastTypeNames | TokenSet{kIdNumber, Tok("const"), Tok("volatile"),
+                              Tok("::"), Tok("<"), Tok(">"), Tok("*"),
+                              Tok("&"), Tok("["), Tok("]")};
+// What may start the operand right after a C-style cast's ')'.
+constexpr TokenSet kCastOperandStart = {kIdIdentifier, kIdNumber, kIdString,
+                                        kIdChar,       Tok("("),  Tok("new"),
+                                        Tok("this"),   Tok("sizeof")};
+
+// How a token moves template-bracket depth: '<' opens one, '>' closes one
+// and '>>' two.
+int AngleStep(TokenId id) {
+  return id == Tok("<") ? 1 : id == Tok(">") ? -1 : id == Tok(">>") ? -2 : 0;
 }
 
-bool IsFundamentalTypeKeyword(std::string_view s) {
-  static const std::unordered_set<std::string_view> kSet = {
-      "char",  "short",  "int",     "long",     "float",    "double",
-      "bool",  "void",   "wchar_t", "char8_t",  "char16_t", "char32_t",
-      "signed", "unsigned",
-  };
-  return kSet.contains(s);
+CastKind NamedCastKind(TokenId id) {
+  return id == Tok("static_cast")        ? CastKind::kStaticCast
+         : id == Tok("dynamic_cast")     ? CastKind::kDynamicCast
+         : id == Tok("reinterpret_cast") ? CastKind::kReinterpretCast
+                                         : CastKind::kConstCast;
 }
+
+// What a declarator run has shown before its decision point.
+struct Declarator {
+  std::size_t begin = 0;  // first token of the run
+  bool is_static = false;
+  bool is_extern = false;
+  bool is_const = false;
+  bool is_cuda_global = false;
+  bool is_cuda_device = false;
+  bool is_operator = false;
+
+  void Note(TokenId id) {
+    is_static |= id == Tok("static");
+    is_extern |= id == Tok("extern");
+    is_const |= kConstSpecifiers.contains(id);
+    is_cuda_global |= id == Tok("__global__");
+    is_cuda_device |= id == Tok("__device__");
+  }
+};
+
+// The parenthesized tokens after a '(' that may spell a cast's type.
+struct CastType {
+  std::size_t rparen = 0;  // the ')' that ends them; 0 when none does
+  bool names_type = false;
+  bool decorated = false;  // holds '*' or '&'
+  std::string text;
+};
 
 class Parser {
  public:
@@ -58,90 +144,68 @@ class Parser {
 
   bool AtEnd() const { return i_ >= toks_.size(); }
   const Token& Cur() const { return toks_[i_]; }
-  const Token* PeekAt(std::size_t offset) const {
-    return i_ + offset < toks_.size() ? &toks_[i_ + offset] : nullptr;
+  bool IsAt(std::size_t k, TokenId id) const {
+    return k < toks_.size() && toks_[k].id == id;
   }
+  bool CurIs(TokenId id) const { return IsAt(i_, id); }
+  bool AtAttribute() const { return CurIs(Tok("[")) && IsAt(i_ + 1, Tok("[")); }
   void Next() { ++i_; }
+  void SkipIf(TokenId id) {
+    if (CurIs(id)) Next();
+  }
+  void SkipUntil(TokenSet stops) {
+    while (!AtEnd() && !stops.contains(Cur().id)) Next();
+  }
 
-  // Skips a balanced group starting at the opener at i_ ('(', '{', or '[').
-  // Returns the index of the matching closer (or last token on imbalance —
-  // the fuzzy contract: never crash on malformed input).
-  std::size_t SkipBalanced(char open, char close) {
-    CERTKIT_CHECK(!AtEnd() && Cur().kind == TokenKind::kPunct &&
-                  Cur().text.size() == 1 && Cur().text[0] == open);
-    int depth = 0;
-    const std::string open_s(1, open), close_s(1, close);
-    while (!AtEnd()) {
-      if (Cur().IsPunct(open_s)) {
-        ++depth;
-      } else if (Cur().IsPunct(close_s)) {
-        --depth;
-        if (depth == 0) {
-          const std::size_t idx = i_;
-          Next();
-          return idx;
-        }
-      }
-      Next();
-    }
-    return toks_.empty() ? 0 : toks_.size() - 1;
+  // Skips the balanced group opened at the cursor ('(', '[' or '{') and
+  // returns the index of its closer — the last token when it has none (the
+  // fuzzy contract: never crash on malformed input).
+  std::size_t SkipBalanced() {
+    CERTKIT_CHECK(!AtEnd() && kOpeners.contains(Cur().id));
+    const std::size_t close = lex::MatchingClose(toks_, i_, toks_.size() - 1);
+    i_ = close + 1;
+    return close;
   }
 
   // Skips a template header: cursor is at "template"; consumes `template
-  // < ... >` treating ">>" as two closers.
+  // < ... >`.
   void SkipTemplateHeader() {
-    CERTKIT_CHECK(Cur().IsKeyword("template"));
+    CERTKIT_CHECK(CurIs(Tok("template")));
     Next();
-    if (AtEnd() || !Cur().IsPunct("<")) return;
+    if (CurIs(Tok("<"))) SkipAngles(/*header=*/true);
+  }
+
+  // Skips template brackets from the '<' at the cursor past their closer
+  // ('>>' closes two), stepping over parenthesized groups. A template
+  // header counts '<<' as two openers; template arguments end unconsumed at
+  // ';' or '{' (not template arguments after all).
+  void SkipAngles(bool header) {
+    CERTKIT_CHECK(CurIs(Tok("<")));
     int depth = 0;
-    while (!AtEnd()) {
-      const Token& t = Cur();
-      if (t.IsPunct("<") || t.IsPunct("<<")) {
-        depth += static_cast<int>(t.text.size());
-      } else if (t.IsPunct(">") || t.IsPunct(">>")) {
-        depth -= static_cast<int>(t.text.size());
-        if (depth <= 0) {
-          Next();
-          return;
-        }
-      } else if (t.IsPunct("(")) {
-        SkipBalanced('(', ')');
-        continue;
+    bool open = true;
+    while (open && !AtEnd() && (header || !kBodyOrEnd.contains(Cur().id))) {
+      if (CurIs(Tok("("))) {
+        SkipBalanced();
+      } else {
+        const int step =
+            AngleStep(Cur().id) + (header && CurIs(Tok("<<")) ? 2 : 0);
+        depth += step;
+        open = step >= 0 || depth > 0;
+        Next();
       }
-      Next();
     }
   }
 
   // Skips to the next ';' at depth 0, balancing (), {}, [].
   void SkipToSemicolon() {
-    while (!AtEnd()) {
-      const Token& t = Cur();
-      if (t.IsPunct(";")) {
+    while (!AtEnd() && !CurIs(Tok(";")) && !CurIs(Tok("}"))) {
+      if (kOpeners.contains(Cur().id)) {
+        SkipBalanced();
+      } else {
         Next();
-        return;
       }
-      if (t.IsPunct("(")) {
-        SkipBalanced('(', ')');
-        continue;
-      }
-      if (t.IsPunct("{")) {
-        SkipBalanced('{', '}');
-        continue;
-      }
-      if (t.IsPunct("[")) {
-        SkipBalanced('[', ']');
-        continue;
-      }
-      if (t.IsPunct("}")) return;  // stray closer: let caller handle scope pop
-      Next();
     }
-  }
-
-  void SkipAttributes() {
-    while (!AtEnd() && Cur().IsPunct("[") && PeekAt(1) &&
-           PeekAt(1)->IsPunct("[")) {
-      SkipBalanced('[', ']');
-    }
+    SkipIf(Tok(";"));  // a stray '}' is left for the caller's scope pop
   }
 
   std::string QualifiedName(const std::string& name) const {
@@ -157,10 +221,9 @@ class Parser {
   }
 
   Scope* CurrentClassScope() {
-    if (!scopes_.empty() && scopes_.back().kind == Scope::Kind::kClass) {
-      return &scopes_.back();
-    }
-    return nullptr;
+    return !scopes_.empty() && scopes_.back().kind == Scope::Kind::kClass
+               ? &scopes_.back()
+               : nullptr;
   }
 
   // --- directives -----------------------------------------------------------
@@ -178,7 +241,7 @@ class Parser {
         m.line = d.line;
         // Function-like iff '(' immediately follows the name (no space).
         m.function_like =
-            d.tokens.size() > 1 && d.tokens[1].IsPunct("(") &&
+            d.tokens.size() > 1 && d.tokens[1].id == Tok("(") &&
             d.tokens[1].line == d.tokens[0].line &&
             d.tokens[1].column ==
                 d.tokens[0].column +
@@ -191,225 +254,187 @@ class Parser {
   // --- top level ------------------------------------------------------------
 
   void ParseTopLevel() {
-    const Token& t = Cur();
-    if (t.IsPunct("}")) {
-      if (!scopes_.empty()) scopes_.pop_back();
+    const TokenId id = Cur().id;
+    if (id == Tok("}")) {
+      CloseScope();
+    } else if (id == Tok(";")) {
       Next();
-      // Class definitions end with "};" — consume the semicolon if present.
-      if (!AtEnd() && Cur().IsPunct(";")) Next();
-      return;
-    }
-    if (t.IsPunct(";")) {
-      Next();
-      return;
-    }
-    if (t.IsKeyword("namespace")) {
-      ParseNamespace();
-      return;
-    }
-    if (t.IsKeyword("inline") && PeekAt(1) &&
-        PeekAt(1)->IsKeyword("namespace")) {
-      Next();  // `inline namespace`: the namespace handling takes over
-      return;
-    }
-    if (t.IsKeyword("extern") && PeekAt(1) &&
-        PeekAt(1)->kind == TokenKind::kString) {
-      Next();  // extern
-      Next();  // "C"
-      if (!AtEnd() && Cur().IsPunct("{")) {
-        scopes_.push_back({Scope::Kind::kExternC, "", nullptr, true});
-        Next();
-      }
-      return;
-    }
-    if (t.IsKeyword("using")) {
-      if (PeekAt(1) && PeekAt(1)->IsKeyword("namespace")) {
-        ++model_->using_namespace_count;
-      } else {
-        // `using A = B;` is an alias; `using ns::foo;` is a using-decl.
-        bool has_eq = false;
-        for (std::size_t k = i_ + 1; k < toks_.size(); ++k) {
-          if (toks_[k].IsPunct(";")) break;
-          if (toks_[k].IsPunct("=")) {
-            has_eq = true;
-            break;
-          }
-        }
-        if (has_eq) ++model_->typedef_count;
-      }
-      SkipToSemicolon();
-      return;
-    }
-    if (t.IsKeyword("typedef")) {
-      ++model_->typedef_count;
-      SkipToSemicolon();
-      return;
-    }
-    if (t.IsKeyword("template")) {
-      SkipTemplateHeader();
-      return;  // the templated entity is parsed on the next iteration
-    }
-    if (t.IsKeyword("static_assert")) {
-      SkipToSemicolon();
-      return;
-    }
-    if (t.IsKeyword("class") || t.IsKeyword("struct") || t.IsKeyword("union")) {
-      if (TryParseTypeDefinition()) return;
-      // Elaborated type in a declaration — fall through to declaration-ish.
+    } else if (kSkippedHeads.contains(id)) {
+      SkipDeclarationHead(id);
+    } else if (kAccessSpecifiers.contains(id)) {
+      ParseAccessSpecifier();
+    } else if (!TryParseScopeOrType(id)) {
       ParseDeclarationish();
-      return;
     }
-    if (t.IsKeyword("enum")) {
+  }
+
+  void CloseScope() {
+    if (!scopes_.empty()) scopes_.pop_back();
+    Next();
+    // Class definitions end with "};" — consume the semicolon if present.
+    SkipIf(Tok(";"));
+  }
+
+  void SkipDeclarationHead(TokenId id) {
+    if (id == Tok("template")) {
+      SkipTemplateHeader();  // the templated entity is parsed next
+    } else {
+      if (id == Tok("typedef")) ++model_->typedef_count;
+      if (id == Tok("using")) CountUsing();
+      SkipToSemicolon();
+    }
+  }
+
+  void CountUsing() {
+    if (IsAt(i_ + 1, Tok("namespace"))) {
+      ++model_->using_namespace_count;
+    } else {
+      // `using A = B;` is an alias; `using ns::foo;` is a using-decl.
+      std::size_t k = i_ + 1;
+      while (k < toks_.size() && !kAliasOrEnd.contains(toks_[k].id)) ++k;
+      if (IsAt(k, Tok("="))) ++model_->typedef_count;
+    }
+  }
+
+  void ParseAccessSpecifier() {
+    if (Scope* cls = CurrentClassScope()) {
+      cls->is_public = CurIs(Tok("public"));
+    }
+    Next();
+    SkipIf(Tok(":"));
+  }
+
+  // Namespaces, `inline namespace`, `extern "C"` blocks and type
+  // definitions; false, with the cursor unchanged, when the tokens at the
+  // cursor open none of them.
+  bool TryParseScopeOrType(TokenId id) {
+    bool parsed = true;
+    if (id == Tok("namespace")) {
+      ParseNamespace();
+    } else if (id == Tok("enum")) {
       ParseEnum();
-      return;
+    } else if (kClassKeys.contains(id)) {
+      // An elaborated type in a declaration is not a definition.
+      parsed = TryParseTypeDefinition();
+    } else if (id == Tok("inline") && IsAt(i_ + 1, Tok("namespace"))) {
+      Next();  // `inline namespace`: the namespace handling takes over
+    } else if (id == Tok("extern") && IsAt(i_ + 1, kIdString)) {
+      ParseExternC();
+    } else {
+      parsed = false;
     }
-    if (t.IsKeyword("public") || t.IsKeyword("private") ||
-        t.IsKeyword("protected")) {
-      if (Scope* cls = CurrentClassScope()) {
-        cls->is_public = t.IsKeyword("public");
-      }
+    return parsed;
+  }
+
+  void ParseExternC() {
+    Next();  // extern
+    Next();  // "C"
+    if (CurIs(Tok("{"))) {
+      scopes_.push_back({Scope::Kind::kExternC, "", nullptr, true});
       Next();
-      if (!AtEnd() && Cur().IsPunct(":")) Next();
-      return;
     }
-    ParseDeclarationish();
   }
 
   void ParseNamespace() {
-    CERTKIT_CHECK(Cur().IsKeyword("namespace"));
+    CERTKIT_CHECK(CurIs(Tok("namespace")));
     Next();
     std::string name;
     // namespace a::b::c { ... } or anonymous namespace.
-    while (!AtEnd() && (Cur().IsIdentifier() || Cur().IsPunct("::"))) {
+    while (CurIs(kIdIdentifier) || CurIs(Tok("::"))) {
       name += Cur().text;
       Next();
     }
-    if (AtEnd()) return;
-    if (Cur().IsPunct("{")) {
+    if (CurIs(Tok("{"))) {
       scopes_.push_back({Scope::Kind::kNamespace, name, nullptr, true});
       Next();
-      return;
+    } else if (!AtEnd()) {
+      SkipToSemicolon();  // namespace alias or malformed
     }
-    // namespace alias or malformed — skip the statement.
-    SkipToSemicolon();
   }
 
   // Cursor at class/struct/union. Returns true if a *definition* was parsed
-  // (scope pushed); false if this is an elaborated type specifier in a
-  // declaration (cursor unchanged).
+  // (scope pushed, or a malformed head skipped); false if this is an
+  // elaborated type specifier in a declaration (cursor unchanged).
   bool TryParseTypeDefinition() {
-    const std::size_t start = i_;
-    const Token& kw = Cur();
-    TypeKind kind = kw.IsKeyword("class")    ? TypeKind::kClass
-                    : kw.IsKeyword("struct") ? TypeKind::kStruct
-                                             : TypeKind::kUnion;
-    std::size_t k = i_ + 1;
-    // Skip attributes and alignas.
-    while (k < toks_.size() && toks_[k].IsPunct("[") && k + 1 < toks_.size() &&
-           toks_[k + 1].IsPunct("[")) {
-      int depth = 0;
-      while (k < toks_.size()) {
-        if (toks_[k].IsPunct("[")) ++depth;
-        if (toks_[k].IsPunct("]")) {
-          --depth;
-          if (depth == 0) {
-            ++k;
-            break;
-          }
-        }
-        ++k;
-      }
-    }
     std::string name;
-    if (k < toks_.size() && toks_[k].IsIdentifier()) {
-      name = toks_[k].text;
+    const std::size_t k = PastTypeHead(i_ + 1, &name);
+    // Definition iff next is '{' or ':' (base clause).
+    const bool definition =
+        k < toks_.size() && kTypeBodyStarts.contains(toks_[k].id);
+    if (definition) OpenTypeBody(k, name);
+    return definition;
+  }
+
+  // Past a class head's attributes, name, template arguments and `final`,
+  // from `k`, just after the class key.
+  std::size_t PastTypeHead(std::size_t k, std::string* name) const {
+    while (IsAt(k, Tok("[")) && IsAt(k + 1, Tok("["))) {
+      k = lex::MatchingClose(toks_, k, toks_.size() - 1) + 1;
+    }
+    if (IsAt(k, kIdIdentifier)) {
+      *name = toks_[k].text;
       ++k;
       // Skip template-id arguments in specializations: Name<...>.
-      if (k < toks_.size() && toks_[k].IsPunct("<")) {
-        int depth = 0;
-        while (k < toks_.size()) {
-          if (toks_[k].IsPunct("<")) ++depth;
-          if (toks_[k].IsPunct(">")) {
-            --depth;
-            if (depth == 0) {
-              ++k;
-              break;
-            }
-          }
-          if (toks_[k].IsPunct(">>")) {
-            depth -= 2;
-            if (depth <= 0) {
-              ++k;
-              break;
-            }
-          }
-          ++k;
-        }
-      }
+      if (IsAt(k, Tok("<"))) k = PastTemplateArgs(k);
     }
     // `final` contextual keyword.
-    if (k < toks_.size() && toks_[k].IsIdentifier() &&
-        toks_[k].text == "final") {
-      ++k;
+    if (IsAt(k, kIdIdentifier) && toks_[k].text == "final") ++k;
+    return k;
+  }
+
+  std::size_t PastTemplateArgs(std::size_t k) const {
+    int depth = 0;
+    bool open = true;
+    for (; open && k < toks_.size(); ++k) {
+      const int step = AngleStep(toks_[k].id);
+      depth += step;
+      open = step >= 0 || depth > 0;
     }
-    // Definition iff next is '{' or ':' (base clause).
-    if (k >= toks_.size() ||
-        !(toks_[k].IsPunct("{") || toks_[k].IsPunct(":"))) {
-      i_ = start;
-      return false;
+    return k;
+  }
+
+  // Skips the base clause from `k` to the body's '{' and opens the type's
+  // scope; a ';' first is malformed and skipped.
+  void OpenTypeBody(std::size_t k, const std::string& name) {
+    const Token& kw = Cur();
+    while (k < toks_.size() && !kBodyOrEnd.contains(toks_[k].id)) ++k;
+    if (IsAt(k, Tok("{"))) {
+      const TypeKind kind = kw.id == Tok("class")    ? TypeKind::kClass
+                            : kw.id == Tok("struct") ? TypeKind::kStruct
+                                                     : TypeKind::kUnion;
+      scopes_.push_back({Scope::Kind::kClass, name,
+                         AddType(kind, name, kw.line),
+                         kind != TypeKind::kClass});
     }
-    // Skip base clause to '{'.
-    while (k < toks_.size() && !toks_[k].IsPunct("{")) {
-      if (toks_[k].IsPunct(";")) {  // defensive: malformed
-        i_ = k + 1;
-        return true;
-      }
-      ++k;
-    }
-    if (k >= toks_.size()) {
-      i_ = toks_.size();
-      return true;
-    }
-    TypeModel tm;
+    i_ = std::min(k + 1, toks_.size());
+  }
+
+  TypeModel* AddType(TypeKind kind, const std::string& name,
+                     std::int32_t line) {
+    TypeModel& tm = model_->types.emplace_back();
     tm.kind = kind;
     tm.name = name.empty() ? "<anonymous>" : name;
     tm.qualified_name = QualifiedName(tm.name);
-    tm.line = kw.line;
-    model_->types.push_back(tm);
-    Scope scope{Scope::Kind::kClass, name, nullptr,
-                kind != TypeKind::kClass};
-    scope.type = &model_->types.back();
-    scopes_.push_back(scope);
-    i_ = k + 1;  // past '{'
-    return true;
+    tm.line = line;
+    return &tm;
   }
 
   void ParseEnum() {
-    CERTKIT_CHECK(Cur().IsKeyword("enum"));
+    CERTKIT_CHECK(CurIs(Tok("enum")));
     const std::int32_t line = Cur().line;
     Next();
-    if (!AtEnd() && (Cur().IsKeyword("class") || Cur().IsKeyword("struct"))) {
-      Next();
-    }
+    if (CurIs(Tok("class")) || CurIs(Tok("struct"))) Next();
     std::string name;
-    if (!AtEnd() && Cur().IsIdentifier()) {
+    if (CurIs(kIdIdentifier)) {
       name = Cur().text;
       Next();
     }
-    // Underlying type.
-    if (!AtEnd() && Cur().IsPunct(":")) {
-      while (!AtEnd() && !Cur().IsPunct("{") && !Cur().IsPunct(";")) Next();
+    if (CurIs(Tok(":"))) SkipUntil(kBodyOrEnd);  // underlying type
+    if (CurIs(Tok("{"))) {
+      AddType(TypeKind::kEnum, name, line);
+      SkipBalanced();
     }
-    if (!AtEnd() && Cur().IsPunct("{")) {
-      TypeModel tm;
-      tm.kind = TypeKind::kEnum;
-      tm.name = name.empty() ? "<anonymous>" : name;
-      tm.qualified_name = QualifiedName(tm.name);
-      tm.line = line;
-      model_->types.push_back(tm);
-      SkipBalanced('{', '}');
-    }
-    if (!AtEnd() && Cur().IsPunct(";")) Next();
+    SkipIf(Tok(";"));
   }
 
   // --- declarations and function definitions --------------------------------
@@ -418,315 +443,179 @@ class Parser {
   // function definition, function/variable declaration, and variable
   // definition.
   void ParseDeclarationish() {
-    const std::size_t decl_begin = i_;
-    bool saw_static = false;
-    bool saw_cuda_global = false;
-    bool saw_cuda_device = false;
-    bool saw_extern = false;
-    bool saw_const = false;
-    bool saw_operator = false;
-
+    Declarator decl;
+    decl.begin = i_;
     // Walk tokens at depth 0 until a decision point.
-    while (!AtEnd()) {
-      const Token& t = Cur();
-      if (t.IsPunct("}")) return;  // scope closer: top-level loop handles it
-      if (t.IsPunct(";")) {
-        // Variable declaration without initializer (or stray decl).
-        RecordGlobalIfPlausible(decl_begin, i_, saw_static, saw_extern,
-                                saw_const, /*has_init=*/false);
-        Next();
-        return;
-      }
-      if (t.IsKeyword("static")) saw_static = true;
-      if (t.IsKeyword("extern")) saw_extern = true;
-      if (t.IsKeyword("const") || t.IsKeyword("constexpr")) saw_const = true;
-      if (t.IsKeyword("__global__")) saw_cuda_global = true;
-      if (t.IsKeyword("__device__")) saw_cuda_device = true;
+    while (!AtEnd() && !kDeclaratorEnds.contains(Cur().id)) {
+      decl.Note(Cur().id);
+      StepInDeclarator(&decl);
+    }
+    if (!AtEnd()) Decide(decl);
+  }
 
-      if (t.IsKeyword("operator")) {
-        saw_operator = true;
-        Next();
-        // operator() — the symbol itself is a paren pair; absorb it so the
-        // following parens are the parameter list.
-        if (!AtEnd() && Cur().IsPunct("(") && PeekAt(1) &&
-            PeekAt(1)->IsPunct(")")) {
-          Next();
-          Next();
-        }
-        // Absorb the remaining operator symbol: puncts, or new/delete, or a
-        // conversion-operator type (identifiers); stop at '('.
-        while (!AtEnd() && !Cur().IsPunct("(")) {
-          if (Cur().IsPunct(";") || Cur().IsPunct("{")) break;
-          Next();
-        }
-        continue;
-      }
-      if (t.IsPunct("[") && PeekAt(1) && PeekAt(1)->IsPunct("[")) {
-        SkipAttributes();
-        continue;
-      }
-      if (t.IsPunct("[")) {  // array declarator
-        SkipBalanced('[', ']');
-        continue;
-      }
-      if (t.IsPunct("<")) {
-        // Template arguments inside the declarator (e.g. return type
-        // std::vector<int>). Balance conservatively.
-        SkipAngleBrackets();
-        continue;
-      }
-      if (t.IsPunct("=")) {
-        // Variable with initializer.
-        RecordGlobalIfPlausible(decl_begin, i_, saw_static, saw_extern,
-                                saw_const, /*has_init=*/true);
-        SkipToSemicolon();
-        return;
-      }
-      if (t.IsPunct("{")) {
-        // Brace initializer without '=' : `int x{3};` — or something we do
-        // not understand. Record then skip.
-        RecordGlobalIfPlausible(decl_begin, i_, saw_static, saw_extern,
-                                saw_const, /*has_init=*/true);
-        SkipBalanced('{', '}');
-        if (!AtEnd() && Cur().IsPunct(";")) Next();
-        return;
-      }
-      if (t.IsPunct("(")) {
-        HandleParenInDeclarator(decl_begin, saw_static, saw_cuda_global,
-                                saw_cuda_device, saw_operator);
-        return;
-      }
+  // One step through a declarator run: past `operator` and its symbol, an
+  // attribute or array declarator, template arguments (e.g. of a return
+  // type std::vector<int>), or one token.
+  void StepInDeclarator(Declarator* decl) {
+    const TokenId id = Cur().id;
+    if (id == Tok("operator")) {
+      decl->is_operator = true;
+      SkipOperatorSymbol();
+    } else if (id == Tok("[")) {
+      SkipBalanced();
+    } else if (id == Tok("<")) {
+      SkipAngles(/*header=*/false);
+    } else {
       Next();
     }
   }
 
-  void SkipAngleBrackets() {
-    CERTKIT_CHECK(Cur().IsPunct("<"));
-    int depth = 0;
-    while (!AtEnd()) {
-      const Token& t = Cur();
-      if (t.IsPunct("<")) {
-        ++depth;
-      } else if (t.IsPunct(">")) {
-        --depth;
-        if (depth == 0) {
-          Next();
-          return;
-        }
-      } else if (t.IsPunct(">>")) {
-        depth -= 2;
-        if (depth <= 0) {
-          Next();
-          return;
-        }
-      } else if (t.IsPunct(";") || t.IsPunct("{")) {
-        return;  // not template args after all — bail out, cursor stays
-      } else if (t.IsPunct("(")) {
-        SkipBalanced('(', ')');
-        continue;
-      }
+  void SkipOperatorSymbol() {
+    Next();  // operator
+    // operator() — the symbol itself is a paren pair; absorb it so the
+    // following parens are the parameter list.
+    if (CurIs(Tok("(")) && IsAt(i_ + 1, Tok(")"))) {
       Next();
+      Next();
+    }
+    // Absorb the remaining operator symbol: puncts, or new/delete, or a
+    // conversion-operator type (identifiers); stop at '('.
+    SkipUntil(kOperatorSymbolEnds);
+  }
+
+  // The cursor is at the token that decides the declarator run at
+  // `decl.begin`: a scope closer (left to the top-level loop), a ';' or an
+  // initializer after a variable, or a parameter list.
+  void Decide(const Declarator& decl) {
+    const TokenId id = Cur().id;
+    if (id == Tok("(")) {
+      HandleParenInDeclarator(decl);
+    } else if (id != Tok("}")) {
+      // `int x;`, `int x = 3;` or `int x{3};` (or something we do not
+      // understand): record, then skip.
+      RecordGlobalIfPlausible(decl, i_, /*has_init=*/id != Tok(";"));
+      if (id == Tok("=")) {
+        SkipToSemicolon();
+      } else if (id == Tok("{")) {
+        SkipBalanced();
+        SkipIf(Tok(";"));
+      } else {
+        Next();
+      }
     }
   }
 
   // Cursor at '(' inside a declarator run. Determines whether this is a
   // function definition, declaration, or ctor-style variable init.
-  void HandleParenInDeclarator(std::size_t decl_begin, bool is_static,
-                               bool is_cuda_global, bool is_cuda_device,
-                               bool saw_operator) {
+  void HandleParenInDeclarator(const Declarator& decl) {
     const std::size_t lparen = i_;
-    const std::size_t rparen = SkipBalanced('(', ')');
+    const std::size_t rparen = SkipBalanced();
     // After the parameter list: qualifiers, then '{', ';', '=', ':' or 'try'.
-    while (!AtEnd()) {
-      const Token& t = Cur();
-      if (t.IsPunct("{")) {
-        RecordFunction(decl_begin, lparen, rparen, is_static, is_cuda_global,
-                       is_cuda_device, saw_operator);
-        return;
-      }
-      if (t.IsPunct(";")) {
-        Next();  // declaration only — not recorded
-        return;
-      }
-      if (t.IsPunct("=")) {
-        // `= default;` / `= delete;` / pure virtual — declaration.
-        SkipToSemicolon();
-        return;
-      }
-      if (t.IsPunct(":")) {
-        // Constructor member-initializer list: `name(...)` or `name{...}`
-        // items separated by commas; the first '{' that is not an item
-        // initializer opens the body.
-        Next();
-        while (!AtEnd()) {
-          // Skip the member/base name (possibly qualified / templated).
-          while (!AtEnd() &&
-                 (Cur().IsIdentifier() || Cur().IsPunct("::") ||
-                  Cur().kind == lex::TokenKind::kKeyword)) {
-            Next();
-          }
-          if (!AtEnd() && Cur().IsPunct("<")) SkipAngleBrackets();
-          if (AtEnd()) return;
-          if (Cur().IsPunct("(")) {
-            SkipBalanced('(', ')');
-          } else if (Cur().IsPunct("{")) {
-            SkipBalanced('{', '}');
-          } else if (Cur().IsPunct(";")) {  // malformed; bail
-            Next();
-            return;
-          } else if (Cur().IsPunct("...")) {  // pack expansion
-            Next();
-            continue;
-          } else {
-            // Unknown construct: consume one token defensively.
-            Next();
-            continue;
-          }
-          // After an item initializer: ',' continues the list, anything else
-          // (normally '{') is handled by the outer loop.
-          if (!AtEnd() && Cur().IsPunct("...")) Next();
-          if (!AtEnd() && Cur().IsPunct(",")) {
-            Next();
-            continue;
-          }
-          break;
-        }
-        continue;
-      }
-      if (t.IsKeyword("try")) {
-        // Function-try-block: body follows; catch clauses handled by the
-        // body skip since they are brace groups — consume them after.
-        Next();
-        continue;
-      }
-      if (t.IsKeyword("const") || t.IsKeyword("noexcept") ||
-          t.IsKeyword("volatile") || t.IsKeyword("throw") ||
-          (t.IsIdentifier() &&
-           (t.text == "override" || t.text == "final"))) {
-        Next();
-        if (!AtEnd() && Cur().IsPunct("(")) SkipBalanced('(', ')');
-        continue;
-      }
-      if (t.IsPunct("->")) {  // trailing return type
-        Next();
-        while (!AtEnd() && !Cur().IsPunct("{") && !Cur().IsPunct(";")) {
-          if (Cur().IsPunct("(")) {
-            SkipBalanced('(', ')');
-            continue;
-          }
-          if (Cur().IsPunct("<")) {
-            SkipAngleBrackets();
-            continue;
-          }
-          Next();
-        }
-        continue;
-      }
-      if (t.IsPunct("[") && PeekAt(1) && PeekAt(1)->IsPunct("[")) {
-        SkipAttributes();
-        continue;
-      }
-      if (t.IsPunct("(")) {
-        // Second paren group: pointer-to-function variable or macro call.
-        SkipBalanced('(', ')');
-        continue;
-      }
-      // Unknown token (macro, K&R parameter, etc.): consume conservatively.
+    while (!AtEnd() && !kSignatureEnds.contains(Cur().id)) {
+      StepAfterParameters();
+    }
+    if (CurIs(Tok("{"))) {
+      RecordFunction(decl, lparen, rparen);
+    } else if (CurIs(Tok(";"))) {
+      Next();  // declaration only — not recorded
+    } else if (CurIs(Tok("="))) {
+      SkipToSemicolon();  // `= default;` / `= delete;` / pure virtual
+    }
+  }
+
+  // One step between a parameter list and the token that decides it: a
+  // member-initializer list, a qualifier, a trailing return type, an
+  // attribute, a second paren group (pointer-to-function variable or macro
+  // call), or one token (`try`, which the body follows, or an unknown one:
+  // a macro, a K&R parameter).
+  void StepAfterParameters() {
+    const Token& t = Cur();
+    if (t.id == Tok(":")) {
+      SkipMemberInitializers();
+    } else if (kTrailingQualifiers.contains(t.id) ||
+               (t.IsIdentifier() &&
+                (t.text == "override" || t.text == "final"))) {
+      Next();
+      if (CurIs(Tok("("))) SkipBalanced();
+    } else if (t.id == Tok("->")) {
+      SkipTrailingReturnType();
+    } else if (t.id == Tok("(") || AtAttribute()) {
+      SkipBalanced();
+    } else {
       Next();
     }
   }
 
-  void RecordFunction(std::size_t decl_begin, std::size_t lparen,
-                      std::size_t rparen, bool is_static, bool is_cuda_global,
-                      bool is_cuda_device, bool saw_operator) {
-    CERTKIT_CHECK(!AtEnd() && Cur().IsPunct("{"));
+  // A constructor's member-initializer list: `name(...)` or `name{...}`
+  // items separated by commas; the first '{' that is not an item
+  // initializer opens the body. A ';' (malformed) ends it unconsumed.
+  void SkipMemberInitializers() {
+    Next();  // ':'
+    bool more = true;
+    while (more && !AtEnd()) {
+      SkipInitializerName();
+      if (CurIs(Tok("(")) || CurIs(Tok("{"))) {
+        SkipBalanced();
+        SkipIf(Tok("..."));  // pack expansion
+        // ',' continues the list; anything else (normally '{') ends it.
+        more = CurIs(Tok(","));
+        SkipIf(Tok(","));
+      } else if (!AtEnd() && !CurIs(Tok(";"))) {
+        Next();  // a pack expansion or unknown construct: one token
+      } else {
+        more = false;
+      }
+    }
+  }
+
+  // Skips a member or base name (possibly qualified / templated).
+  void SkipInitializerName() {
+    while (!AtEnd() && (Cur().kind == TokenKind::kIdentifier ||
+                        Cur().kind == TokenKind::kKeyword ||
+                        CurIs(Tok("::")))) {
+      Next();
+    }
+    if (CurIs(Tok("<"))) SkipAngles(/*header=*/false);
+  }
+
+  void SkipTrailingReturnType() {
+    Next();  // '->'
+    while (!AtEnd() && !kBodyOrEnd.contains(Cur().id)) {
+      if (CurIs(Tok("("))) {
+        SkipBalanced();
+      } else if (CurIs(Tok("<"))) {
+        SkipAngles(/*header=*/false);
+      } else {
+        Next();
+      }
+    }
+  }
+
+  void RecordFunction(const Declarator& decl, std::size_t lparen,
+                      std::size_t rparen) {
+    CERTKIT_CHECK(CurIs(Tok("{")));
     FunctionModel fn;
-    fn.sig_begin = decl_begin;
+    fn.sig_begin = decl.begin;
     fn.lparen = lparen;
     fn.body_begin = i_;
-    fn.start_line = toks_[decl_begin].line;
-    // Return type is plain void iff a `void` keyword appears before the name
-    // with no pointer decoration after it.
-    for (std::size_t j = decl_begin; j < lparen; ++j) {
-      if (toks_[j].IsKeyword("void")) {
-        fn.returns_void = true;
-      } else if (toks_[j].IsPunct("*") || toks_[j].IsPunct("&")) {
-        fn.returns_void = false;
-      }
-    }
-    fn.is_static = is_static;
-    fn.is_cuda_kernel = is_cuda_global;
-    fn.is_cuda_device = is_cuda_device;
-    fn.is_method = false;
-    for (const Scope& s : scopes_) {
-      if (s.kind == Scope::Kind::kClass) fn.is_method = true;
-    }
-
-    // Extract the (possibly qualified) function name: walk back from lparen.
-    std::string prefix;  // out-of-line qualifier, e.g. "Foo::"
-    std::string name;
-    std::size_t k = lparen;
-    if (saw_operator) {
-      // Name runs from the 'operator' keyword to lparen.
-      std::size_t op_idx = decl_begin;
-      for (std::size_t j = decl_begin; j < lparen; ++j) {
-        if (toks_[j].IsKeyword("operator")) op_idx = j;
-      }
-      for (std::size_t j = op_idx; j < lparen; ++j) name += toks_[j].text;
-    } else if (k > decl_begin) {
-      std::size_t j = k;  // token just after the name is toks_[lparen]
-      // Walk backward over: ident | ~ident | ident<...> | qualified ids.
-      std::vector<std::string> parts;
-      while (j > decl_begin) {
-        --j;
-        const Token& t = toks_[j];
-        if (t.IsPunct(">") || t.IsPunct(">>")) {
-          // Skip template args backward.
-          int depth = 0;
-          while (true) {
-            const Token& u = toks_[j];
-            if (u.IsPunct(">")) ++depth;
-            if (u.IsPunct(">>")) depth += 2;
-            if (u.IsPunct("<")) --depth;
-            if (depth <= 0 || j == decl_begin) break;
-            --j;
-          }
-          continue;
-        }
-        if (t.IsIdentifier()) {
-          parts.push_back(t.str());
-          if (j > decl_begin && toks_[j - 1].IsPunct("~")) {
-            parts.back() = "~" + parts.back();
-            --j;
-          }
-          if (j > decl_begin && toks_[j - 1].IsPunct("::")) {
-            --j;
-            continue;  // keep walking the qualified id
-          }
-          break;
-        }
-        break;  // anything else ends the name walk
-      }
-      if (!parts.empty()) {
-        name = parts.front();  // the last component
-        for (std::size_t p = parts.size(); p > 1; --p) {
-          prefix += parts[p - 1] + "::";
-        }
-      }
-    }
-    if (name.empty()) name = "<anonymous>";
-    fn.name = name;
-    fn.qualified_name = QualifiedName(prefix + name);
-    if (!prefix.empty()) fn.is_method = true;
-
+    fn.start_line = toks_[decl.begin].line;
+    fn.returns_void = ReturnsVoid(decl.begin, lparen);
+    fn.is_static = decl.is_static;
+    fn.is_cuda_kernel = decl.is_cuda_global;
+    fn.is_cuda_device = decl.is_cuda_device;
+    fn.is_method = std::any_of(scopes_.begin(), scopes_.end(),
+                               [](const Scope& s) {
+                                 return s.kind == Scope::Kind::kClass;
+                               });
+    NameFunction(decl, lparen, &fn);
     ParseParameters(lparen, rparen, &fn.params);
 
     // Skip the body (and any function-try-block catch groups).
-    fn.body_end = SkipBalanced('{', '}');
-    while (!AtEnd() && Cur().IsKeyword("catch")) {
+    fn.body_end = SkipBalanced();
+    while (CurIs(Tok("catch"))) {
       Next();
-      if (!AtEnd() && Cur().IsPunct("(")) SkipBalanced('(', ')');
-      if (!AtEnd() && Cur().IsPunct("{")) SkipBalanced('{', '}');
+      if (CurIs(Tok("("))) SkipBalanced();
+      if (CurIs(Tok("{"))) SkipBalanced();
     }
     fn.end_line = toks_[fn.body_end].line;
 
@@ -737,122 +626,180 @@ class Parser {
     model_->functions.push_back(std::move(fn));
   }
 
-  void ParseParameters(std::size_t lparen, std::size_t rparen,
-                       std::vector<ParamModel>* out) {
-    if (rparen <= lparen + 1) return;  // ()
-    // Split the span (lparen, rparen) on top-level commas.
-    std::vector<std::pair<std::size_t, std::size_t>> spans;
-    std::size_t start = lparen + 1;
-    int paren = 0, angle = 0, brace = 0, bracket = 0;
-    for (std::size_t j = lparen + 1; j < rparen; ++j) {
-      const Token& t = toks_[j];
-      if (t.IsPunct("(")) ++paren;
-      if (t.IsPunct(")")) --paren;
-      if (t.IsPunct("{")) ++brace;
-      if (t.IsPunct("}")) --brace;
-      if (t.IsPunct("[")) ++bracket;
-      if (t.IsPunct("]")) --bracket;
-      if (t.IsPunct("<")) ++angle;
-      if (t.IsPunct(">") && angle > 0) --angle;
-      if (t.IsPunct(">>") && angle > 0) angle = std::max(0, angle - 2);
-      if (t.IsPunct(",") && paren == 0 && angle == 0 && brace == 0 &&
-          bracket == 0) {
-        spans.emplace_back(start, j);
-        start = j + 1;
+  // The return type is plain void iff a `void` keyword appears before the
+  // name with no pointer decoration after it.
+  bool ReturnsVoid(std::size_t decl_begin, std::size_t lparen) const {
+    bool returns_void = false;
+    for (std::size_t j = decl_begin; j < lparen; ++j) {
+      if (toks_[j].id == Tok("void")) {
+        returns_void = true;
+      } else if (toks_[j].id == Tok("*") || toks_[j].id == Tok("&")) {
+        returns_void = false;
       }
     }
-    spans.emplace_back(start, rparen);
+    return returns_void;
+  }
 
-    for (auto [b, e] : spans) {
-      if (b >= e) continue;
-      // Single `void` means no parameters.
-      if (e == b + 1 && toks_[b].IsKeyword("void")) continue;
-      ParamModel p;
-      if (e == b + 1 && toks_[b].IsPunct("...")) {
-        p.name = "...";
-        out->push_back(std::move(p));
-        continue;
+  // Sets the (possibly qualified) function name, walking back from lparen.
+  void NameFunction(const Declarator& decl, std::size_t lparen,
+                    FunctionModel* fn) const {
+    std::string prefix;  // out-of-line qualifier, e.g. "Foo::"
+    std::string name;
+    if (decl.is_operator) {
+      name = OperatorName(decl.begin, lparen);
+    } else {
+      const std::vector<std::string> parts = NameParts(decl.begin, lparen);
+      for (std::size_t p = parts.size(); p > 1; --p) {
+        prefix += parts[p - 1] + "::";
       }
-      // Drop a default argument: truncate at top-level '='.
-      std::size_t val_end = e;
-      int d_paren = 0, d_angle = 0, d_brace = 0;
-      for (std::size_t j = b; j < e; ++j) {
-        const Token& t = toks_[j];
-        if (t.IsPunct("(")) ++d_paren;
-        if (t.IsPunct(")")) --d_paren;
-        if (t.IsPunct("{")) ++d_brace;
-        if (t.IsPunct("}")) --d_brace;
-        if (t.IsPunct("<")) ++d_angle;
-        if (t.IsPunct(">") && d_angle > 0) --d_angle;
-        if (t.IsPunct("=") && d_paren == 0 && d_angle == 0 && d_brace == 0) {
-          val_end = j;
-          break;
+      if (!parts.empty()) name = parts.front();  // the last component
+    }
+    if (name.empty()) name = "<anonymous>";
+    fn->name = name;
+    fn->qualified_name = QualifiedName(prefix + name);
+    if (!prefix.empty()) fn->is_method = true;
+  }
+
+  // The name runs from the last 'operator' keyword to lparen.
+  std::string OperatorName(std::size_t decl_begin, std::size_t lparen) const {
+    std::size_t op_idx = decl_begin;
+    for (std::size_t j = decl_begin; j < lparen; ++j) {
+      if (toks_[j].id == Tok("operator")) op_idx = j;
+    }
+    std::string name;
+    for (std::size_t j = op_idx; j < lparen; ++j) name += toks_[j].text;
+    return name;
+  }
+
+  // The components of the name just before lparen, last first, walking
+  // back over: ident | ~ident | ident<...> | qualified ids.
+  std::vector<std::string> NameParts(std::size_t decl_begin,
+                                     std::size_t lparen) const {
+    std::vector<std::string> parts;
+    std::size_t j = lparen;
+    bool walking = true;
+    while (walking && j > decl_begin) {
+      --j;
+      const Token& t = toks_[j];
+      if (AngleStep(t.id) < 0) {
+        j = TemplateArgsStart(j, decl_begin);
+      } else if (t.IsIdentifier()) {
+        parts.push_back(t.str());
+        if (j > decl_begin && toks_[j - 1].id == Tok("~")) {
+          parts.back() = "~" + parts.back();
+          --j;
         }
+        // A '::' before the component continues the qualified id.
+        walking = j > decl_begin && toks_[j - 1].id == Tok("::");
+        if (walking) --j;
+      } else {
+        walking = false;  // anything else ends the name walk
       }
-      // Name = the last identifier in the span (skipping trailing []).
-      std::size_t name_idx = val_end;
-      std::size_t j = val_end;
-      while (j > b) {
-        --j;
-        if (toks_[j].IsPunct("]") || toks_[j].IsPunct("[")) continue;
-        if (toks_[j].IsIdentifier()) {
-          name_idx = j;
-          p.name = toks_[j].text;
-        }
+    }
+    return parts;
+  }
+
+  // From the '>' or '>>' at `j`, the '<' that opens its template arguments
+  // (or `floor`).
+  std::size_t TemplateArgsStart(std::size_t j, std::size_t floor) const {
+    for (int depth = -AngleStep(toks_[j].id); depth > 0 && j > floor;) {
+      --j;
+      depth -= AngleStep(toks_[j].id);
+    }
+    return j;
+  }
+
+  // The first token in [begin, end) that is `delim` outside (), {}, [] and
+  // template brackets (`>>` closing two), or `end`.
+  std::size_t FindTopLevel(std::size_t begin, std::size_t end,
+                           TokenId delim) const {
+    int paren = 0, brace = 0, bracket = 0, angle = 0;
+    std::size_t j = begin;
+    for (; j < end; ++j) {
+      const TokenId id = toks_[j].id;
+      paren += Nesting(id, Tok("("));
+      brace += Nesting(id, Tok("{"));
+      bracket += Nesting(id, Tok("["));
+      angle = std::max(0, angle + AngleStep(id));
+      if (id == delim && paren == 0 && brace == 0 && bracket == 0 &&
+          angle == 0) {
         break;
       }
-      for (std::size_t q = b; q < val_end; ++q) {
-        if (q == name_idx && !p.name.empty()) continue;
-        if (!p.type_text.empty()) p.type_text += ' ';
-        p.type_text += toks_[q].text;
+    }
+    return j;
+  }
+
+  // The last identifier of [begin, end), stepping back over `skipped`
+  // tokens; `end` when there is none.
+  std::size_t LastNameBefore(std::size_t begin, std::size_t end,
+                             TokenSet skipped) const {
+    std::size_t j = end;
+    while (j > begin && skipped.contains(toks_[j - 1].id)) --j;
+    return j > begin && toks_[j - 1].IsIdentifier() ? j - 1 : end;
+  }
+
+  void ParseParameters(std::size_t lparen, std::size_t rparen,
+                       std::vector<ParamModel>* out) const {
+    // Split the span (lparen, rparen) on top-level commas; an empty span
+    // or a single `void` is no parameter.
+    for (std::size_t b = lparen + 1; b <= rparen;) {
+      const std::size_t e = FindTopLevel(b, rparen, Tok(","));
+      if (b < e && !(e == b + 1 && toks_[b].id == Tok("void"))) {
+        out->push_back(ParseParameter(b, e));
       }
-      out->push_back(std::move(p));
+      b = e + 1;
     }
   }
 
-  void RecordGlobalIfPlausible(std::size_t decl_begin, std::size_t decl_end,
-                               bool is_static, bool is_extern, bool is_const,
+  ParamModel ParseParameter(std::size_t b, std::size_t e) const {
+    ParamModel p;
+    if (e == b + 1 && toks_[b].id == Tok("...")) {
+      p.name = "...";
+    } else {
+      // Drop a default argument: truncate at top-level '='.
+      const std::size_t val_end = FindTopLevel(b, e, Tok("="));
+      // Name = the last identifier in the span (skipping trailing []).
+      const std::size_t name_idx = LastNameBefore(b, val_end, kArrayBrackets);
+      if (name_idx != val_end) p.name = toks_[name_idx].text;
+      for (std::size_t q = b; q < val_end; ++q) {
+        if (q == name_idx) continue;
+        if (!p.type_text.empty()) p.type_text += ' ';
+        p.type_text += toks_[q].text;
+      }
+    }
+    return p;
+  }
+
+  void RecordGlobalIfPlausible(const Declarator& decl, std::size_t decl_end,
                                bool has_init) {
-    if (decl_end <= decl_begin) return;
-    // Need at least `type name` (2 tokens), name must be an identifier.
-    if (decl_end - decl_begin < 2) return;
-    // Find the last identifier before decl_end (skip array brackets).
-    std::size_t j = decl_end;
-    std::string name;
-    std::int32_t line = 0;
-    while (j > decl_begin) {
-      --j;
-      const Token& t = toks_[j];
-      if (t.IsPunct("]") || t.IsPunct("[") || t.kind == TokenKind::kNumber) {
-        continue;
-      }
-      if (t.IsIdentifier()) {
-        name = t.text;
-        line = t.line;
-      }
-      break;
+    // Need at least `type name` (2 tokens), the name (the last identifier,
+    // past array brackets) an identifier, and no control keywords or
+    // 'return' in the run (defensive).
+    const std::size_t name_idx =
+        decl_end < decl.begin + 2
+            ? decl_end
+            : LastNameBefore(decl.begin, decl_end, kArrayExtent);
+    bool plausible = name_idx != decl_end;
+    for (std::size_t q = decl.begin; plausible && q < decl_end; ++q) {
+      plausible = !kNotInDeclarations.contains(toks_[q].id);
     }
-    if (name.empty()) return;
-    // Reject runs containing control keywords or 'return' (defensive).
-    for (std::size_t q = decl_begin; q < decl_end; ++q) {
-      const Token& t = toks_[q];
-      if (t.IsKeyword("return") || t.IsKeyword("if") || t.IsKeyword("goto") ||
-          t.IsKeyword("friend")) {
-        return;
-      }
+    Scope* cls = CurrentClassScope();
+    if (plausible && cls != nullptr) {
+      ++cls->type->field_count;  // a data member, not a global
+    } else if (plausible) {
+      RecordGlobal(decl, name_idx, has_init);
     }
-    // Inside a class scope, this is a data member, not a global.
-    if (Scope* cls = CurrentClassScope()) {
-      ++cls->type->field_count;
-      return;
-    }
+  }
+
+  void RecordGlobal(const Declarator& decl, std::size_t name_idx,
+                    bool has_init) {
     GlobalVarModel g;
-    g.name = name;
-    g.qualified_name = QualifiedName(name);
-    g.line = line;
-    g.is_static = is_static;
-    g.is_const = is_const;
-    g.is_extern_decl = is_extern && !has_init;
+    g.name = toks_[name_idx].text;
+    g.qualified_name = QualifiedName(g.name);
+    g.line = toks_[name_idx].line;
+    g.is_static = decl.is_static;
+    g.is_const = decl.is_const;
+    g.is_extern_decl = decl.is_extern && !has_init;
     g.has_initializer = has_init;
     model_->globals.push_back(std::move(g));
   }
@@ -860,159 +807,110 @@ class Parser {
   // --- cast detection (whole-file token scan) --------------------------------
 
   void DetectCasts() {
-    const auto& toks = toks_;
-    for (std::size_t j = 0; j < toks.size(); ++j) {
-      const Token& t = toks[j];
-      if (t.kind == TokenKind::kKeyword) {
-        CastKind kind;
-        if (t.text == "static_cast") {
-          kind = CastKind::kStaticCast;
-        } else if (t.text == "dynamic_cast") {
-          kind = CastKind::kDynamicCast;
-        } else if (t.text == "reinterpret_cast") {
-          kind = CastKind::kReinterpretCast;
-        } else if (t.text == "const_cast") {
-          kind = CastKind::kConstCast;
-        } else if (IsFundamentalTypeKeyword(t.text) && j + 1 < toks.size() &&
-                   toks[j + 1].IsPunct("(") &&
-                   (j == 0 || !IsTypePosition(toks[j - 1]))) {
-          // Functional cast like `int(x)` — but not `unsigned int(x)` counted
-          // twice, and not declarations like `void f(`.
-          if (t.text != "void" &&
-              !(j + 2 < toks.size() && toks[j + 2].IsPunct(")"))) {
-            CastModel c;
-            c.kind = CastKind::kFunctional;
-            c.line = t.line;
-            c.target_text = t.text;
-            model_->casts.push_back(std::move(c));
-          }
-          continue;
-        } else {
-          continue;
-        }
-        CastModel c;
-        c.kind = kind;
-        c.line = t.line;
-        // Target type between '<' and matching '>'.
-        if (j + 1 < toks.size() && toks[j + 1].IsPunct("<")) {
-          int depth = 0;
-          for (std::size_t q = j + 1; q < toks.size(); ++q) {
-            if (toks[q].IsPunct("<")) ++depth;
-            if (toks[q].IsPunct(">")) {
-              --depth;
-              if (depth == 0) break;
-            }
-            if (depth >= 1 && q > j + 1) {
-              if (!c.target_text.empty()) c.target_text += ' ';
-              c.target_text += toks[q].text;
-            }
-          }
-        }
-        model_->casts.push_back(std::move(c));
-        continue;
-      }
-      if (t.IsPunct("(")) {
+    for (std::size_t j = 0; j < toks_.size(); ++j) {
+      const TokenId id = toks_[j].id;
+      if (kNamedCasts.contains(id)) {
+        RecordNamedCast(j);
+      } else if (kFundamentalTypes.contains(id)) {
+        DetectFunctionalCastAt(j);
+      } else if (id == Tok("(")) {
         DetectCStyleCastAt(j);
       }
     }
   }
 
+  void RecordNamedCast(std::size_t j) {
+    CastModel c;
+    c.kind = NamedCastKind(toks_[j].id);
+    c.line = toks_[j].line;
+    if (IsAt(j + 1, Tok("<"))) c.target_text = NamedCastTarget(j + 1);
+    model_->casts.push_back(std::move(c));
+  }
+
+  // The target type's text, between the '<' at `lt` and its '>' (a '>>'
+  // does not count).
+  std::string NamedCastTarget(std::size_t lt) const {
+    std::string text;
+    int depth = 0;
+    for (std::size_t q = lt; q < toks_.size(); ++q) {
+      depth += (toks_[q].id == Tok("<")) - (toks_[q].id == Tok(">"));
+      if (depth == 0) break;
+      if (q > lt) {
+        if (!text.empty()) text += ' ';
+        text += toks_[q].text;
+      }
+    }
+    return text;
+  }
+
+  // Functional cast like `int(x)` — but not `unsigned int(x)` counted
+  // twice, not declarations like `void f(`, and not `int()`.
+  void DetectFunctionalCastAt(std::size_t j) {
+    const bool cast_position =
+        IsAt(j + 1, Tok("(")) && (j == 0 || !IsTypePosition(toks_[j - 1]));
+    if (cast_position && toks_[j].id != Tok("void") &&
+        !IsAt(j + 2, Tok(")"))) {
+      CastModel c;
+      c.kind = CastKind::kFunctional;
+      c.line = toks_[j].line;
+      c.target_text = toks_[j].text;
+      model_->casts.push_back(std::move(c));
+    }
+  }
+
   static bool IsTypePosition(const Token& prev) {
-    // Token kinds after which a fundamental-type keyword begins a declaration
-    // rather than a functional cast.
-    return prev.kind == TokenKind::kKeyword || prev.IsPunct(",") ||
-           prev.IsPunct("(") || prev.IsPunct(";") || prev.IsPunct("{") ||
-           prev.IsPunct("<");
+    return prev.kind == TokenKind::kKeyword ||
+           kTypePositionPuncts.contains(prev.id);
   }
 
   void DetectCStyleCastAt(std::size_t lparen) {
-    const auto& toks = toks_;
-    // Exclude call-position parens.
-    if (lparen > 0) {
-      const Token& p = toks[lparen - 1];
-      if (p.IsIdentifier() || p.IsPunct(")") || p.IsPunct("]") ||
-          p.kind == TokenKind::kNumber || p.kind == TokenKind::kString ||
-          p.IsKeyword("sizeof") || p.IsKeyword("alignof") ||
-          p.IsKeyword("if") || p.IsKeyword("while") || p.IsKeyword("for") ||
-          p.IsKeyword("switch") || p.IsKeyword("catch") ||
-          p.IsKeyword("this") || p.IsKeyword("noexcept") ||
-          p.IsKeyword("decltype") || p.IsKeyword("alignas") ||
-          p.IsKeyword("operator") || p.IsPunct(">")) {
-        return;
-      }
-    }
-    // Content must be purely type-ish and contain a type name.
-    int depth = 0;
-    std::size_t rparen = 0;
-    bool typeish = true;
-    bool has_type_name = false;
-    bool has_star_or_amp = false;
-    std::string text;
-    for (std::size_t q = lparen; q < toks.size(); ++q) {
-      const Token& t = toks[q];
-      if (t.IsPunct("(")) {
-        ++depth;
-        if (depth > 1) {
-          typeish = false;
-          break;
-        }
-        continue;
-      }
-      if (t.IsPunct(")")) {
-        --depth;
-        if (depth == 0) {
-          rparen = q;
-          break;
-        }
-        continue;
-      }
-      const bool ok =
-          t.IsIdentifier() ||
-          (t.kind == TokenKind::kKeyword && TypeishKeywords().contains(t.text)) ||
-          t.IsPunct("::") || t.IsPunct("<") || t.IsPunct(">") ||
-          t.IsPunct("*") || t.IsPunct("&") || t.IsPunct("[") ||
-          t.IsPunct("]") || t.kind == TokenKind::kNumber;
-      if (!ok) {
-        typeish = false;
-        break;
-      }
-      if (t.IsIdentifier() ||
-          (t.kind == TokenKind::kKeyword && TypeishKeywords().contains(t.text) &&
-           t.text != "const" && t.text != "volatile")) {
-        has_type_name = true;
-      }
-      if (t.IsPunct("*") || t.IsPunct("&")) has_star_or_amp = true;
-      if (!text.empty()) text += ' ';
-      text += t.text;
-    }
-    if (!typeish || rparen == 0 || !has_type_name) return;
-    // `(void)expr` is the conventional discard idiom, not a conversion.
-    if (rparen == lparen + 2 && toks[lparen + 1].IsKeyword("void")) return;
-    if (rparen + 1 >= toks.size()) return;
-    const Token& next = toks[rparen + 1];
-    // The casted expression must follow immediately.
-    const bool expr_follows =
-        next.IsIdentifier() || next.kind == TokenKind::kNumber ||
-        next.kind == TokenKind::kString || next.kind == TokenKind::kChar ||
-        next.IsPunct("(") || next.IsKeyword("new") || next.IsKeyword("this") ||
-        next.IsKeyword("sizeof");
-    if (!expr_follows) return;
-    // `(identifier) (x)` with a bare identifier and no '*' is too ambiguous
-    // (could be a call through a parenthesized name) — require either a
-    // pointer/reference decoration, a qualified name, multiple tokens, or a
-    // fundamental type keyword, to keep precision high.
-    const std::size_t content_tokens = rparen - lparen - 1;
-    if (content_tokens == 1 && toks[lparen + 1].IsIdentifier() &&
-        !has_star_or_amp && !next.IsPunct("(") &&
-        next.kind != TokenKind::kNumber) {
-      // Accept single-identifier casts only before literals: `(T)3`.
+    if (lparen > 0 && kCallPositionPrev.contains(toks_[lparen - 1].id)) {
       return;
     }
-    CastModel c;
-    c.kind = CastKind::kCStyle;
-    c.line = toks[lparen].line;
-    c.target_text = text;
-    model_->casts.push_back(std::move(c));
+    CastType type = ScanCastType(lparen);
+    if (IsCStyleCast(lparen, type)) {
+      CastModel c;
+      c.kind = CastKind::kCStyle;
+      c.line = toks_[lparen].line;
+      c.target_text = std::move(type.text);
+      model_->casts.push_back(std::move(c));
+    }
+  }
+
+  // Content must be purely type-ish: the tokens after lparen while they
+  // may spell a type, and the ')' that ends them, if one does.
+  CastType ScanCastType(std::size_t lparen) const {
+    CastType type;
+    std::size_t q = lparen + 1;
+    for (; q < toks_.size() && kCastTypeTokens.contains(toks_[q].id); ++q) {
+      const Token& t = toks_[q];
+      type.names_type |= kCastTypeNames.contains(t.id);
+      type.decorated |= t.id == Tok("*") || t.id == Tok("&");
+      if (!type.text.empty()) type.text += ' ';
+      type.text += t.text;
+    }
+    if (IsAt(q, Tok(")"))) type.rparen = q;
+    return type;
+  }
+
+  // A type that names a type, closed by ')' before the casted expression —
+  // not `(void)expr`, the conventional discard idiom. `(identifier) (x)`
+  // with a bare identifier and no '*' is too ambiguous (could be a call
+  // through a parenthesized name): a lone identifier is accepted only
+  // before a number or '(' — `(T)3` — to keep precision high.
+  bool IsCStyleCast(std::size_t lparen, const CastType& type) const {
+    const std::size_t r = type.rparen;
+    const bool lone = r == lparen + 2;
+    const bool discard = lone && toks_[lparen + 1].id == Tok("void");
+    const bool bare_name =
+        lone && toks_[lparen + 1].IsIdentifier() && !type.decorated;
+    return r != 0 && r + 1 < toks_.size() && type.names_type && !discard &&
+           CastOperandFollows(toks_[r + 1], bare_name);
+  }
+
+  static bool CastOperandFollows(const Token& next, bool bare_name) {
+    return kCastOperandStart.contains(next.id) &&
+           (!bare_name || next.id == Tok("(") || next.id == kIdNumber);
   }
 
   SourceFileModel* model_;

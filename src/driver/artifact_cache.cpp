@@ -33,14 +33,21 @@ constexpr char kModuleMagic[4] = {'C', 'K', 'M', '2'};
 //     lexeme as varint (offset, length), then varint line and column; the
 //     text stands as its FnvStr digest and size.
 //   entry (the .ckart payload): a token vector is a count, then per token
-//     the lead byte, varint zigzag gap from the end of the previous slice,
-//     varint length, varint zigzag line delta and varint column (inline:
-//     the lead byte, the bytes, line delta and column); the text stands as
-//     its size, since the stamp already carries its content key.
+//     its id (lex::TokenId, which names its kind) as the lead byte, varint
+//     zigzag gap from the end of the previous slice, varint length, varint
+//     zigzag line delta and varint column (inline: kInlineLead plus the
+//     kind, the bytes, line delta and column, the id recomputed on load);
+//     the text stands as its size, since the stamp already carries its
+//     content key.
 //
 // Comments take the canonical form in both: lexeme, then the line.
 
 constexpr std::uint8_t kInlineBit = 0x80;
+// An entry token's lead byte from here up is an inline lexeme's, the
+// kind added; below, it is the token's id.
+constexpr std::uint8_t kInlineLead = 0xF8;
+static_assert(lex::kNumTokenIds <= kInlineLead &&
+              kInlineLead + lex::kNumTokenKinds <= 0x100);
 
 // Zigzag over an unsigned difference: small ones of either sign map to
 // small values, which fit one varint byte.
@@ -139,15 +146,14 @@ class EntryCodec : public LexemeCodec {
     w.Var(tokens.size());
     Delta at;
     for (const lex::Token& t : tokens) {
-      const std::uint8_t kind = static_cast<std::uint8_t>(t.kind);
       if (IsSlice(t.text)) {
         const std::uint64_t offset = t.text.data() - text->data();
-        w.U8(kind);
+        w.U8(t.id);
         w.Var(ZigZag(offset - at.end));
         w.Var(t.text.size());
         at.end = offset + t.text.size();
       } else {
-        w.U8(kind | kInlineBit);
+        w.U8(kInlineLead + static_cast<std::uint8_t>(t.kind));
         w.Str(t.text);
       }
       const std::uint32_t line = t.line;
@@ -183,9 +189,8 @@ class EntryCodec : public LexemeCodec {
   }
 
  private:
-  // Bit 7 of each of the first five bytes: the inline flag of the lead byte
-  // and the continuation bits of the four varints.
-  static constexpr std::uint64_t kContinuationBits = 0x8080808080ull;
+  // Bit 7 of the four varints' bytes after the lead byte.
+  static constexpr std::uint64_t kContinuationBits = 0x8080808000ull;
 
   // Where the previous token left off.
   struct Delta {
@@ -194,7 +199,7 @@ class EntryCodec : public LexemeCodec {
   };
 
   // Decodes tokens from `it` on while they take one byte per field and
-  // pass the kind and slice checks, in locals: the reader's cursor moves
+  // pass the id and slice checks, in locals: the reader's cursor moves
   // once, at the end of the run. Returns the first token it left.
   template <class Reader, class Iterator>
   Iterator FastRun(Reader& r, Delta* at, Iterator it, Iterator end) const {
@@ -205,16 +210,17 @@ class EntryCodec : public LexemeCodec {
     for (; it != end && used + 8 <= rest.size(); ++it, used += 5) {
       std::uint64_t word = 0;
       std::memcpy(&word, rest.data() + used, sizeof word);
-      const int kind = word & 0xFF;
+      const std::uint8_t id = word & 0xFF;
       const std::uint64_t offset = d.end + UnZigZag(word >> 8 & 0xFF);
       const std::uint64_t size = word >> 16 & 0xFF;
-      if ((word & kContinuationBits) != 0 || kind >= lex::kNumTokenKinds ||
+      if ((word & kContinuationBits) != 0 || id >= lex::kNumTokenIds ||
           offset > text->size() || size > text->size() - offset) {
         break;
       }
       d.end = offset + size;
       d.line += UnZigZag<std::uint32_t>(word >> 24 & 0xFF);
-      it->kind = static_cast<lex::TokenKind>(kind);
+      it->id = lex::TokenId{id};
+      it->kind = lex::KindOf(it->id);
       it->text = std::string_view(text->data() + offset, size);
       it->line = d.line;
       it->column = word >> 32 & 0xFF;
@@ -227,11 +233,18 @@ class EntryCodec : public LexemeCodec {
   [[gnu::noinline]] void SlowToken(Reader& r, Delta* at,
                                    lex::Token* t) const {
     const std::uint8_t lead = r.U8();
-    const int kind = lead & ~kInlineBit;
-    r.Report(kind < lex::kNumTokenKinds ? nullptr : "token kind out of range");
-    t->kind = static_cast<lex::TokenKind>(kind);
-    if ((lead & kInlineBit) != 0) {
+    const bool inline_lexeme = lead >= kInlineLead;
+    const bool known = inline_lexeme ? lead - kInlineLead < lex::kNumTokenKinds
+                                     : lead < lex::kNumTokenIds;
+    r.Report(known ? nullptr : "token id out of range");
+    // An unknown lead decodes as an unlisted punctuator; the failure stands.
+    t->id = known && !inline_lexeme ? lex::TokenId{lead}
+                                    : lex::kIdUnlistedPunct;
+    t->kind = known && inline_lexeme ? lex::TokenKind{lead - kInlineLead}
+                                     : lex::KindOf(t->id);
+    if (inline_lexeme) {
       t->text = Keep(r.Str());
+      t->id = lex::IdOf(t->kind, t->text);
     } else {
       const std::uint64_t offset = at->end + UnZigZag(r.Var());
       const std::uint64_t size = r.Var();

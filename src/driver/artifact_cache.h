@@ -50,7 +50,7 @@
 namespace certkit::driver {
 
 // Bump when the serialized layout of any payload struct changes.
-inline constexpr std::uint32_t kArtifactSchemaVersion = 2;
+inline constexpr std::uint32_t kArtifactSchemaVersion = 3;
 
 // The content key of a file's bytes: a 64-bit hash read eight bytes at a
 // time in four lanes, with an avalanche at the end, so that any change to

@@ -102,37 +102,31 @@ constexpr DfaTable BuildTokenDfa() {
   return t;
 }
 
-// Multi-character punctuators grouped by lead character. Within each group
-// the order matches the reference lexer's kMultiPunct scan order, so maximal
-// munch resolves identically (e.g. for '<': "<<=" before "<=>" before "<<"
-// before "<=").
-constexpr std::array<std::string_view, 27> kPunctTableInit = {
-    "<<=", "<=>", "<<", "<=",   // '<'  [0..3]
-    ">>=", ">>",  ">=",         // '>'  [4..6]
-    "...", ".*",                // '.'  [7..8]
-    "->*", "->",  "--", "-=",   // '-'  [9..12]
-    "::",                       // ':'  [13]
-    "++",  "+=",                // '+'  [14..15]
-    "==",                       // '='  [16]
-    "!=",                       // '!'  [17]
-    "&&",  "&=",                // '&'  [18..19]
-    "||",  "|=",                // '|'  [20..21]
-    "*=",                       // '*'  [22]
-    "/=",                       // '/'  [23]
-    "%=",                       // '%'  [24]
-    "^=",                       // '^'  [25]
-    "##",                       // '#'  [26]
-};
+constexpr std::string_view SpellingOf(std::uint8_t id) {
+  return kSpellings[id - kIdFirstSpelled];
+}
 
+// kSpellings lists the multi-character punctuators grouped by lead
+// character, each group in the reference lexer's kMultiPunct scan order, so
+// maximal munch resolves identically.
 constexpr std::array<PunctGroup, 256> BuildPunctIndex() {
   std::array<PunctGroup, 256> idx{};
-  for (std::uint8_t i = 0; i < kPunctTableInit.size(); ++i) {
-    const unsigned char lead =
-        static_cast<unsigned char>(kPunctTableInit[i].front());
-    if (idx[lead].count == 0) idx[lead].offset = i;
+  for (std::uint8_t id = kIdFirstPunct; id < kIdFirstSinglePunct; ++id) {
+    const unsigned char lead = SpellingOf(id).front();
+    if (idx[lead].count == 0) idx[lead].first = id;
     ++idx[lead].count;
   }
   return idx;
+}
+
+constexpr std::array<TokenId, 256> BuildSinglePunctId() {
+  std::array<TokenId, 256> ids{};
+  ids.fill(kIdUnlistedPunct);
+  for (std::uint8_t id = kIdFirstSinglePunct; id < kNumTokenIds; ++id) {
+    const unsigned char c = SpellingOf(id).front();
+    ids[c] = TokenId{id};
+  }
+  return ids;
 }
 
 constexpr std::uint64_t Fnv1a64(std::string_view s) {
@@ -144,80 +138,53 @@ constexpr std::uint64_t Fnv1a64(std::string_view s) {
   return h;
 }
 
-// A frozen open-addressing hash set: FNV-1a/64 modulo a power-of-two
-// capacity, linear probing, built entirely at compile time. An empty
-// string_view marks a vacant slot (no keyword is empty).
+// A frozen open-addressing hash map from keyword spelling to id: FNV-1a/64
+// modulo a power-of-two capacity, linear probing, built entirely at compile
+// time. Id 0, kIdIdentifier, marks a vacant slot (no keyword has it).
 template <std::size_t Capacity>
-struct FrozenStringSet {
+struct FrozenKeywordMap {
   static_assert((Capacity & (Capacity - 1)) == 0, "capacity must be 2^k");
-  std::array<std::string_view, Capacity> slots{};
+  static_assert((kIdFirstPunct - kIdFirstSpelled) * 5 <= Capacity * 2,
+                "load factor must stay under 0.4");
+  std::array<std::uint8_t, Capacity> slots{};
 
-  template <std::size_t N>
-  constexpr explicit FrozenStringSet(
-      const std::array<std::string_view, N>& words) {
-    static_assert(N * 5 <= Capacity * 2, "load factor must stay under 0.4");
-    for (std::string_view w : words) {
-      std::size_t i = Fnv1a64(w) & (Capacity - 1);
-      while (!slots[i].empty()) i = (i + 1) & (Capacity - 1);
-      slots[i] = w;
+  constexpr FrozenKeywordMap() {
+    for (std::uint8_t id = kIdFirstSpelled; id < kIdFirstPunct; ++id) {
+      std::size_t i = Fnv1a64(SpellingOf(id)) & (Capacity - 1);
+      while (slots[i] != kIdIdentifier) i = (i + 1) & (Capacity - 1);
+      slots[i] = id;
     }
   }
 
-  constexpr bool Contains(std::string_view w) const {
+  constexpr TokenId Find(std::string_view w) const {
     std::size_t i = Fnv1a64(w) & (Capacity - 1);
-    while (!slots[i].empty()) {
-      if (slots[i] == w) return true;
+    while (slots[i] != kIdIdentifier && SpellingOf(slots[i]) != w) {
       i = (i + 1) & (Capacity - 1);
     }
-    return false;
+    return TokenId{slots[i]};
   }
 };
 
-// C++20 keyword set, plus the C99/C11 spellings that appear in mixed C/C++
-// automotive codebases. Identical contents to the seed lexer's set.
-constexpr std::array<std::string_view, 93> kCppKeywords = {
-    "alignas", "alignof", "and", "and_eq", "asm", "auto", "bitand", "bitor",
-    "bool", "break", "case", "catch", "char", "char8_t", "char16_t",
-    "char32_t", "class", "compl", "concept", "const", "consteval",
-    "constexpr", "constinit", "const_cast", "continue", "co_await",
-    "co_return", "co_yield", "decltype", "default", "delete", "do",
-    "double", "dynamic_cast", "else", "enum", "explicit", "export",
-    "extern", "false", "float", "for", "friend", "goto", "if", "inline",
-    "int", "long", "mutable", "namespace", "new", "noexcept", "not",
-    "not_eq", "nullptr", "operator", "or", "or_eq", "private", "protected",
-    "public", "register", "reinterpret_cast", "requires", "return", "short",
-    "signed", "sizeof", "static", "static_assert", "static_cast", "struct",
-    "switch", "template", "this", "thread_local", "throw", "true", "try",
-    "typedef", "typeid", "typename", "union", "unsigned", "using",
-    "virtual", "void", "volatile", "wchar_t", "while",
-    "restrict", "_Bool", "_Static_assert",
-};
-
-constexpr std::array<std::string_view, 9> kCudaKeywords = {
-    "__global__",   "__device__",  "__host__",     "__shared__",
-    "__constant__", "__managed__", "__restrict__", "__forceinline__",
-    "__launch_bounds__",
-};
-
-constexpr FrozenStringSet<256> kCppKeywordSet(kCppKeywords);
-constexpr FrozenStringSet<32> kCudaKeywordSet(kCudaKeywords);
+constexpr FrozenKeywordMap<256> kKeywordMap;
 
 }  // namespace
 
 const std::array<std::uint8_t, 256> kCharClass = BuildCharClass();
 const std::array<std::array<std::uint8_t, kClassCount>, kStateCount>
     kTokenDfa = BuildTokenDfa();
-const std::array<std::string_view, 27> kPunctTable = kPunctTableInit;
 const std::array<PunctGroup, 256> kPunctIndex = BuildPunctIndex();
+const std::array<TokenId, 256> kSinglePunctId = BuildSinglePunctId();
 
-std::uint64_t KeywordHash(std::string_view word) { return Fnv1a64(word); }
+TokenId KeywordId(std::string_view word) { return kKeywordMap.Find(word); }
 
-bool CppKeywordTableContains(std::string_view word) {
-  return kCppKeywordSet.Contains(word);
-}
-
-bool CudaKeywordTableContains(std::string_view word) {
-  return kCudaKeywordSet.Contains(word);
+TokenId PunctId(std::string_view text) {
+  const unsigned char lead = text.empty() ? 0 : text.front();
+  TokenId id = text.size() == 1 ? kSinglePunctId[lead] : kIdUnlistedPunct;
+  const PunctGroup group = kPunctIndex[lead];
+  for (std::uint8_t c = group.first; c < group.first + group.count; ++c) {
+    if (SpellingOf(c) == text) id = TokenId{c};
+  }
+  return id;
 }
 
 }  // namespace certkit::lex::tables

@@ -13,19 +13,22 @@
 //     scanner's behavior exactly (including its accepting quirks, e.g.
 //     `1el` lexing as one number token); the differential test in
 //     tests/lex/ holds it to that contract.
-//  3. Keyword tables — frozen open-addressing hash sets (FNV-1a/64, linear
-//     probing, power-of-two capacity) for the C++20 and CUDA keyword sets,
+//  3. The keyword map — a frozen open-addressing hash map (FNV-1a/64,
+//     linear probing, power-of-two capacity) from the C++20 and CUDA
+//     keyword spellings of kSpellings (lex/token.h) to their token ids,
 //     built constexpr so lookup is two or three probes with no startup cost.
 //
 // Multi-character punctuators use a per-lead-character candidate table
-// (kPunctIndex/kPunctTable) that preserves the reference lexer's maximal-
-// munch priority order.
+// (kPunctIndex) over kSpellings that preserves the reference lexer's
+// maximal-munch priority order; kSinglePunctId names every single byte.
 #ifndef CERTKIT_LEX_DFA_TABLES_H_
 #define CERTKIT_LEX_DFA_TABLES_H_
 
 #include <array>
 #include <cstdint>
 #include <string_view>
+
+#include "lex/token.h"
 
 namespace certkit::lex::tables {
 
@@ -105,20 +108,21 @@ constexpr bool IsDigitClass(std::uint8_t cls) {
 }
 
 // Multi-character punctuators, grouped by lead character. For lead byte c,
-// the candidates are kPunctTable[kPunctIndex[c].offset .. +count), in
-// maximal-munch priority order; the first full match wins, and a bare
-// single character is always a valid fallback.
+// the candidates are the ids kPunctIndex[c].first .. +count, in maximal-
+// munch priority order; the first full match wins, and the bare character,
+// kSinglePunctId[c], is always a valid fallback.
 struct PunctGroup {
-  std::uint8_t offset = 0;
+  std::uint8_t first = 0;  // id of the first candidate
   std::uint8_t count = 0;
 };
-extern const std::array<std::string_view, 27> kPunctTable;
 extern const std::array<PunctGroup, 256> kPunctIndex;
+extern const std::array<TokenId, 256> kSinglePunctId;
 
-// Frozen keyword sets. Capacities are powers of two with load factor < 0.4.
-std::uint64_t KeywordHash(std::string_view word);
-bool CppKeywordTableContains(std::string_view word);
-bool CudaKeywordTableContains(std::string_view word);
+// The id of a C++ or CUDA keyword spelling, or kIdIdentifier for any other
+// word. The map's capacity is a power of two with load factor < 0.4.
+TokenId KeywordId(std::string_view word);
+// The id of a punctuator text, or kIdUnlistedPunct.
+TokenId PunctId(std::string_view text);
 
 }  // namespace certkit::lex::tables
 

@@ -3,7 +3,8 @@
 // Identifier and number recognition run as bulk loops over the static
 // transition table in lex/dfa_tables.h; multi-character punctuators resolve
 // through a per-lead-character candidate table; keywords hit a frozen
-// constexpr hash set. Token text is a string_view into the source buffer the
+// constexpr hash map. Every token leaves with its id (lex/token.h), decided
+// here once. Token text is a string_view into the source buffer the
 // LexedFile owns — the only lexemes that need their own storage are string
 // literals and line comments interrupted by a backslash-newline splice,
 // which land in LexedFile::owned_lexemes.
@@ -248,7 +249,14 @@ class Scanner {
     return support::Status::Ok();
   }
 
+  // Scans one token. The scanners decide its id, which names its kind.
   support::Status ScanToken(Token* tok) {
+    const support::Status st = ScanLexeme(tok);
+    tok->kind = KindOf(tok->id);
+    return st;
+  }
+
+  support::Status ScanLexeme(Token* tok) {
     tok->line = line_;
     tok->column = col_;
     const char c = Peek();
@@ -313,10 +321,8 @@ class Scanner {
     const std::size_t start = pos_;
     AdvanceFlat(RunDfa(tb::kStIdent));
     tok->text = Slice(start, pos_);
-    const bool keyword =
-        IsCppKeyword(tok->text) ||
-        (options_.cuda_dialect && IsCudaKeyword(tok->text));
-    tok->kind = keyword ? TokenKind::kKeyword : TokenKind::kIdentifier;
+    const TokenId id = tb::KeywordId(tok->text);
+    tok->id = id >= kIdFirstCuda && !options_.cuda_dialect ? kIdIdentifier : id;
     return support::Status::Ok();
   }
 
@@ -331,7 +337,7 @@ class Scanner {
       state = tb::kStBin;
     }
     AdvanceFlat(RunDfa(state));
-    tok->kind = TokenKind::kNumber;
+    tok->id = kIdNumber;
     tok->text = Slice(start, pos_);
     return support::Status::Ok();
   }
@@ -364,7 +370,7 @@ class Scanner {
         }
         if (match) {
           for (std::size_t i = 0; i < closer.size(); ++i) Advance();
-          tok->kind = TokenKind::kString;
+          tok->id = kIdString;
           tok->text = Slice(tok_start, pos_);
           return support::Status::Ok();
         }
@@ -400,7 +406,7 @@ class Scanner {
       }
       Advance();
       if (c == '"') {
-        tok->kind = TokenKind::kString;
+        tok->id = kIdString;
         if (spliced) {
           pending.append(src_, seg_start, pos_ - seg_start);
           tok->text = Own(std::move(pending));
@@ -428,7 +434,7 @@ class Scanner {
       }
       Advance();
       if (c == '\'') {
-        tok->kind = TokenKind::kChar;
+        tok->id = kIdChar;
         tok->text = Slice(tok_start, pos_);
         return support::Status::Ok();
       }
@@ -439,21 +445,20 @@ class Scanner {
 
   support::Status ScanPunct(Token* tok) {
     const auto rest = src_.substr(pos_);
-    const tb::PunctGroup group =
-        tb::kPunctIndex[static_cast<unsigned char>(Peek())];
-    for (std::uint8_t i = 0; i < group.count; ++i) {
-      const std::string_view p = tb::kPunctTable[group.offset + i];
+    const unsigned char lead = Peek();
+    const tb::PunctGroup group = tb::kPunctIndex[lead];
+    tok->id = tb::kSinglePunctId[lead];
+    std::size_t size = 1;
+    for (std::uint8_t c = group.first; c < group.first + group.count; ++c) {
+      const std::string_view p = kSpellings[c - kIdFirstSpelled];
       if (rest.starts_with(p)) {
-        tok->kind = TokenKind::kPunct;
-        const std::size_t start = pos_;
-        AdvanceFlat(p.size());
-        tok->text = Slice(start, pos_);
-        return support::Status::Ok();
+        tok->id = TokenId{c};
+        size = p.size();
+        break;
       }
     }
-    tok->kind = TokenKind::kPunct;
     const std::size_t start = pos_;
-    AdvanceFlat(1);
+    AdvanceFlat(size);
     tok->text = Slice(start, pos_);
     return support::Status::Ok();
   }

@@ -9,19 +9,14 @@ namespace certkit::metrics {
 
 namespace {
 
+using lex::Tok;
 using lex::Token;
-using lex::TokenKind;
 
-bool IsDecisionToken(const Token& t) {
-  if (t.kind == TokenKind::kKeyword) {
-    return t.text == "if" || t.text == "for" || t.text == "while" ||
-           t.text == "case" || t.text == "catch";
-  }
-  if (t.kind == TokenKind::kPunct) {
-    return t.text == "&&" || t.text == "||" || t.text == "?";
-  }
-  return false;
-}
+// Tokens that add a path: branches, loops, case labels, handlers, and the
+// short-circuit and conditional operators.
+constexpr lex::TokenSet kDecisionTokens = {
+    Tok("if"), Tok("for"), Tok("while"), Tok("case"),
+    Tok("catch"), Tok("&&"), Tok("||"), Tok("?")};
 
 }  // namespace
 
@@ -54,21 +49,17 @@ FunctionMetrics ComputeFunctionMetrics(const ast::SourceFileModel& file,
       last_code_line = t.line;
     }
 
-    if (t.IsPunct("{")) {
+    if (t.id == Tok("{")) {
       ++depth;
       m.max_nesting_depth = std::max(m.max_nesting_depth, depth - 1);
-    } else if (t.IsPunct("}")) {
+    } else if (t.id == Tok("}")) {
       --depth;
     }
+    m.cyclomatic_complexity += kDecisionTokens.contains(t.id);
+    m.return_count += t.id == Tok("return");
+    m.goto_count += t.id == Tok("goto");
 
-    if (IsDecisionToken(t)) {
-      ++m.cyclomatic_complexity;
-    }
-    if (t.IsKeyword("return")) ++m.return_count;
-    if (t.IsKeyword("goto")) ++m.goto_count;
-
-    if (t.IsIdentifier() && i + 1 <= fn.body_end &&
-        toks[i + 1].IsPunct("(")) {
+    if (lex::IsCallAt(toks, i, fn.body_end)) {
       callees.insert(t.text);
       if (t.text == fn.name) m.is_recursive_direct = true;
     }

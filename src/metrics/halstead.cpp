@@ -33,19 +33,13 @@ HalsteadMetrics ComputeHalstead(const ast::SourceFileModel& file,
   std::unordered_set<std::string_view> operands;
   for (std::size_t i = fn.body_begin; i <= fn.body_end; ++i) {
     const lex::Token& t = toks[i];
-    switch (t.kind) {
-      case lex::TokenKind::kKeyword:
-      case lex::TokenKind::kPunct:
-        ++m.total_operators;
-        operators.insert(t.text);
-        break;
-      case lex::TokenKind::kIdentifier:
-      case lex::TokenKind::kNumber:
-      case lex::TokenKind::kString:
-      case lex::TokenKind::kChar:
-        ++m.total_operands;
-        operands.insert(t.text);
-        break;
+    if (t.kind == lex::TokenKind::kKeyword ||
+        t.kind == lex::TokenKind::kPunct) {
+      ++m.total_operators;
+      operators.insert(t.text);
+    } else {
+      ++m.total_operands;
+      operands.insert(t.text);
     }
   }
   m.distinct_operators = static_cast<std::int64_t>(operators.size());

@@ -12,6 +12,27 @@ using support::FormatDouble;
 
 std::string Num(std::int64_t v) { return std::to_string(v); }
 
+// Signal and interrupt handlers by name, and signal/sigaction calls.
+std::int64_t InterruptConstructs(const ast::SourceFileModel& file) {
+  std::int64_t n = 0;
+  for (const auto& fn : file.functions) {
+    n += support::Contains(fn.name, "signal_handler") ||
+         support::Contains(fn.name, "interrupt") ||
+         support::Contains(fn.name, "isr_");
+  }
+  for (const auto& t : file.lexed.tokens) {
+    n += t.IsIdentifier() && (t.text == "signal" || t.text == "sigaction");
+  }
+  return n;
+}
+
+// A row's verdict: compliant, else partial, else non-compliant.
+Verdict Grade(bool compliant, bool partial) {
+  return compliant ? Verdict::kCompliant
+         : partial ? Verdict::kPartial
+                   : Verdict::kNonCompliant;
+}
+
 }  // namespace
 
 void AccumulateStyle(const StyleResult& result,
@@ -108,10 +129,8 @@ TableAssessment Assessor::AssessCodingGuidelines() {
         inputs_.total_functions > 0
             ? static_cast<double>(over10) / static_cast<double>(inputs_.total_functions)
             : 0.0;
-    Verdict v = over10 == 0 ? Verdict::kCompliant
-                : fraction <= thresholds_.cc_over10_partial_fraction
-                    ? Verdict::kPartial
-                    : Verdict::kNonCompliant;
+    const Verdict v = Grade(
+        over10 == 0, fraction <= thresholds_.cc_over10_partial_fraction);
     out.assessments.push_back(
         {"1", v,
          Num(over10) + " of " + Num(inputs_.total_functions) +
@@ -129,9 +148,7 @@ TableAssessment Assessor::AssessCodingGuidelines() {
         if (f.severity == Severity::kRequired) ++required_violations;
       }
     }
-    Verdict v = total_violations == 0 ? Verdict::kCompliant
-                : required_violations == 0 ? Verdict::kPartial
-                                           : Verdict::kNonCompliant;
+    const Verdict v = Grade(total_violations == 0, required_violations == 0);
     out.assessments.push_back(
         {"2", v,
          Num(total_violations) + " MISRA-subset violations (" +
@@ -146,10 +163,9 @@ TableAssessment Assessor::AssessCodingGuidelines() {
         inputs_.total_nloc > 0 ? 1000.0 * static_cast<double>(inputs_.total_casts) /
                               static_cast<double>(inputs_.total_nloc)
                         : 0.0;
-    Verdict v = inputs_.total_casts == 0 ? Verdict::kCompliant
-                : per_knloc <= thresholds_.casts_per_knloc_partial
-                    ? Verdict::kPartial
-                    : Verdict::kNonCompliant;
+    const Verdict v =
+        Grade(inputs_.total_casts == 0,
+              per_knloc <= thresholds_.casts_per_knloc_partial);
     out.assessments.push_back(
         {"3", v,
          Num(inputs_.total_casts) + " explicit casts (" +
@@ -160,11 +176,8 @@ TableAssessment Assessor::AssessCodingGuidelines() {
   // Row 4: defensive implementation (Observation 6).
   {
     const double ratio = inputs_.defensive.stats.InputValidationRatio();
-    Verdict v = ratio >= thresholds_.defensive_compliant_ratio
-                    ? Verdict::kCompliant
-                : ratio >= thresholds_.defensive_partial_ratio
-                    ? Verdict::kPartial
-                    : Verdict::kNonCompliant;
+    const Verdict v = Grade(ratio >= thresholds_.defensive_compliant_ratio,
+                            ratio >= thresholds_.defensive_partial_ratio);
     out.assessments.push_back(
         {"4", v,
          FormatDouble(100.0 * ratio, 1) +
@@ -180,9 +193,7 @@ TableAssessment Assessor::AssessCodingGuidelines() {
     for (const auto& ud : inputs_.unit_design) {
       mutable_globals += ud.stats.mutable_globals;
     }
-    Verdict v = mutable_globals == 0 ? Verdict::kCompliant
-                : mutable_globals <= 20 ? Verdict::kPartial
-                                        : Verdict::kNonCompliant;
+    const Verdict v = Grade(mutable_globals == 0, mutable_globals <= 20);
     out.assessments.push_back(
         {"5", v, Num(mutable_globals) + " mutable file-scope variables", 7});
   }
@@ -272,9 +283,8 @@ TableAssessment Assessor::AssessArchitecture() {
       wide += i.functions_over_param_limit;
       if (i.max_params > max_params) max_params = i.max_params;
     }
-    Verdict v = wide == 0 ? Verdict::kCompliant
-                : wide <= inputs_.total_functions / 50 ? Verdict::kPartial
-                                                : Verdict::kNonCompliant;
+    const Verdict v =
+        Grade(wide == 0, wide <= inputs_.total_functions / 50);
     out.assessments.push_back(
         {"3", v,
          Num(wide) + " functions exceed " + Num(thresholds_.max_params) +
@@ -292,11 +302,8 @@ TableAssessment Assessor::AssessArchitecture() {
         max_efferent = c.efferent_modules;
       }
     }
-    Verdict v4 = min_cohesion >= thresholds_.cohesion_compliant
-                     ? Verdict::kCompliant
-                 : min_cohesion >= thresholds_.cohesion_partial
-                     ? Verdict::kPartial
-                     : Verdict::kNonCompliant;
+    const Verdict v4 = Grade(min_cohesion >= thresholds_.cohesion_compliant,
+                             min_cohesion >= thresholds_.cohesion_partial);
     out.assessments.push_back(
         {"4", v4,
          "minimum component cohesion " + FormatDouble(min_cohesion, 2) +
@@ -325,19 +332,7 @@ TableAssessment Assessor::AssessArchitecture() {
     std::int64_t interrupt_constructs = 0;
     for (const auto& mod : *inputs_.modules) {
       for (const auto& file : mod.files) {
-        for (const auto& fn : file.functions) {
-          if (support::Contains(fn.name, "signal_handler") ||
-              support::Contains(fn.name, "interrupt") ||
-              support::Contains(fn.name, "isr_")) {
-            ++interrupt_constructs;
-          }
-        }
-        for (const auto& t : file.lexed.tokens) {
-          if (t.IsIdentifier() &&
-              (t.text == "signal" || t.text == "sigaction")) {
-            ++interrupt_constructs;
-          }
-        }
+        interrupt_constructs += InterruptConstructs(file);
       }
     }
     out.assessments.push_back(
@@ -375,18 +370,14 @@ TableAssessment Assessor::AssessUnitDesign() {
   const double knloc =
       inputs_.total_nloc > 0 ? static_cast<double>(inputs_.total_nloc) / 1000.0 : 1.0;
   auto rate_verdict = [&](std::int64_t count) {
-    if (count == 0) return Verdict::kCompliant;
-    return (static_cast<double>(count) / knloc) <=
-                   thresholds_.unit_partial_rate_per_knloc
-               ? Verdict::kPartial
-               : Verdict::kNonCompliant;
+    return Grade(count == 0, static_cast<double>(count) / knloc <=
+                                 thresholds_.unit_partial_rate_per_knloc);
   };
 
   out.assessments.push_back(
       {"1",
-       total.functions_multi_exit == 0 ? Verdict::kCompliant
-       : total.MultiExitFraction() <= 0.05 ? Verdict::kPartial
-                                           : Verdict::kNonCompliant,
+       Grade(total.functions_multi_exit == 0,
+             total.MultiExitFraction() <= 0.05),
        FormatDouble(100.0 * total.MultiExitFraction(), 1) +
            "% of functions have multiple exit points (" +
            Num(total.functions_multi_exit) + " of " +

@@ -8,8 +8,8 @@ namespace certkit::rules {
 
 namespace {
 
+using lex::Tok;
 using lex::Token;
-using lex::TokenKind;
 
 bool IsAssertLikeName(std::string_view name) {
   static const std::unordered_set<std::string_view> kSet = {
@@ -31,18 +31,83 @@ bool SpanMentionsParam(const std::vector<Token>& toks, std::size_t open,
   return false;
 }
 
-std::size_t MatchParen(const std::vector<Token>& toks, std::size_t open,
-                       std::size_t end) {
-  int depth = 0;
-  for (std::size_t i = open; i <= end && i < toks.size(); ++i) {
-    if (toks[i].IsPunct("(")) ++depth;
-    if (toks[i].IsPunct(")")) {
-      --depth;
-      if (depth == 0) return i;
+// One pass over a file set: the functions it knows by name (views into
+// the FunctionModel names, which outlive the pass), and the stats and
+// findings it accumulates.
+struct DefensivePass {
+  DefensiveStats& s;
+  CheckReport& rep;
+  std::unordered_set<std::string_view> known = {};
+  std::unordered_set<std::string_view> nonvoid = {};
+
+  void CheckFunction(const ast::SourceFileModel& file,
+                     const ast::FunctionModel& fn) {
+    ++rep.entities_checked;
+    std::unordered_set<std::string_view> params;
+    for (const auto& p : fn.params) {
+      if (!p.name.empty() && p.name != "...") params.insert(p.name);
+    }
+    if (!params.empty()) {
+      ++s.functions_with_params;
+      if (ValidatesInputs(file.lexed.tokens, fn, params)) {
+        ++s.functions_validating_inputs;
+      } else {
+        rep.Add("DEF-INPUT", Severity::kWarning, file.path, fn.start_line,
+                "function '" + fn.name + "' (" +
+                    std::to_string(params.size()) +
+                    " parameter(s)) never validates its inputs");
+      }
+    }
+    // Discarded results: at each statement start.
+    lex::ForEachStatementStart(
+        file.lexed.tokens, fn.body_begin, fn.body_end,
+        [&](std::size_t i) { CheckDiscardedResult(file, fn, i); });
+  }
+
+  // Input validation: whether an `if` condition or an assertion's
+  // arguments name a parameter. Counts the assertion sites on the way.
+  bool ValidatesInputs(const std::vector<Token>& toks,
+                       const ast::FunctionModel& fn,
+                       const std::unordered_set<std::string_view>& params) {
+    bool validates = false;
+    for (std::size_t i = fn.body_begin; i <= fn.body_end && !validates;
+         ++i) {
+      const bool is_assert = lex::IsCallAt(toks, i, fn.body_end) &&
+                             IsAssertLikeName(toks[i].text);
+      s.assertion_sites += is_assert;
+      const std::size_t open = i + 1;
+      validates = (is_assert || toks[i].id == Tok("if")) &&
+                  open <= fn.body_end && toks[open].id == Tok("(") &&
+                  SpanMentionsParam(
+                      toks, open, lex::MatchingClose(toks, open, fn.body_end),
+                      params);
+    }
+    return validates;
+  }
+
+  // An expression statement `name ( ... ) ;` starting at toks[i], where
+  // `name` is a known non-void function, discards its result.
+  void CheckDiscardedResult(const ast::SourceFileModel& file,
+                            const ast::FunctionModel& fn, std::size_t i) {
+    const auto& toks = file.lexed.tokens;
+    const Token& t = toks[i];
+    const bool call =
+        lex::IsCallAt(toks, i, fn.body_end - 1) && known.contains(t.text);
+    const std::size_t close =
+        call ? lex::MatchingClose(toks, i + 1, fn.body_end) : fn.body_end;
+    // Followed by anything but ';', the call is part of a larger
+    // expression: its result is consumed.
+    if (close + 1 <= fn.body_end && toks[close + 1].id == Tok(";")) {
+      ++s.call_sites_checked;
+      if (nonvoid.contains(t.text)) {
+        ++s.discarded_results;
+        rep.Add("DEF-RESULT", Severity::kWarning, file.path, t.line,
+                "result of non-void '" + t.str() + "' is discarded in '" +
+                    fn.name + "'");
+      }
     }
   }
-  return end;
-}
+};
 
 }  // namespace
 
@@ -50,87 +115,15 @@ DefensiveResult AnalyzeDefensive(
     const std::vector<ast::SourceFileModel>& files) {
   DefensiveResult result;
   result.report.checker = "defensive";
-  DefensiveStats& s = result.stats;
-  CheckReport& rep = result.report;
-
-  // Known non-void functions (by name) across the file set. Views into the
-  // FunctionModel names, which outlive this analysis.
-  std::unordered_set<std::string_view> nonvoid;
-  std::unordered_set<std::string_view> known;
+  DefensivePass pass{result.stats, result.report};
   for (const auto& file : files) {
     for (const auto& fn : file.functions) {
-      known.insert(fn.name);
-      if (!fn.returns_void) nonvoid.insert(fn.name);
+      pass.known.insert(fn.name);
+      if (!fn.returns_void) pass.nonvoid.insert(fn.name);
     }
   }
-
   for (const auto& file : files) {
-    const auto& toks = file.lexed.tokens;
-    for (const auto& fn : file.functions) {
-      ++rep.entities_checked;
-      std::unordered_set<std::string_view> params;
-      for (const auto& p : fn.params) {
-        if (!p.name.empty() && p.name != "...") params.insert(p.name);
-      }
-
-      // --- input validation ---
-      if (!params.empty()) {
-        ++s.functions_with_params;
-        bool validates = false;
-        for (std::size_t i = fn.body_begin; i <= fn.body_end && !validates;
-             ++i) {
-          const Token& t = toks[i];
-          const bool is_if = t.IsKeyword("if");
-          const bool is_assert = t.IsIdentifier() &&
-                                 IsAssertLikeName(t.text) &&
-                                 i + 1 <= fn.body_end &&
-                                 toks[i + 1].IsPunct("(");
-          if (is_assert) ++s.assertion_sites;
-          if (!is_if && !is_assert) continue;
-          const std::size_t open = i + 1;
-          if (open > fn.body_end || !toks[open].IsPunct("(")) continue;
-          const std::size_t close = MatchParen(toks, open, fn.body_end);
-          if (SpanMentionsParam(toks, open, close, params)) {
-            validates = true;
-          }
-        }
-        if (validates) {
-          ++s.functions_validating_inputs;
-        } else {
-          rep.Add("DEF-INPUT", Severity::kWarning, file.path, fn.start_line,
-                  "function '" + fn.name + "' (" +
-                      std::to_string(params.size()) +
-                      " parameter(s)) never validates its inputs");
-        }
-      }
-
-      // --- discarded results ---
-      // Expression statements of the form `name ( ... ) ;` at statement
-      // start, where `name` is a known non-void function.
-      bool at_stmt_start = true;
-      for (std::size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
-        const Token& t = toks[i];
-        if (t.IsPunct(";") || t.IsPunct("{") || t.IsPunct("}")) {
-          at_stmt_start = true;
-          continue;
-        }
-        if (!at_stmt_start) continue;
-        at_stmt_start = false;
-        if (!t.IsIdentifier() || !known.contains(t.text)) continue;
-        if (i + 1 >= fn.body_end || !toks[i + 1].IsPunct("(")) continue;
-        const std::size_t close = MatchParen(toks, i + 1, fn.body_end);
-        if (close + 1 > fn.body_end || !toks[close + 1].IsPunct(";")) {
-          continue;  // part of a larger expression: result is consumed
-        }
-        ++s.call_sites_checked;
-        if (nonvoid.contains(t.text)) {
-          ++s.discarded_results;
-          rep.Add("DEF-RESULT", Severity::kWarning, file.path, t.line,
-                  "result of non-void '" + t.str() + "' is discarded in '" +
-                      fn.name + "'");
-        }
-      }
-    }
+    for (const auto& fn : file.functions) pass.CheckFunction(file, fn);
   }
   return result;
 }

@@ -8,8 +8,8 @@ namespace certkit::rules {
 
 namespace {
 
+using lex::Tok;
 using lex::Token;
-using lex::TokenKind;
 
 constexpr Recommendation kOO = Recommendation::kNone;
 constexpr Recommendation kR = Recommendation::kRecommended;
@@ -22,8 +22,23 @@ bool IsAssertName(std::string_view name) {
   return kSet.contains(name);
 }
 
-bool ContainsInsensitive(std::string_view haystack, const char* needle) {
-  return support::Contains(support::ToLower(haystack), needle);
+// Names of graceful-degradation code, matched case-insensitively.
+bool IsDegradationName(std::string_view name) {
+  const std::string lower = support::ToLower(name);
+  return support::Contains(lower, "fallback") ||
+         support::Contains(lower, "degraded") ||
+         support::Contains(lower, "emergency") ||
+         support::Contains(lower, "failsafe");
+}
+
+// A called name: assertion-family macros, and checksum/CRC routines
+// (matched case-insensitively).
+void CountCall(std::string_view name, ErrorHandlingStats* s) {
+  if (IsAssertName(name)) ++s->assertion_sites;
+  const std::string lower = support::ToLower(name);
+  if (support::Contains(lower, "checksum") || support::Contains(lower, "crc")) {
+    ++s->checksum_sites;
+  }
 }
 
 bool IsStatusReturnType(const std::vector<Token>& toks, std::size_t begin,
@@ -50,31 +65,17 @@ ErrorHandlingStats AnalyzeErrorHandling(const ast::SourceFileModel& file) {
 
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
-    if (t.IsKeyword("try")) ++s.try_blocks;
-    if (t.IsKeyword("throw")) ++s.throw_sites;
-    if (t.IsKeyword("catch")) {
+    s.try_blocks += t.id == Tok("try");
+    s.throw_sites += t.id == Tok("throw");
+    if (t.id == Tok("catch")) {
       ++s.catch_handlers;
       // catch ( ... )
-      if (i + 2 < toks.size() && toks[i + 1].IsPunct("(") &&
-          toks[i + 2].IsPunct("...")) {
-        ++s.catch_all_handlers;
-      }
+      s.catch_all_handlers += i + 2 < toks.size() &&
+                              toks[i + 1].id == Tok("(") &&
+                              toks[i + 2].id == Tok("...");
     }
-    if (t.IsIdentifier() && i + 1 < toks.size() &&
-        toks[i + 1].IsPunct("(")) {
-      if (IsAssertName(t.text)) ++s.assertion_sites;
-      if (ContainsInsensitive(t.text, "checksum") ||
-          ContainsInsensitive(t.text, "crc")) {
-        ++s.checksum_sites;
-      }
-    }
-    if (t.IsIdentifier() &&
-        (ContainsInsensitive(t.text, "fallback") ||
-         ContainsInsensitive(t.text, "degraded") ||
-         ContainsInsensitive(t.text, "emergency") ||
-         ContainsInsensitive(t.text, "failsafe"))) {
-      ++s.degradation_sites;
-    }
+    if (lex::IsCallAt(toks, i, toks.size() - 1)) CountCall(t.text, &s);
+    if (t.IsIdentifier() && IsDegradationName(t.text)) ++s.degradation_sites;
   }
 
   for (const auto& fn : file.functions) {

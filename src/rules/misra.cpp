@@ -11,8 +11,10 @@ namespace certkit::rules {
 
 namespace {
 
+using lex::Tok;
 using lex::Token;
-using lex::TokenKind;
+using lex::TokenId;
+using lex::TokenSet;
 
 const std::unordered_set<std::string_view>& StdlibAllocNames() {
   static const std::unordered_set<std::string_view> kSet = {
@@ -35,50 +37,32 @@ const std::unordered_set<std::string_view>& StdioNames() {
   return kSet;
 }
 
-// Octal iff it starts with 0, has more digits, and is not hex/binary/float.
+constexpr TokenSet kEqualityOps = {Tok("=="), Tok("!=")};
+constexpr TokenSet kNewDelete = {Tok("new"), Tok("delete")};
+constexpr TokenSet kConditionKeywords = {Tok("if"), Tok("for"), Tok("while")};
+// Statements whose body MISRA 15.6 requires to be a compound statement.
+constexpr TokenSet kBodyKeywords = {Tok("if"), Tok("for"), Tok("while"),
+                                    Tok("else"), Tok("do")};
+constexpr TokenSet kCaseLabels = {Tok("case"), Tok("default")};
+constexpr TokenSet kBraces = {Tok("{"), Tok("}")};
+// Statements that end a case body without falling through.
+constexpr TokenSet kCaseExits = {Tok("break"), Tok("return"), Tok("continue"),
+                                 Tok("goto"), Tok("throw")};
+
+// Octal iff it starts with 0, has more digits, and is not hex/binary/float
+// (like 0.5).
 bool IsOctalConstant(std::string_view text) {
-  if (text.size() < 2 || text[0] != '0') return false;
-  const char second = text[1];
-  if (second == 'x' || second == 'X' || second == 'b' || second == 'B') {
-    return false;
-  }
-  for (char c : text) {
-    if (c == '.' || c == 'e' || c == 'E' || c == 'f' || c == 'F') {
-      return false;  // floating literal like 0.5
-    }
-  }
-  return second >= '0' && second <= '7';
+  return text.size() >= 2 && text[0] == '0' && text[1] >= '0' &&
+         text[1] <= '7' && text.find_first_of(".eEfF") == text.npos;
 }
 
-// A number token that is clearly floating (has '.', exponent, or f suffix).
+// A number token that is clearly floating (has '.', exponent, or f suffix;
+// a hex float has a p exponent).
 bool IsFloatLiteral(const Token& t) {
-  if (t.kind != TokenKind::kNumber) return false;
   const std::string_view s = t.text;
-  if (s.size() > 1 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
-    return s.find('p') != std::string_view::npos ||
-           s.find('P') != std::string_view::npos;
-  }
-  return s.find('.') != std::string_view::npos ||
-         s.find('e') != std::string_view::npos ||
-         s.find('E') != std::string_view::npos ||
-         s.find('f') != std::string_view::npos ||
-         s.find('F') != std::string_view::npos;
-}
-
-// Finds the index of the token matching `open` at `start` (which must be the
-// opener), scanning within [start, end]. Returns `end` on imbalance.
-std::size_t MatchForward(const std::vector<Token>& toks, std::size_t start,
-                         std::size_t end, std::string_view open,
-                         std::string_view close) {
-  int depth = 0;
-  for (std::size_t i = start; i <= end && i < toks.size(); ++i) {
-    if (toks[i].IsPunct(open)) ++depth;
-    if (toks[i].IsPunct(close)) {
-      --depth;
-      if (depth == 0) return i;
-    }
-  }
-  return end;
+  const bool hex = s.size() > 1 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
+  return t.id == lex::kIdNumber &&
+         s.find_first_of(hex ? "pP" : ".eEfF") != s.npos;
 }
 
 // Skips forward from `i` to the first token that is not part of `( ... )`
@@ -86,11 +70,26 @@ std::size_t MatchForward(const std::vector<Token>& toks, std::size_t start,
 std::size_t AfterConditionParens(const std::vector<Token>& toks,
                                  std::size_t i, std::size_t end) {
   std::size_t j = i + 1;
-  if (j <= end && toks[j].IsPunct("(")) {
-    j = MatchForward(toks, j, end, "(", ")") + 1;
+  if (j <= end && toks[j].id == Tok("(")) {
+    j = lex::MatchingClose(toks, j, end) + 1;
   }
   return j;
 }
+
+// The body after `keyword` (at `body`) must be a compound statement — unless
+// it is the `while (...);` tail of a do-while or an `else if`.
+bool NeedsCompoundBody(TokenId keyword, TokenId body) {
+  return body != Tok("{") && !(keyword == Tok("while") && body == Tok(";")) &&
+         !(keyword == Tok("else") && body == Tok("if"));
+}
+
+// Where a walk over one switch body is.
+struct CaseState {
+  std::size_t label = 0;    // token index of the last case/default
+  bool open = false;        // inside a case body
+  bool nonempty = false;    // the body holds a statement
+  bool terminated = true;   // break/return/continue/goto/throw/[[fallthrough]]
+};
 
 class MisraChecker {
  public:
@@ -102,6 +101,7 @@ class MisraChecker {
   void Run() {
     CheckDirectives();
     CheckFileLevelTokens();
+    CheckCStyleCasts();
     for (const auto& fn : file_.functions) {
       ++report_->entities_checked;
       CheckFunction(fn);
@@ -128,21 +128,23 @@ class MisraChecker {
   void CheckFileLevelTokens() {
     for (std::size_t i = 0; i < toks_.size(); ++i) {
       const Token& t = toks_[i];
-      if (t.IsKeyword("union")) {
+      if (t.id == Tok("union")) {
         report_->Add("MISRA-19.2", Severity::kWarning, file_.path, t.line,
                      "the union keyword should not be used");
       }
-      if (t.kind == TokenKind::kNumber && IsOctalConstant(t.text)) {
+      if (t.id == lex::kIdNumber && IsOctalConstant(t.text)) {
         report_->Add("MISRA-7.1", Severity::kWarning, file_.path, t.line,
                      "octal constant '" + t.str() + "'");
       }
-      if ((t.IsPunct("==") || t.IsPunct("!=")) && i > 0 &&
-          i + 1 < toks_.size() &&
+      if (kEqualityOps.contains(t.id) && i > 0 && i + 1 < toks_.size() &&
           (IsFloatLiteral(toks_[i - 1]) || IsFloatLiteral(toks_[i + 1]))) {
         report_->Add("MISRA-13.3", Severity::kWarning, file_.path, t.line,
                      "floating-point equality comparison");
       }
     }
+  }
+
+  void CheckCStyleCasts() {
     for (const auto& c : file_.casts) {
       if (c.kind == ast::CastKind::kCStyle) {
         report_->Add("MISRA-11.4", Severity::kWarning, file_.path, c.line,
@@ -186,39 +188,39 @@ class MisraChecker {
     CheckStdio(fn);
     CheckCompoundBodies(fn);
     CheckSwitches(fn);
-    if (options_.check_unused_params) CheckUnusedParams(fn, fm);
+    if (options_.check_unused_params) CheckUnusedParams(fn);
   }
 
   void CheckDynamicMemory(const ast::FunctionModel& fn) {
     for (std::size_t i = fn.body_begin; i <= fn.body_end; ++i) {
       const Token& t = toks_[i];
-      if (t.IsIdentifier() && i + 1 <= fn.body_end &&
-          toks_[i + 1].IsPunct("(")) {
-        if (StdlibAllocNames().contains(t.text)) {
-          report_->Add("MISRA-21.3", Severity::kRequired, file_.path, t.line,
-                       "dynamic memory via '" + t.str() + "'");
-        } else if (options_.include_dialect_analogues &&
-                   CudaAllocNames().contains(t.text)) {
-          report_->Add("MISRA-21.3", Severity::kRequired, file_.path, t.line,
-                       "CUDA dynamic device memory via '" + t.str() + "'");
-        }
-      }
-      if (options_.include_dialect_analogues &&
-          (t.IsKeyword("new") || t.IsKeyword("delete"))) {
-        // `operator new` definitions excluded by requiring expression
-        // position (previous token not `operator`).
-        if (i > fn.body_begin && toks_[i - 1].IsKeyword("operator")) continue;
+      if (lex::IsCallAt(toks_, i, fn.body_end)) CheckAllocCall(t);
+      // `operator new` definitions excluded by requiring expression
+      // position (previous token not `operator`).
+      if (options_.include_dialect_analogues && kNewDelete.contains(t.id) &&
+          !(i > fn.body_begin && toks_[i - 1].id == Tok("operator"))) {
         report_->Add("MISRA-21.3", Severity::kRequired, file_.path, t.line,
                      std::string("dynamic memory via '") + t.str() + "'");
       }
     }
   }
 
+  void CheckAllocCall(const Token& t) {
+    if (StdlibAllocNames().contains(t.text)) {
+      report_->Add("MISRA-21.3", Severity::kRequired, file_.path, t.line,
+                   "dynamic memory via '" + t.str() + "'");
+    } else if (options_.include_dialect_analogues &&
+               CudaAllocNames().contains(t.text)) {
+      report_->Add("MISRA-21.3", Severity::kRequired, file_.path, t.line,
+                   "CUDA dynamic device memory via '" + t.str() + "'");
+    }
+  }
+
   void CheckStdio(const ast::FunctionModel& fn) {
     for (std::size_t i = fn.body_begin; i <= fn.body_end; ++i) {
       const Token& t = toks_[i];
-      if (t.IsIdentifier() && StdioNames().contains(t.text) &&
-          i + 1 <= fn.body_end && toks_[i + 1].IsPunct("(")) {
+      if (lex::IsCallAt(toks_, i, fn.body_end) &&
+          StdioNames().contains(t.text)) {
         // Qualified std::printf also matches — the rule targets the call.
         report_->Add("MISRA-21.6", Severity::kWarning, file_.path, t.line,
                      "standard I/O function '" + t.str() + "' used");
@@ -229,23 +231,13 @@ class MisraChecker {
   void CheckCompoundBodies(const ast::FunctionModel& fn) {
     for (std::size_t i = fn.body_begin; i <= fn.body_end; ++i) {
       const Token& t = toks_[i];
-      const bool has_condition =
-          t.IsKeyword("if") || t.IsKeyword("for") || t.IsKeyword("while");
-      if (!has_condition && !t.IsKeyword("else") && !t.IsKeyword("do")) {
-        continue;
-      }
-      // `while` of do-while ends with ';' — not a body.
-      std::size_t body_at;
-      if (has_condition) {
-        body_at = AfterConditionParens(toks_, i, fn.body_end);
-      } else {
-        body_at = i + 1;
-      }
-      if (body_at > fn.body_end) continue;
-      const Token& b = toks_[body_at];
-      if (t.IsKeyword("while") && b.IsPunct(";")) continue;  // do-while tail
-      if (t.IsKeyword("else") && b.IsKeyword("if")) continue;  // else-if
-      if (!b.IsPunct("{")) {
+      if (!kBodyKeywords.contains(t.id)) continue;
+      const std::size_t body_at =
+          kConditionKeywords.contains(t.id)
+              ? AfterConditionParens(toks_, i, fn.body_end)
+              : i + 1;
+      if (body_at <= fn.body_end &&
+          NeedsCompoundBody(t.id, toks_[body_at].id)) {
         report_->Add("MISRA-15.6", Severity::kWarning, file_.path, t.line,
                      "body of '" + t.str() + "' is not a compound statement");
       }
@@ -254,10 +246,10 @@ class MisraChecker {
 
   void CheckSwitches(const ast::FunctionModel& fn) {
     for (std::size_t i = fn.body_begin; i <= fn.body_end; ++i) {
-      if (!toks_[i].IsKeyword("switch")) continue;
+      if (toks_[i].id != Tok("switch")) continue;
       std::size_t j = AfterConditionParens(toks_, i, fn.body_end);
-      if (j > fn.body_end || !toks_[j].IsPunct("{")) continue;
-      const std::size_t close = MatchForward(toks_, j, fn.body_end, "{", "}");
+      if (j > fn.body_end || toks_[j].id != Tok("{")) continue;
+      const std::size_t close = lex::MatchingClose(toks_, j, fn.body_end);
       CheckOneSwitch(i, j, close);
       // Nested switches inside are found by the outer loop as it advances.
     }
@@ -266,51 +258,19 @@ class MisraChecker {
   void CheckOneSwitch(std::size_t switch_idx, std::size_t open,
                       std::size_t close) {
     bool has_default = false;
-    // Track case labels at switch depth (depth 1 relative to `open`).
+    // Case labels count at switch depth (depth 1 relative to `open`).
     int depth = 0;
-    std::size_t last_label = 0;      // token index of the last case/default
-    bool label_open = false;         // inside a case body
-    bool body_nonempty = false;
-    bool terminated = true;          // break/return/continue/goto/[[fallthrough]]
+    CaseState state;
     for (std::size_t i = open; i <= close; ++i) {
       const Token& t = toks_[i];
-      if (t.IsPunct("{")) {
-        ++depth;
-        continue;
+      if (kBraces.contains(t.id)) {
+        depth += lex::Nesting(t.id, Tok("{"));
+      } else if (depth == 1 && kCaseLabels.contains(t.id)) {
+        has_default |= t.id == Tok("default");
+        i = OpenCase(i, close, &state);
+      } else if (state.open) {
+        NoteCaseToken(t, &state);
       }
-      if (t.IsPunct("}")) {
-        --depth;
-        continue;
-      }
-      const bool is_label = (t.IsKeyword("case") || t.IsKeyword("default")) &&
-                            depth == 1;
-      if (is_label) {
-        if (t.IsKeyword("default")) has_default = true;
-        if (label_open && body_nonempty && !terminated) {
-          report_->Add("MISRA-16.1", Severity::kWarning, file_.path,
-                       toks_[last_label].line,
-                       "implicit fallthrough between switch cases");
-        }
-        last_label = i;
-        label_open = true;
-        body_nonempty = false;
-        terminated = false;
-        // Skip the label expression up to ':'.
-        while (i <= close && !toks_[i].IsPunct(":")) ++i;
-        continue;
-      }
-      if (!label_open) continue;
-      if (t.IsKeyword("break") || t.IsKeyword("return") ||
-          t.IsKeyword("continue") || t.IsKeyword("goto") ||
-          t.IsKeyword("throw")) {
-        terminated = true;
-        continue;
-      }
-      if (t.IsIdentifier() && t.text == "fallthrough") {
-        terminated = true;  // [[fallthrough]]
-        continue;
-      }
-      if (!t.IsPunct(";")) body_nonempty = true;
     }
     if (!has_default) {
       report_->Add("MISRA-16.4", Severity::kWarning, file_.path,
@@ -318,9 +278,32 @@ class MisraChecker {
     }
   }
 
-  void CheckUnusedParams(const ast::FunctionModel& fn,
-                         const metrics::FunctionMetrics& fm) {
-    (void)fm;
+  // At the case/default label toks_[i]: reports a fallthrough into it from
+  // a case body that did not end, opens its own body, and returns the index
+  // of the label's ':'.
+  std::size_t OpenCase(std::size_t i, std::size_t close, CaseState* state) {
+    if (state->open && state->nonempty && !state->terminated) {
+      report_->Add("MISRA-16.1", Severity::kWarning, file_.path,
+                   toks_[state->label].line,
+                   "implicit fallthrough between switch cases");
+    }
+    *state = {.label = i, .open = true, .nonempty = false,
+              .terminated = false};
+    // Skip the label expression up to ':'.
+    while (i <= close && toks_[i].id != Tok(":")) ++i;
+    return i;
+  }
+
+  static void NoteCaseToken(const Token& t, CaseState* state) {
+    if (kCaseExits.contains(t.id) ||
+        (t.IsIdentifier() && t.text == "fallthrough")) {  // [[fallthrough]]
+      state->terminated = true;
+    } else if (t.id != Tok(";")) {
+      state->nonempty = true;
+    }
+  }
+
+  void CheckUnusedParams(const ast::FunctionModel& fn) {
     for (const auto& p : fn.params) {
       if (p.name.empty() || p.name == "...") continue;
       bool used = false;
@@ -344,6 +327,30 @@ class MisraChecker {
   const std::vector<Token>& toks_;
 };
 
+void CountCudaFunction(const ast::FunctionModel& fn, CudaDialectStats* stats) {
+  if (fn.is_cuda_kernel) {
+    ++stats->kernel_count;
+    std::int32_t ptr_params = 0;
+    for (const auto& p : fn.params) {
+      if (support::Contains(p.type_text, "*")) ++ptr_params;
+    }
+    stats->kernel_pointer_params += ptr_params;
+    if (ptr_params > 0) ++stats->kernels_with_pointer_params;
+  }
+  if (fn.is_cuda_device) ++stats->device_fn_count;
+}
+
+void CountCudaCall(std::string_view name, CudaDialectStats* stats) {
+  if (name == "cudaMalloc" || name == "cudaMallocManaged" ||
+      name == "cudaMallocHost") {
+    ++stats->cuda_malloc_calls;
+  } else if (name == "cudaMemcpy" || name == "cudaMemcpyAsync") {
+    ++stats->cuda_memcpy_calls;
+  } else if (name == "cudaFree" || name == "cudaFreeHost") {
+    ++stats->cuda_free_calls;
+  }
+}
+
 }  // namespace
 
 CheckReport CheckMisra(const ast::SourceFileModel& file,
@@ -358,28 +365,10 @@ CheckReport CheckMisra(const ast::SourceFileModel& file,
 CudaDialectStats AnalyzeCudaDialect(const ast::SourceFileModel& file) {
   CudaDialectStats stats;
   const auto& toks = file.lexed.tokens;
-  for (const auto& fn : file.functions) {
-    if (fn.is_cuda_kernel) {
-      ++stats.kernel_count;
-      std::int32_t ptr_params = 0;
-      for (const auto& p : fn.params) {
-        if (support::Contains(p.type_text, "*")) ++ptr_params;
-      }
-      stats.kernel_pointer_params += ptr_params;
-      if (ptr_params > 0) ++stats.kernels_with_pointer_params;
-    }
-    if (fn.is_cuda_device) ++stats.device_fn_count;
-  }
+  for (const auto& fn : file.functions) CountCudaFunction(fn, &stats);
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!toks[i].IsIdentifier() || !toks[i + 1].IsPunct("(")) continue;
-    const std::string_view name = toks[i].text;
-    if (name == "cudaMalloc" || name == "cudaMallocManaged" ||
-        name == "cudaMallocHost") {
-      ++stats.cuda_malloc_calls;
-    } else if (name == "cudaMemcpy" || name == "cudaMemcpyAsync") {
-      ++stats.cuda_memcpy_calls;
-    } else if (name == "cudaFree" || name == "cudaFreeHost") {
-      ++stats.cuda_free_calls;
+    if (lex::IsCallAt(toks, i, toks.size() - 1)) {
+      CountCudaCall(toks[i].text, &stats);
     }
   }
   return stats;

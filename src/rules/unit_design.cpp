@@ -11,16 +11,25 @@ namespace certkit::rules {
 
 namespace {
 
+using lex::Tok;
 using lex::Token;
-using lex::TokenKind;
+using lex::TokenSet;
 
-bool IsScalarTypeKeyword(const Token& t) {
-  if (t.kind != TokenKind::kKeyword) return false;
-  static const std::unordered_set<std::string_view> kSet = {
-      "int",  "float", "double", "char", "long",
-      "short", "bool",  "unsigned", "signed", "wchar_t"};
-  return kSet.contains(t.text);
-}
+constexpr TokenSet kScalarTypes = {
+    Tok("int"),   Tok("float"), Tok("double"),   Tok("char"),   Tok("long"),
+    Tok("short"), Tok("bool"),  Tok("unsigned"), Tok("signed"), Tok("wchar_t")};
+constexpr TokenSet kLocalSpecifiers = {Tok("static"), Tok("const"),
+                                       Tok("constexpr"), Tok("volatile"),
+                                       Tok("register")};
+constexpr TokenSet kConstSpecifiers = {Tok("const"), Tok("constexpr")};
+constexpr TokenSet kPointerDeclarators = {Tok("*"), Tok("&")};
+constexpr TokenSet kInitializerStarts = {Tok("="), Tok("{"), Tok("(")};
+constexpr TokenSet kDeclaratorEnds = {Tok(";"), Tok(",")};
+// After a file-scope variable's name, these write to it.
+constexpr TokenSet kAssignments = {
+    Tok("="),  Tok("+="), Tok("-="), Tok("*="),  Tok("/="),  Tok("%="),
+    Tok("&="), Tok("|="), Tok("^="), Tok("<<="), Tok(">>="), Tok("++"),
+    Tok("--")};
 
 bool IsAllocName(std::string_view name) {
   static const std::unordered_set<std::string_view> kSet = {
@@ -107,117 +116,210 @@ class TarjanScc {
 
 // Scans a function body for local declarations, collecting uninitialized
 // scalar locals and names that shadow file-scope variables or parameters.
-void ScanLocals(const ast::SourceFileModel& file,
-                const ast::FunctionModel& fn,
-                const std::unordered_set<std::string_view>& global_names,
-                UnitDesignStats* stats, CheckReport* report) {
-  const auto& toks = file.lexed.tokens;
-  std::unordered_set<std::string_view> param_names;
-  for (const auto& p : fn.params) param_names.insert(p.name);
-  std::unordered_set<std::string_view> seen_locals;
+struct LocalScan {
+  const ast::SourceFileModel& file;
+  const ast::FunctionModel& fn;
+  const std::unordered_set<std::string_view>& global_names;
+  UnitDesignStats& stats;
+  CheckReport& report;
+  std::unordered_set<std::string_view> taken = {};  // parameters and locals
 
-  // Statement starts are tokens following ';', '{', or '}'.
-  bool at_stmt_start = true;
-  for (std::size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
-    const Token& t = toks[i];
-    if (t.IsPunct(";") || t.IsPunct("{") || t.IsPunct("}")) {
-      at_stmt_start = true;
-      continue;
-    }
-    if (!at_stmt_start) continue;
-    at_stmt_start = false;
+  void Run() {
+    for (const auto& p : fn.params) taken.insert(p.name);
+    lex::ForEachStatementStart(file.lexed.tokens, fn.body_begin, fn.body_end,
+                               [this](std::size_t i) { ScanStatement(i); });
+  }
 
-    // Match: [static|const|unsigned|...]* scalar-type+ declarator-list.
-    std::size_t j = i;
+  bool At(std::size_t j, TokenSet ids) const {
+    return j < fn.body_end && ids.contains(file.lexed.tokens[j].id);
+  }
+  bool At(std::size_t j, lex::TokenId id) const {
+    return j < fn.body_end && file.lexed.tokens[j].id == id;
+  }
+
+  // Match: [static|const|unsigned|...]* scalar-type+ declarator-list.
+  void ScanStatement(std::size_t j) {
     bool is_const = false;
-    while (j < fn.body_end &&
-           (toks[j].IsKeyword("static") || toks[j].IsKeyword("const") ||
-            toks[j].IsKeyword("constexpr") || toks[j].IsKeyword("volatile") ||
-            toks[j].IsKeyword("register"))) {
-      if (toks[j].IsKeyword("const") || toks[j].IsKeyword("constexpr")) {
-        is_const = true;
-      }
-      ++j;
+    for (; At(j, kLocalSpecifiers); ++j) {
+      is_const |= kConstSpecifiers.contains(file.lexed.tokens[j].id);
     }
-    if (j >= fn.body_end || !IsScalarTypeKeyword(toks[j])) continue;
-    while (j < fn.body_end && IsScalarTypeKeyword(toks[j])) ++j;
-
-    // Declarator list: [*&]* name [array] [= init | {init} | (init)] , ...
-    while (j < fn.body_end) {
-      while (j < fn.body_end &&
-             (toks[j].IsPunct("*") || toks[j].IsPunct("&"))) {
-        ++j;
-      }
-      if (j >= fn.body_end || !toks[j].IsIdentifier()) break;
-      const std::string_view name = toks[j].text;
-      const std::int32_t line = toks[j].line;
-      ++j;
-      // Array extents.
-      bool is_array = false;
-      while (j < fn.body_end && toks[j].IsPunct("[")) {
-        is_array = true;
-        int depth = 0;
-        while (j < fn.body_end) {
-          if (toks[j].IsPunct("[")) ++depth;
-          if (toks[j].IsPunct("]")) {
-            --depth;
-            if (depth == 0) {
-              ++j;
-              break;
-            }
-          }
-          ++j;
-        }
-      }
-      const bool initialized =
-          j < fn.body_end &&
-          (toks[j].IsPunct("=") || toks[j].IsPunct("{") ||
-           toks[j].IsPunct("("));
-      const bool ends_decl =
-          j < fn.body_end && (toks[j].IsPunct(";") || toks[j].IsPunct(","));
-      if (!initialized && !ends_decl) break;  // not a declaration after all
-
-      if (!initialized && !is_const) {
-        ++stats->uninitialized_locals;
-        report->Add("UNIT-3", Severity::kRequired, file.path, line,
-                    "local '" + std::string(name) + "' in '" + fn.name +
-                        (is_array ? "' (array) is not initialized"
-                                  : "' is not initialized"));
-      }
-      if (global_names.contains(name) || param_names.contains(name) ||
-          seen_locals.contains(name)) {
-        ++stats->shadowing_decls;
-        report->Add("UNIT-4", Severity::kWarning, file.path, line,
-                    "local '" + std::string(name) + "' in '" + fn.name +
-                        "' reuses an existing variable name");
-      }
-      seen_locals.insert(name);
-
-      // Advance past the initializer to the ',' or ';'.
-      int paren = 0, brace = 0, bracket = 0;
-      while (j < fn.body_end) {
-        const Token& u = toks[j];
-        if (u.IsPunct("(")) ++paren;
-        if (u.IsPunct(")")) --paren;
-        if (u.IsPunct("{")) ++brace;
-        if (u.IsPunct("}")) --brace;
-        if (u.IsPunct("[")) ++bracket;
-        if (u.IsPunct("]")) --bracket;
-        if (paren == 0 && brace == 0 && bracket == 0) {
-          if (u.IsPunct(",")) {
-            ++j;
-            break;
-          }
-          if (u.IsPunct(";")) break;
-        }
-        if (paren < 0 || brace < 0) break;  // malformed
-        ++j;
-      }
-      if (j < fn.body_end && toks[j].IsPunct(";")) break;
-      if (j >= fn.body_end) break;
+    const std::size_t type_begin = j;
+    while (At(j, kScalarTypes)) ++j;
+    if (j > type_begin) {
+      while (j < fn.body_end) j = ScanDeclarator(j, is_const);
     }
   }
-}
+
+  // One declarator, [*&]* name [array] [= init | {init} | (init)], from j:
+  // where the next one starts, or the body's end when the list ends (or
+  // this was not a declaration after all).
+  std::size_t ScanDeclarator(std::size_t j, bool is_const) {
+    std::size_t next = fn.body_end;
+    while (At(j, kPointerDeclarators)) ++j;
+    if (At(j, lex::kIdIdentifier)) {
+      const Token& name = file.lexed.tokens[j];
+      const std::size_t past_name = ++j;
+      while (At(j, Tok("["))) {  // array extents
+        j = lex::MatchingClose(file.lexed.tokens, j, fn.body_end - 1) + 1;
+      }
+      const bool initialized = At(j, kInitializerStarts);
+      if (initialized || At(j, kDeclaratorEnds)) {
+        NoteLocal(name, j > past_name, initialized, is_const);
+        j = InitializerEnd(j);
+        if (At(j, Tok(","))) next = j + 1;
+      }
+    }
+    return next;
+  }
+
+  void NoteLocal(const Token& name, bool is_array, bool initialized,
+                 bool is_const) {
+    if (!initialized && !is_const) {
+      ++stats.uninitialized_locals;
+      report.Add("UNIT-3", Severity::kRequired, file.path, name.line,
+                 "local '" + name.str() + "' in '" + fn.name +
+                     (is_array ? "' (array) is not initialized"
+                               : "' is not initialized"));
+    }
+    if (global_names.contains(name.text) || taken.contains(name.text)) {
+      ++stats.shadowing_decls;
+      report.Add("UNIT-4", Severity::kWarning, file.path, name.line,
+                 "local '" + name.str() + "' in '" + fn.name +
+                     "' reuses an existing variable name");
+    }
+    taken.insert(name.text);
+  }
+
+  // Past the initializer at j: the ',' or ';' that ends the declarator at
+  // depth 0, the ')' or '}' that closes more than it opened (malformed),
+  // or the body's end.
+  std::size_t InitializerEnd(std::size_t j) const {
+    int paren = 0, brace = 0, bracket = 0;
+    for (; j < fn.body_end; ++j) {
+      const lex::TokenId id = file.lexed.tokens[j].id;
+      paren += lex::Nesting(id, Tok("("));
+      brace += lex::Nesting(id, Tok("{"));
+      bracket += lex::Nesting(id, Tok("["));
+      const bool top = paren == 0 && brace == 0 && bracket == 0;
+      if ((top && kDeclaratorEnds.contains(id)) || paren < 0 || brace < 0) {
+        break;
+      }
+    }
+    return j;
+  }
+};
+
+// One module's Table 8 pass: the stats and findings it accumulates.
+struct UnitDesignPass {
+  UnitDesignStats& s;
+  CheckReport& rep;
+  std::unordered_set<std::string_view> global_names = {};
+
+  // Counts the module's file-scope variables and collects the names of the
+  // mutable ones, for shadowing and global-write detection.
+  void CollectGlobals(const metrics::ModuleAnalysis& module) {
+    for (const auto& file : module.files) {
+      for (const auto& g : file.globals) {
+        if (g.is_const) {
+          ++s.const_globals;
+        } else if (!g.is_extern_decl) {
+          ++s.mutable_globals;
+          rep.Add("UNIT-5", Severity::kWarning, file.path, g.line,
+                  "mutable file-scope variable '" + g.qualified_name + "'");
+        }
+        if (!g.is_const) global_names.insert(g.name);
+      }
+    }
+  }
+
+  void CheckFile(const ast::SourceFileModel& file) {
+    s.explicit_casts += std::ssize(file.casts);
+    rep.entities_checked += std::ssize(file.functions);
+    for (const auto& fn : file.functions) CheckFunction(file, fn);
+  }
+
+  // Row 10: recursion.
+  void CheckRecursion(const metrics::ModuleAnalysis& module) {
+    for (const auto& fm : module.functions) {
+      if (fm.is_recursive_direct) {
+        ++s.recursive_functions_direct;
+        rep.Add("UNIT-10", Severity::kWarning, "", fm.start_line,
+                "function '" + fm.name + "' is directly recursive");
+      }
+    }
+    const auto cycles = FindRecursionCycles(module);
+    s.recursion_cycles_indirect = std::ssize(cycles);
+    for (const auto& cycle : cycles) {
+      rep.Add("UNIT-10", Severity::kWarning, "", 0,
+              "indirect recursion cycle: " + support::Join(cycle, " -> "));
+    }
+  }
+
+  void CheckFunction(const ast::SourceFileModel& file,
+                     const ast::FunctionModel& fn) {
+    ++s.functions_total;
+    // Row 1: exits.
+    std::int64_t returns = 0;
+    for (std::size_t i = fn.body_begin; i <= fn.body_end; ++i) {
+      returns += file.lexed.tokens[i].id == Tok("return");
+      CheckBodyToken(file, fn, i);
+    }
+    if (returns > 1) {
+      ++s.functions_multi_exit;
+      rep.Add("UNIT-1", Severity::kWarning, file.path, fn.start_line,
+              "function '" + fn.name + "' has " + std::to_string(returns) +
+                  " exit points");
+    }
+    // Row 6: pointer parameters.
+    for (const auto& p : fn.params) {
+      if (support::Contains(p.type_text, "*")) ++s.pointer_params;
+    }
+    LocalScan{file, fn, global_names, s, rep}.Run();
+  }
+
+  // Rows 9, 6, 2 and 8 at one body token: unconditional jumps, pointer
+  // dereferences, allocation sites, and writes to file-scope variables (a
+  // global's name followed by an assignment operator).
+  void CheckBodyToken(const ast::SourceFileModel& file,
+                      const ast::FunctionModel& fn, std::size_t i) {
+    const auto& toks = file.lexed.tokens;
+    const Token& t = toks[i];
+    if (t.id == Tok("goto")) {
+      ++s.goto_statements;
+      rep.Add("UNIT-9", Severity::kRequired, file.path, t.line,
+              "unconditional jump (goto) in '" + fn.name + "'");
+    }
+    s.pointer_derefs += t.id == Tok("->");
+    CheckAllocation(file, fn, i);
+    if (t.IsIdentifier() && i + 1 <= fn.body_end &&
+        kAssignments.contains(toks[i + 1].id) &&
+        global_names.contains(t.text)) {
+      ++s.global_write_sites;
+      rep.Add("UNIT-8", Severity::kWarning, file.path, t.line,
+              "write to file-scope variable '" + t.str() + "' in '" +
+                  fn.name + "'");
+    }
+  }
+
+  // Row 2: allocation sites.
+  void CheckAllocation(const ast::SourceFileModel& file,
+                       const ast::FunctionModel& fn, std::size_t i) {
+    const auto& toks = file.lexed.tokens;
+    const Token& t = toks[i];
+    if (t.id == Tok("new") &&
+        !(i > fn.body_begin && toks[i - 1].id == Tok("operator"))) {
+      ++s.dynamic_alloc_sites;
+      rep.Add("UNIT-2", Severity::kWarning, file.path, t.line,
+              "dynamic object creation (new) in '" + fn.name + "'");
+    }
+    if (lex::IsCallAt(toks, i, fn.body_end) && IsAllocName(t.text)) {
+      ++s.dynamic_alloc_sites;
+      rep.Add("UNIT-2", Severity::kWarning, file.path, t.line,
+              "dynamic allocation via '" + t.str() + "' in '" + fn.name +
+                  "'");
+    }
+  }
+};
 
 }  // namespace
 
@@ -259,108 +361,10 @@ UnitDesignResult AnalyzeUnitDesign(const metrics::ModuleAnalysis& module) {
   UnitDesignResult result;
   result.stats.module = module.name;
   result.report.checker = "unit-design";
-  UnitDesignStats& s = result.stats;
-  CheckReport& rep = result.report;
-
-  // Global-name set for shadowing and global-write detection.
-  std::unordered_set<std::string_view> global_names;
-  for (const auto& file : module.files) {
-    for (const auto& g : file.globals) {
-      if (g.is_const) {
-        ++s.const_globals;
-      } else if (!g.is_extern_decl) {
-        ++s.mutable_globals;
-        rep.Add("UNIT-5", Severity::kWarning, file.path, g.line,
-                "mutable file-scope variable '" + g.qualified_name + "'");
-      }
-      if (!g.is_const) global_names.insert(g.name);
-    }
-  }
-
-  for (const auto& file : module.files) {
-    for (const auto& c : file.casts) {
-      ++s.explicit_casts;
-      (void)c;
-    }
-    rep.entities_checked +=
-        static_cast<std::int64_t>(file.functions.size());
-
-    for (const auto& fn : file.functions) {
-      ++s.functions_total;
-      const auto& toks = file.lexed.tokens;
-
-      // Row 1: exits.
-      std::int64_t returns = 0;
-      for (std::size_t i = fn.body_begin; i <= fn.body_end; ++i) {
-        if (toks[i].IsKeyword("return")) ++returns;
-        if (toks[i].IsKeyword("goto")) {
-          ++s.goto_statements;
-          rep.Add("UNIT-9", Severity::kRequired, file.path, toks[i].line,
-                  "unconditional jump (goto) in '" + fn.name + "'");
-        }
-        if (toks[i].IsPunct("->")) ++s.pointer_derefs;
-        // Row 2: allocation sites.
-        if (toks[i].IsKeyword("new") &&
-            !(i > fn.body_begin && toks[i - 1].IsKeyword("operator"))) {
-          ++s.dynamic_alloc_sites;
-          rep.Add("UNIT-2", Severity::kWarning, file.path, toks[i].line,
-                  "dynamic object creation (new) in '" + fn.name + "'");
-        }
-        if (toks[i].IsIdentifier() && IsAllocName(toks[i].text) &&
-            i + 1 <= fn.body_end && toks[i + 1].IsPunct("(")) {
-          ++s.dynamic_alloc_sites;
-          rep.Add("UNIT-2", Severity::kWarning, file.path, toks[i].line,
-                  "dynamic allocation via '" + toks[i].str() + "' in '" +
-                      fn.name + "'");
-        }
-        // Row 8: global writes (global name followed by an assignment op).
-        if (toks[i].IsIdentifier() && global_names.contains(toks[i].text) &&
-            i + 1 <= fn.body_end) {
-          const Token& nx = toks[i + 1];
-          if (nx.IsPunct("=") || nx.IsPunct("+=") || nx.IsPunct("-=") ||
-              nx.IsPunct("*=") || nx.IsPunct("/=") || nx.IsPunct("++") ||
-              nx.IsPunct("--")) {
-            ++s.global_write_sites;
-            rep.Add("UNIT-8", Severity::kWarning, file.path, toks[i].line,
-                    "write to file-scope variable '" + toks[i].str() +
-                        "' in '" + fn.name + "'");
-          }
-        }
-      }
-      if (returns > 1) {
-        ++s.functions_multi_exit;
-        rep.Add("UNIT-1", Severity::kWarning, file.path, fn.start_line,
-                "function '" + fn.name + "' has " + std::to_string(returns) +
-                    " exit points");
-      }
-
-      // Row 6: pointer parameters.
-      for (const auto& p : fn.params) {
-        if (support::Contains(p.type_text, "*")) {
-          ++s.pointer_params;
-        }
-      }
-
-      ScanLocals(file, fn, global_names, &s, &rep);
-    }
-  }
-
-  // Row 10: recursion.
-  for (const auto& fm : module.functions) {
-    if (fm.is_recursive_direct) {
-      ++s.recursive_functions_direct;
-      rep.Add("UNIT-10", Severity::kWarning, "", fm.start_line,
-              "function '" + fm.name + "' is directly recursive");
-    }
-  }
-  const auto cycles = FindRecursionCycles(module);
-  s.recursion_cycles_indirect = static_cast<std::int64_t>(cycles.size());
-  for (const auto& cycle : cycles) {
-    rep.Add("UNIT-10", Severity::kWarning, "", 0,
-            "indirect recursion cycle: " +
-                support::Join(cycle, " -> "));
-  }
-
+  UnitDesignPass pass{result.stats, result.report};
+  pass.CollectGlobals(module);
+  for (const auto& file : module.files) pass.CheckFile(file);
+  pass.CheckRecursion(module);
   return result;
 }
 

@@ -197,5 +197,21 @@ TEST(ParserEdgeTest, NoexceptExpressionInSignature) {
   EXPECT_EQ(m.functions[0].name, "Risky");
 }
 
+// A default value's `=` is found past a template argument list that closes
+// with `>>`, so the parameter keeps its name.
+TEST(ParserEdgeTest, DefaultedParameterAfterDoubleAngleKeepsItsName) {
+  SourceFileModel m = MustParse(
+      "int Sum(std::vector<std::vector<int>> grid = {}, int scale = 2) {\n"
+      "  return scale;\n"
+      "}\n");
+  ASSERT_EQ(m.functions.size(), 1u);
+  const auto& params = m.functions[0].params;
+  ASSERT_EQ(params.size(), 2u);
+  EXPECT_EQ(params[0].name, "grid");
+  EXPECT_EQ(params[0].type_text, "std :: vector < std :: vector < int >>");
+  EXPECT_EQ(params[1].name, "scale");
+  EXPECT_EQ(params[1].type_text, "int");
+}
+
 }  // namespace
 }  // namespace certkit::ast

@@ -477,9 +477,10 @@ TEST(ContentKeyTest, SingleBitFlipsChangeHalfTheKey) {
 // --- golden: the bytes every entry name and digest is built from ----------
 // The two analysis digests were recorded before the cached records moved to
 // field lists; a change to them means the analysis itself moved. The
-// fingerprint, entry name and module key were re-recorded at schema 2 (the
-// schema version is part of the fingerprint, which names every entry and
-// keys every module phase).
+// fingerprint, entry name and module key were re-recorded at schema 3,
+// where an entry token's lead byte became its token id (the schema version
+// is part of the fingerprint, which names every entry and keys every module
+// phase).
 
 TEST(ArtifactCacheGoldenTest, DigestsKeysAndEntryNamesAreUnchanged) {
   DriverOptions options;
@@ -494,16 +495,16 @@ TEST(ArtifactCacheGoldenTest, DigestsKeysAndEntryNamesAreUnchanged) {
   EXPECT_EQ(DigestAnalysis(corpus.value()), 0xffe51d1579675657ull);
 
   const std::uint64_t fingerprint = OptionsFingerprint(DriverOptions{});
-  EXPECT_EQ(fingerprint, 0x7fd06daab669ded6ull);
+  EXPECT_EQ(fingerprint, 0x3a977fab90eaf8b5ull);
   const ArtifactCache cache("cache", fingerprint);
   EXPECT_EQ(fs::path(cache.EntryPathForHash("alpha/a.cc", "alpha",
                                             0x0123456789abcdefull))
                 .filename()
                 .string(),
-            "b68cc56e09662e9b.ckart");
+            "c32d7d14b705863e.ckart");
   EXPECT_EQ(cache.ModulePhaseKey("alpha", {{"alpha/a.cc", 0x1111ull},
                                            {"alpha/b.cc", 0x2222ull}}),
-            0x8b18528001752cd0ull);
+            0x4a417809729b6d21ull);
 }
 
 }  // namespace

@@ -321,6 +321,42 @@ TEST(ArtifactDecoderFuzzTest, SlowPathTokensRoundTripExactly) {
   }
 }
 
+// A decoded token carries the id the lexer stamped: read from the lead byte
+// on the fast and the slow path, recomputed for an inline lexeme.
+TEST(ArtifactDecoderFuzzTest, DecodedTokensCarryTheirIds) {
+  DriverOptions options;
+  options.jobs = 1;
+  auto analyzed = AnalysisDriver(options).AnalyzeSources({SlowPathSource()});
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const FileAnalysis& fa = analyzed.value().files.front();
+  const ast::SourceFileModel& model =
+      analyzed.value().modules.front().files.front();
+  FileAnalysis fa2;
+  ast::SourceFileModel model2;
+  ASSERT_TRUE(DeserializeArtifact(SerializeArtifact(fa, model), fa.text, &fa2,
+                                  &model2));
+  std::vector<const lex::Token*> lexed, decoded;
+  for (const lex::Token& t : model.lexed.tokens) lexed.push_back(&t);
+  for (const lex::Token& t : model2.lexed.tokens) decoded.push_back(&t);
+  for (std::size_t d = 0; d < model.lexed.directives.size(); ++d) {
+    for (const lex::Token& t : model.lexed.directives[d].tokens) {
+      lexed.push_back(&t);
+    }
+    for (const lex::Token& t : model2.lexed.directives[d].tokens) {
+      decoded.push_back(&t);
+    }
+  }
+  ASSERT_EQ(decoded.size(), lexed.size());
+  std::size_t spelled = 0;
+  for (std::size_t i = 0; i < lexed.size(); ++i) {
+    ASSERT_EQ(decoded[i]->id, lexed[i]->id) << "token " << i;
+    ASSERT_EQ(decoded[i]->id, lex::IdOf(decoded[i]->kind, decoded[i]->text))
+        << "token " << i;
+    spelled += decoded[i]->id >= lex::kIdFirstSpelled;
+  }
+  EXPECT_GT(spelled, lexed.size() / 4);
+}
+
 // --- the frame -----------------------------------------------------------
 
 const char* const kMagics[] = {"CKA2", "CKM2", "CKC2", "CKP2", "CKS2"};

@@ -3,7 +3,9 @@
 // lexer must be observably identical — same tokens (kind, text, line,
 // column), same directives, comments, line statistics, and the same error
 // status text on malformed input — across handwritten adversarial cases,
-// the generated Apollo-like corpus, and this repository's own sources.
+// the generated Apollo-like corpus, this repository's own sources, and
+// seeded mutants of the first two. On the mutants, every token's id must
+// also be the one kSpellings gives its kind and text.
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "lex/lexer.h"
 #include "support/io.h"
+#include "support/rng.h"
 #include "tests/lex/reference_lexer.h"
 
 namespace certkit {
@@ -85,59 +88,62 @@ void ExpectSameLexAllModes(const std::string& tag, std::string_view source) {
   ExpectSameLex(tag + "/no_cuda", source, options);
 }
 
+const struct {
+  const char* tag;
+  const char* source;
+} kAdversarialCases[] = {
+    {"empty", ""},
+    {"only_newlines", "\n\n\n"},
+    {"crlf_lines", "int a;\r\nint b;\r\n"},
+    {"cr_only", "int a;\rint b;"},
+    {"identifiers", "foo _bar Baz$ __x a1b2"},
+    {"keywords", "if while template __global__ restrict _Static_assert"},
+    {"numbers",
+     "42 0x1F 0b1010 1'000'000 3.5f .5 1e10 1e+10 1E-3 0x1p3 0x1.8p-2 "
+     "1ull 0777 1.f 1. 1el 0x. 3_z 1z 0xABCz"},
+    {"adjacent_number_suffix_soup", "1e 1e+ 0x 0b 1..2 1.e 1ee 0x1e+2"},
+    {"strings",
+     "\"plain\" \"esc\\\"aped\" u8\"pre\" L\"wide\" \"adjacent\"\"two\""},
+    {"raw_strings",
+     "R\"(simple)\" R\"ab(with )\" inside)ab\" u8R\"(u8 raw)\" LR\"()\""},
+    {"char_literals", "'a' '\\n' '\\\\' L'x' u'\\u1234' '\\''"},
+    {"punct_maximal_munch",
+     "<<=<=><< <= >>=>> >= ... .* ->* -> -- -= :: ++ += == != && &= || |= "
+     "*= /= %= ^= ## a<b>c"},
+    {"spliced_identifier", "ab\\\ncd = 1;"},
+    {"spliced_string", "\"ab\\\ncd\""},
+    {"spliced_line_comment", "// comment continues\\\nonto next line\nx;"},
+    {"spliced_directive", "#define FOO \\\n  1\nint x = FOO;"},
+    {"block_comment_multiline", "/* line1\n line2\n line3 */ int x;"},
+    {"comment_flavors",
+     "// line\n/* block */ code(); /* tail\n spans */ // end\n"},
+    {"directives",
+     "#include <vector>\n#include \"local.h\"\n#pragma once\n#if FOO\n"
+     "#else\n#endif\n# indented\n#\n"},
+    {"hash_not_directive", "int a = x ## y;"},
+    {"dot_digit", ".5f + x.y + ...z"},
+    {"trailing_backslash_eof", "int x;\\"},
+    {"trailing_splice_eof", "int x;\\\n"},
+    {"utf8_in_string", "\"\xE2\x82\xAC euro\" ident;"},
+    {"unterminated_string", "\"never ends"},
+    {"unterminated_string_nl", "\"stops\nhere\""},
+    {"unterminated_char", "'a"},
+    {"unterminated_block_comment", "/* never ends"},
+    {"unterminated_raw_string", "R\"(never ends"},
+    {"malformed_raw_delimiter", "R\"toolongdelimiterxxxxxx(x)\""},
+    {"raw_delimiter_with_space", "R\" (x)\""},
+    {"lone_backslash", "a \\ b"},
+    {"null_byte_free_binary_punct", "@ $ ` a"},
+    {"deep_nesting", "((((((((((x))))))))))"},
+    {"long_line_comment_only", "//"},
+    {"block_comment_only", "/**/"},
+    {"comment_then_eof_no_newline", "int x; // tail"},
+};
+
 TEST(LexerDifferentialTest, AdversarialSnippets) {
-  const struct {
-    const char* tag;
-    const char* source;
-  } kCases[] = {
-      {"empty", ""},
-      {"only_newlines", "\n\n\n"},
-      {"crlf_lines", "int a;\r\nint b;\r\n"},
-      {"cr_only", "int a;\rint b;"},
-      {"identifiers", "foo _bar Baz$ __x a1b2"},
-      {"keywords", "if while template __global__ restrict _Static_assert"},
-      {"numbers",
-       "42 0x1F 0b1010 1'000'000 3.5f .5 1e10 1e+10 1E-3 0x1p3 0x1.8p-2 "
-       "1ull 0777 1.f 1. 1el 0x. 3_z 1z 0xABCz"},
-      {"adjacent_number_suffix_soup", "1e 1e+ 0x 0b 1..2 1.e 1ee 0x1e+2"},
-      {"strings",
-       "\"plain\" \"esc\\\"aped\" u8\"pre\" L\"wide\" \"adjacent\"\"two\""},
-      {"raw_strings",
-       "R\"(simple)\" R\"ab(with )\" inside)ab\" u8R\"(u8 raw)\" LR\"()\""},
-      {"char_literals", "'a' '\\n' '\\\\' L'x' u'\\u1234' '\\''"},
-      {"punct_maximal_munch",
-       "<<=<=><< <= >>=>> >= ... .* ->* -> -- -= :: ++ += == != && &= || |= "
-       "*= /= %= ^= ## a<b>c"},
-      {"spliced_identifier", "ab\\\ncd = 1;"},
-      {"spliced_string", "\"ab\\\ncd\""},
-      {"spliced_line_comment", "// comment continues\\\nonto next line\nx;"},
-      {"spliced_directive", "#define FOO \\\n  1\nint x = FOO;"},
-      {"block_comment_multiline", "/* line1\n line2\n line3 */ int x;"},
-      {"comment_flavors",
-       "// line\n/* block */ code(); /* tail\n spans */ // end\n"},
-      {"directives",
-       "#include <vector>\n#include \"local.h\"\n#pragma once\n#if FOO\n"
-       "#else\n#endif\n# indented\n#\n"},
-      {"hash_not_directive", "int a = x ## y;"},
-      {"dot_digit", ".5f + x.y + ...z"},
-      {"trailing_backslash_eof", "int x;\\"},
-      {"trailing_splice_eof", "int x;\\\n"},
-      {"utf8_in_string", "\"\xE2\x82\xAC euro\" ident;"},
-      {"unterminated_string", "\"never ends"},
-      {"unterminated_string_nl", "\"stops\nhere\""},
-      {"unterminated_char", "'a"},
-      {"unterminated_block_comment", "/* never ends"},
-      {"unterminated_raw_string", "R\"(never ends"},
-      {"malformed_raw_delimiter", "R\"toolongdelimiterxxxxxx(x)\""},
-      {"raw_delimiter_with_space", "R\" (x)\""},
-      {"lone_backslash", "a \\ b"},
-      {"null_byte_free_binary_punct", "@ $ ` a"},
-      {"deep_nesting", "((((((((((x))))))))))"},
-      {"long_line_comment_only", "//"},
-      {"block_comment_only", "/**/"},
-      {"comment_then_eof_no_newline", "int x; // tail"},
-  };
-  for (const auto& c : kCases) ExpectSameLexAllModes(c.tag, c.source);
+  for (const auto& c : kAdversarialCases) {
+    ExpectSameLexAllModes(c.tag, c.source);
+  }
 }
 
 // A synthetic stress blob mixing every construct with splices and CRLF.
@@ -188,6 +194,128 @@ TEST(LexerDifferentialTest, OwnSourceTree) {
     ASSERT_TRUE(content.ok()) << path;
     ExpectSameLex(path, content.value(), options);
     if (HasFatalFailure()) return;
+  }
+}
+
+// The id kSpellings gives a token of this kind and text, by a linear search
+// of the table: independent of the lexer's keyword map and punctuator
+// candidate tables.
+lex::TokenId TableId(lex::TokenKind kind, std::string_view text) {
+  const bool spelled =
+      kind == lex::TokenKind::kKeyword || kind == lex::TokenKind::kPunct;
+  for (std::size_t i = 0; spelled && i < lex::kSpellings.size(); ++i) {
+    if (lex::kSpellings[i] == text) {
+      return lex::TokenId(lex::kIdFirstSpelled + i);
+    }
+  }
+  switch (kind) {
+    case lex::TokenKind::kIdentifier:
+      return lex::kIdIdentifier;
+    case lex::TokenKind::kKeyword:
+      return lex::kIdUnlistedKeyword;
+    case lex::TokenKind::kNumber:
+      return lex::kIdNumber;
+    case lex::TokenKind::kString:
+      return lex::kIdString;
+    case lex::TokenKind::kChar:
+      return lex::kIdChar;
+    case lex::TokenKind::kPunct:
+      break;
+  }
+  return lex::kIdUnlistedPunct;
+}
+
+void ExpectTableIds(const std::vector<lex::Token>& tokens) {
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const lex::Token& t = tokens[i];
+    ASSERT_EQ(t.id, TableId(t.kind, t.text)) << "token " << i << " '"
+                                             << t.text << "'";
+    ASSERT_EQ(t.id, lex::IdOf(t.kind, t.text)) << "token " << i;
+    ASSERT_EQ(lex::KindOf(t.id), t.kind) << "token " << i;
+  }
+}
+
+// Lexes `source` in every mode through both implementations, and checks
+// every token id the production lexer stamps.
+void ExpectSameLexAndTableIds(const std::string& tag, std::string_view source) {
+  ExpectSameLexAllModes(tag, source);
+  for (const bool cuda : {true, false}) {
+    LexOptions options;
+    options.cuda_dialect = cuda;
+    auto got = lex::Lex("diff.cc", source, options);
+    if (!got.ok()) continue;
+    SCOPED_TRACE(tag + (cuda ? "/ids" : "/ids_no_cuda"));
+    ExpectTableIds(got.value().tokens);
+    for (const auto& d : got.value().directives) ExpectTableIds(d.tokens);
+  }
+}
+
+// One seeded mutation of `seed`: a truncation, a splice of two seeds, byte
+// swaps from a punctuation alphabet, or inserted backslash-newlines or
+// quotes.
+std::string Mutate(const std::string& seed, const std::string& other,
+                   int op, support::Xoshiro256& rng) {
+  const auto at = [&rng](const std::string& s) {
+    return static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(s.size())));
+  };
+  std::string out = seed;
+  switch (op) {
+    case 0:
+      out.resize(at(out));
+      break;
+    case 1:
+      out = out.substr(0, at(out)) + other.substr(at(other));
+      break;
+    case 2: {
+      static constexpr std::string_view kPunct =
+          "{}()[]<>;:,.*&|^%!~?=+-/#'\"\\@$`";
+      for (int k = 0; k < 4 && !out.empty(); ++k) {
+        const std::size_t pos = at(out) % out.size();
+        out[pos] = kPunct[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(kPunct.size()) - 1))];
+      }
+      break;
+    }
+    case 3:
+      for (int k = 0; k < 3; ++k) {
+        out.insert(at(out), rng.Bernoulli(0.5) ? "\\\n" : "\\\r\n");
+      }
+      break;
+    default:
+      for (int k = 0; k < 2; ++k) {
+        out.insert(at(out), rng.Bernoulli(0.5) ? "\"" : "'");
+      }
+      break;
+  }
+  return out;
+}
+
+// Seeded mutants of the adversarial snippets and of 2 KiB windows of the
+// generated corpus must lex identically through both implementations, and
+// carry the table's ids.
+TEST(LexerDifferentialTest, SeededMutants) {
+  std::vector<std::string> seeds;
+  for (const auto& c : kAdversarialCases) seeds.emplace_back(c.source);
+  const auto corpus = corpus::GenerateCorpus(corpus::ApolloLikeSpec(), 26262);
+  support::Xoshiro256 rng(20);
+  for (const auto& mod : corpus) {
+    for (const auto& f : mod.files) {
+      const std::size_t begin = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(f.content.size())));
+      seeds.push_back(f.content.substr(begin, 2048));
+    }
+  }
+  constexpr int kMutants = 2500;
+  for (int i = 0; i < kMutants; ++i) {
+    const auto pick = [&] {
+      return seeds[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(seeds.size()) - 1))];
+    };
+    const std::string& seed = pick();
+    const std::string mutant = Mutate(seed, pick(), i % 5, rng);
+    ExpectSameLexAndTableIds("mutant " + std::to_string(i), mutant);
+    if (HasFailure()) return;  // one full report is enough
   }
 }
 

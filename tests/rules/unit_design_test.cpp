@@ -97,6 +97,16 @@ TEST(UnitDesignTest, GlobalWritesDetected) {
   EXPECT_EQ(result.stats.global_write_sites, 2);
 }
 
+TEST(UnitDesignTest, CompoundAssignmentsToGlobalsAreWrites) {
+  auto result = AnalyzeUnitDesign(ModuleOf(
+      "int g_flags = 0;\n"
+      "int g_count = 0;\n"
+      "void mark(int bit) { g_flags |= bit; g_count += 1; g_flags <<= 1; }\n"
+      "void rest() { g_flags %= 3; g_flags &= 1; g_flags ^= 2; "
+      "g_flags >>= 1; }\n"));
+  EXPECT_EQ(result.stats.global_write_sites, 7);
+}
+
 TEST(UnitDesignTest, GotoCounted) {
   auto result = AnalyzeUnitDesign(ModuleOf(
       "int f(int x) {\n"
