@@ -22,11 +22,12 @@ namespace certkit::campaign {
 
 namespace {
 
-// The accelerator-simulating backends (closed/open) run their kernels on
-// the process-wide gpusim device pool, whose fork-join state is not
-// reentrant — two concurrent pilots on those backends would interleave
-// kernel jobs. CPU-naive candidates run lock-free; the others take this
-// mutex for the duration of their run.
+// At most one accelerator candidate (closed/open backend) runs at a time:
+// each one starts from ResetTuningCache and then fills the process-wide
+// tuner cache, so two of them must never interleave. (Their kernel launches
+// would be safe together: the shared gpusim device pool takes one launch at
+// a time.) CPU-naive candidates run lock-free; the others take this mutex
+// for the duration of their run.
 std::mutex g_accel_mu;
 
 double Elapsed(std::chrono::steady_clock::time_point since) {

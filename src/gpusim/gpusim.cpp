@@ -5,98 +5,13 @@
 
 namespace gpusim {
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 4;
-  }
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::ParallelFor(std::uint64_t n, void (*fn)(void*, std::uint64_t),
-                             void* ctx) {
-  if (n == 0) return;
-  // One job owns the pool at a time. Concurrent callers (independent
-  // streams launching on the shared device) queue here instead of
-  // overwriting each other's job_size_/completed_ mid-flight — the previous
-  // behaviour, which left the first caller blocked on a completion count
-  // that could never be reached.
-  std::lock_guard<std::mutex> submit(submit_mu_);
-  std::unique_lock<std::mutex> lock(mu_);
-  job_fn_ = fn;
-  job_ctx_ = ctx;
-  job_size_ = n;
-  next_index_ = 0;
-  completed_ = 0;
-  ++generation_;
-  cv_work_.notify_all();
-  // The calling thread participates too.
-  while (true) {
-    const std::uint64_t i = next_index_;
-    if (i >= job_size_) break;
-    ++next_index_;
-    lock.unlock();
-    fn(ctx, i);
-    lock.lock();
-    ++completed_;
-  }
-  cv_done_.wait(lock, [this] { return completed_ == job_size_; });
-  job_fn_ = nullptr;
-  job_ctx_ = nullptr;
-}
-
-void ThreadPool::ParallelFor(std::uint64_t n,
-                             const std::function<void(std::uint64_t)>& fn) {
-  ParallelFor(
-      n,
-      [](void* ctx, std::uint64_t i) {
-        (*static_cast<const std::function<void(std::uint64_t)>*>(ctx))(i);
-      },
-      const_cast<void*>(static_cast<const void*>(&fn)));
-}
-
-void ThreadPool::WorkerLoop() {
-  std::uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_work_.wait(lock, [this, seen_generation] {
-      return shutdown_ || (job_fn_ != nullptr &&
-                           generation_ != seen_generation &&
-                           next_index_ < job_size_);
-    });
-    if (shutdown_) return;
-    seen_generation = generation_;
-    const auto my_generation = generation_;
-    const auto fn = job_fn_;
-    void* const ctx = job_ctx_;
-    while (generation_ == my_generation && next_index_ < job_size_) {
-      const std::uint64_t i = next_index_++;
-      lock.unlock();
-      fn(ctx, i);
-      lock.lock();
-      if (++completed_ == job_size_) cv_done_.notify_all();
-    }
-  }
-}
-
 Device& Device::Instance() {
   static Device* device = new Device();
   return *device;
 }
 
-Device::Device(unsigned threads) : pool_(threads) {}
+Device::Device(int threads)
+    : pool_(certkit::support::ThreadPool::ResolveJobs(threads)) {}
 
 Device::~Device() = default;
 

@@ -3,7 +3,8 @@
 // This is the reproduction's stand-in for an NVIDIA GPU + CUDA runtime — the
 // same move the paper itself makes for GPU code coverage (cuda4cpu, §3.3).
 // Kernels are written against grid/block/thread indices and device buffers,
-// launched over a persistent thread pool (one task per block), so both the
+// and a launch fans the grid's blocks out over the device's
+// support::ThreadPool (certkit's one fork-join pool), so both the
 // *structure* of GPU code (Figure 4) and its coverage/performance behaviour
 // (Figures 6–8) are preserved.
 //
@@ -16,18 +17,14 @@
 #define GPUSIM_GPUSIM_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <queue>
-#include <thread>
-#include <type_traits>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "support/check.h"
+#include "support/thread_pool.h"
 
 namespace gpusim {
 
@@ -51,49 +48,6 @@ struct KernelContext {
   unsigned GlobalZ() const { return block_idx.z * block_dim.z + thread_idx.z; }
 };
 
-// Fixed-size worker pool used for block-level parallelism.
-class ThreadPool {
- public:
-  explicit ThreadPool(unsigned threads);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Runs `fn(ctx, i)` for i in [0, n), distributing across workers; blocks
-  // until all iterations complete. The raw-pointer form is the primitive:
-  // it builds no std::function, so a kernel launch costs zero heap
-  // allocations. Safe to call from multiple threads concurrently — whole
-  // jobs are serialized on a submission mutex, the way a real device
-  // serializes launch queues from independent streams. (Without that
-  // serialization, two concurrent callers clobber each other's job
-  // bookkeeping and one of them waits forever on a completion count that
-  // can no longer be reached — the two-stream hang.)
-  void ParallelFor(std::uint64_t n, void (*fn)(void*, std::uint64_t),
-                   void* ctx);
-
-  // Convenience wrapper over the raw form for std::function callers.
-  void ParallelFor(std::uint64_t n,
-                   const std::function<void(std::uint64_t)>& fn);
-
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> workers_;
-  std::mutex submit_mu_;  // serializes whole ParallelFor jobs
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  void (*job_fn_)(void*, std::uint64_t) = nullptr;
-  void* job_ctx_ = nullptr;
-  std::uint64_t job_size_ = 0;
-  std::uint64_t next_index_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t generation_ = 0;
-  bool shutdown_ = false;
-};
-
 // The simulated device: memory tracking plus kernel launch.
 //
 // Timing model: besides executing kernels on host threads, the device keeps
@@ -111,7 +65,9 @@ class Device {
   // Process-wide device (like the implicit CUDA context).
   static Device& Instance();
 
-  explicit Device(unsigned threads = 0);  // 0 = hardware concurrency
+  // `threads` pool workers beside the launching thread; 0 = hardware
+  // concurrency (support::ThreadPool::ResolveJobs).
+  explicit Device(int threads = 0);
   ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -140,55 +96,41 @@ class Device {
 
   // --- launch ---
   // Invokes `kernel(ctx)` for every thread of every block. Blocks of the
-  // grid run in parallel (one pool task per block); threads within a block
+  // grid run in parallel (one pool index per block); threads within a block
   // run sequentially, which preserves intra-block ordering and keeps probes
-  // race-free within a block.
-  // The launch context lives on this stack frame and reaches workers as a
-  // raw pointer through ParallelFor's primitive form, so a launch performs
-  // no heap allocation (a by-reference lambda here would exceed
-  // std::function's small-buffer size and allocate on every launch).
+  // race-free within a block. A launch allocates nothing, and launches from
+  // several threads take turns on the pool, the way a real device
+  // serializes the launch queues of independent streams.
   template <typename Kernel>
   void Launch(Dim3 grid, Dim3 block, Kernel&& kernel) {
     CERTKIT_CHECK(grid.Count() > 0 && block.Count() > 0);
     const auto t0 = std::chrono::steady_clock::now();
-    using K = typename std::remove_reference<Kernel>::type;
-    struct LaunchCtx {
-      Dim3 grid;
-      Dim3 block;
-      K* kernel;
-    } lctx{grid, block, &kernel};
-    pool_.ParallelFor(
-        grid.Count(),
-        [](void* p, std::uint64_t b) {
-          LaunchCtx& c = *static_cast<LaunchCtx*>(p);
-          KernelContext ctx;
-          ctx.grid_dim = c.grid;
-          ctx.block_dim = c.block;
-          ctx.block_idx.x = static_cast<unsigned>(b % c.grid.x);
-          ctx.block_idx.y = static_cast<unsigned>((b / c.grid.x) % c.grid.y);
-          ctx.block_idx.z = static_cast<unsigned>(
-              b / (static_cast<std::uint64_t>(c.grid.x) * c.grid.y));
-          for (unsigned tz = 0; tz < c.block.z; ++tz) {
-            for (unsigned ty = 0; ty < c.block.y; ++ty) {
-              for (unsigned tx = 0; tx < c.block.x; ++tx) {
-                ctx.thread_idx = {tx, ty, tz};
-                (*c.kernel)(ctx);
-              }
-            }
+    pool_.ParallelFor(grid.Count(), [&](std::uint64_t b) {
+      KernelContext ctx;
+      ctx.grid_dim = grid;
+      ctx.block_dim = block;
+      ctx.block_idx.x = static_cast<unsigned>(b % grid.x);
+      ctx.block_idx.y = static_cast<unsigned>((b / grid.x) % grid.y);
+      ctx.block_idx.z = static_cast<unsigned>(
+          b / (static_cast<std::uint64_t>(grid.x) * grid.y));
+      for (unsigned tz = 0; tz < block.z; ++tz) {
+        for (unsigned ty = 0; ty < block.y; ++ty) {
+          for (unsigned tx = 0; tx < block.x; ++tx) {
+            ctx.thread_idx = {tx, ty, tz};
+            kernel(ctx);
           }
-        },
-        &lctx);
+        }
+      }
+    });
     const auto t1 = std::chrono::steady_clock::now();
     RecordLaunch(std::chrono::duration<double>(t1 - t0).count(),
                  grid.Count());
   }
 
-  ThreadPool& pool() { return pool_; }
-
  private:
   void RecordLaunch(double wall_seconds, std::uint64_t blocks);
 
-  ThreadPool pool_;
+  certkit::support::ThreadPool pool_;
   mutable std::mutex mem_mu_;
   std::unordered_map<void*, std::size_t> allocations_;
   std::size_t allocated_bytes_ = 0;

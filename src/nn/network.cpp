@@ -143,9 +143,7 @@ void TinyYoloDetector::DetectBatchInto(
   const std::size_t count = frames.size();
   // Host-side per-frame stages go through here: pool workers when a pool is
   // given, a plain loop otherwise. Result slot i always belongs to frame i,
-  // so scheduling cannot reorder outputs. The generic lambda means the
-  // pool-less path (the steady-state tick) never materializes a
-  // std::function, so sharding itself is allocation-free.
+  // so scheduling cannot reorder outputs. Neither path allocates.
   const auto shard = [&](auto&& fn) {
     if (pool != nullptr) {
       pool->ParallelFor(count, fn);

@@ -1,8 +1,5 @@
 #include "support/thread_pool.h"
 
-#include <atomic>
-#include <exception>
-
 namespace certkit::support {
 
 int ThreadPool::ResolveJobs(int requested) {
@@ -24,107 +21,59 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      wake_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  wake_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
+void ThreadPool::ParallelFor(std::size_t n, LoopBody* body, const void* ctx) {
   if (n == 0) return;
+  std::lock_guard<std::mutex> submit(submit_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  body_ = body;
+  ctx_ = ctx;
+  size_ = n;
+  next_ = 0;
+  finished_ = 0;
+  work_cv_.notify_all();
+  Drain(lock);  // the calling thread drains indices too
+  done_cv_.wait(lock, [this] { return finished_ == size_; });
+  const std::exception_ptr error = std::move(error_);
+  error_ = nullptr;
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
+}
 
-  // Shared per-call state: a dynamic iteration counter, first-error capture,
-  // and the completion rendezvous. It lives on the heap and every helper
-  // task holds a shared_ptr, so the condition variable is guaranteed to
-  // outlive the last notify_one even if the calling thread has already
-  // observed completion and returned from its wait. The calling thread
-  // participates, so a 0-worker pool (or a pool busy with other work) still
-  // makes progress.
-  struct LoopState {
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
+// Claims and runs indices of the current job until none is left. `lock`
+// holds mu_ on entry and on return. The job cannot end while this thread
+// holds a claimed index, so the next job cannot start under it either.
+void ThreadPool::Drain(std::unique_lock<std::mutex>& lock) {
+  while (next_ < size_) {
+    LoopBody* const body = body_;
+    const void* const ctx = ctx_;
+    const std::size_t i = next_++;
+    lock.unlock();
     std::exception_ptr error;
-    std::mutex error_mu;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    int helpers_finished = 0;
-  };
-  auto state = std::make_shared<LoopState>();
-
-  auto run = [state, n, &fn] {
-    for (;;) {
-      const std::size_t i = state->next.fetch_add(1);
-      if (i >= n || state->failed.load()) break;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state->error_mu);
-        if (!state->failed.exchange(true)) {
-          state->error = std::current_exception();
-        }
-      }
+    try {
+      body(ctx, i);
+    } catch (...) {
+      error = std::current_exception();
     }
-  };
+    lock.lock();
+    if (error && !error_) {
+      error_ = error;
+      size_ = next_;  // hand out no further index
+    }
+    if (++finished_ == size_) done_cv_.notify_one();
+  }
+}
 
-  // One runner per worker (capped by n, minus the calling thread's share).
-  const std::size_t helpers =
-      workers_.empty() ? 0
-                       : std::min(n > 0 ? n - 1 : 0,
-                                  static_cast<std::size_t>(workers_.size()));
-  const int helper_count = static_cast<int>(helpers);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    Submit([run, state] {
-      run();
-      {
-        std::lock_guard<std::mutex> lock(state->done_mu);
-        ++state->helpers_finished;
-      }
-      state->done_cv.notify_one();
-    });
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [this] { return stop_ || next_ < size_; });
+    if (stop_) return;
+    Drain(lock);
   }
-  run();  // the calling thread drains iterations too
-  {
-    std::unique_lock<std::mutex> lock(state->done_mu);
-    state->done_cv.wait(
-        lock, [&] { return state->helpers_finished == helper_count; });
-  }
-  if (state->failed.load()) std::rethrow_exception(state->error);
 }
 
 }  // namespace certkit::support

@@ -1,22 +1,32 @@
-// certkit support: a small fixed-size thread pool with fork-join helpers.
+// certkit support: the one fork-join pool.
 //
-// The pool is deliberately simple — a locked deque, no work stealing — because
-// the analysis workloads it serves (one task per source file) are coarse
-// enough that queue contention is negligible. ParallelFor/ParallelMap are the
-// intended entry points: they block until every iteration has finished and
-// rethrow the first exception raised by any iteration, so callers get the
-// same error behavior as a serial loop.
+// Every fan-out in certkit goes through this pool: the blocks of a gpusim
+// kernel launch, the campaign fleet, the analysis driver's per-file and
+// per-module loops, `serve` requests, the micro-GEMM stripes and the batch
+// detector's host stages. Each is a loop of independent iterations, so the
+// pool runs exactly one job shape: ParallelFor(n, fn) hands the indices
+// 0 .. n-1 out one at a time to the workers and to the calling thread, and
+// returns once every claimed iteration has finished.
+//
+// - A call allocates nothing: the job lives in the pool, and the loop body
+//   reaches the workers as a function pointer plus a context pointer.
+// - One job runs at a time. Concurrent callers queue on a submission mutex
+//   (the contract the shared gpusim::Device needs when fleet workers launch
+//   on it at once), so a call from inside an iteration of the same pool
+//   would wait on itself: use a second pool for nested fan-out.
+// - If an iteration throws, no further index is handed out, and the first
+//   exception is rethrown once the claimed iterations have drained.
+// - A pool with 0 workers runs every iteration inline on the caller.
 //
 // Determinism contract: ParallelMap writes result i to slot i, so output
-// order never depends on scheduling. Any pool size (including 0, which runs
-// everything inline on the calling thread) produces identical results.
+// order never depends on scheduling. Any pool size produces identical
+// results.
 #ifndef CERTKIT_SUPPORT_THREAD_POOL_H_
 #define CERTKIT_SUPPORT_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -25,9 +35,11 @@ namespace certkit::support {
 
 class ThreadPool {
  public:
+  // One iteration of a job: body(ctx, i).
+  using LoopBody = void(const void* ctx, std::size_t i);
+
   // `num_threads` < 0 selects the hardware concurrency (at least 1);
-  // 0 creates no worker threads — tasks then run inline on the submitting
-  // thread, which makes single-threaded debugging and TSan baselines easy.
+  // 0 creates no worker threads, so every loop runs inline on the caller.
   explicit ThreadPool(int num_threads = -1);
   ~ThreadPool();
 
@@ -36,31 +48,40 @@ class ThreadPool {
 
   int thread_count() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues `task` (runs it inline when the pool has no workers). Tasks
-  // must not throw; use ParallelFor for exception-propagating work.
-  void Submit(std::function<void()> task);
+  // Runs body(ctx, 0) .. body(ctx, n-1) over the workers and the calling
+  // thread; blocks until they finish. The primitive form.
+  void ParallelFor(std::size_t n, LoopBody* body, const void* ctx);
 
-  // Blocks until every submitted task has completed.
-  void Wait();
-
-  // Runs fn(0) .. fn(n-1), distributing iterations dynamically over the
-  // workers (plus the calling thread, which also drains iterations). Blocks
-  // until all iterations finish; if any iteration throws, the first
-  // exception (by completion time) is rethrown after the loop has drained.
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
+  // Runs fn(0) .. fn(n-1). `fn` stays on the caller's frame and is reached
+  // through the primitive, so no std::function is built.
+  template <typename Fn>
+  void ParallelFor(std::size_t n, const Fn& fn) {
+    ParallelFor(n, &Invoke<Fn>, &fn);
+  }
 
   // Picks a worker count: `requested` <= 0 means hardware concurrency.
   static int ResolveJobs(int requested);
 
  private:
+  template <typename Fn>
+  static void Invoke(const void* fn, std::size_t i) {
+    (*static_cast<const Fn*>(fn))(i);
+  }
+
   void WorkerLoop();
+  void Drain(std::unique_lock<std::mutex>& lock);
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  mutable std::mutex mu_;
-  std::condition_variable wake_cv_;   // workers: work available / stopping
-  std::condition_variable idle_cv_;   // Wait(): queue drained and idle
-  std::size_t active_ = 0;
+  std::mutex submit_mu_;  // held by the caller for a whole job
+  std::mutex mu_;         // guards everything below
+  std::condition_variable work_cv_;  // workers: a job has indices left
+  std::condition_variable done_cv_;  // caller: every claimed index finished
+  LoopBody* body_ = nullptr;
+  const void* ctx_ = nullptr;
+  std::size_t size_ = 0;      // indices of the job; cut to next_ on a throw
+  std::size_t next_ = 0;      // next index to hand out
+  std::size_t finished_ = 0;  // claimed indices that have returned
+  std::exception_ptr error_;  // the job's first exception
   bool stop_ = false;
 };
 

@@ -5,38 +5,11 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace gpusim {
 namespace {
-
-TEST(ThreadPoolTest, RunsAllIterations) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  pool.ParallelFor(1000, [&](std::uint64_t) { ++count; });
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPoolTest, EachIndexExactlyOnce) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(500);
-  pool.ParallelFor(500, [&](std::uint64_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](std::uint64_t) { FAIL(); });
-}
-
-TEST(ThreadPoolTest, SequentialJobsReuseWorkers) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 20; ++round) {
-    pool.ParallelFor(50, [&](std::uint64_t) { ++total; });
-  }
-  EXPECT_EQ(total.load(), 1000);
-}
 
 TEST(DeviceTest, MallocFreeTracking) {
   Device device(2);
@@ -106,6 +79,50 @@ TEST(DeviceTest, KernelContextIndicesInRange) {
   });
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(invocations.load(), grid.Count() * block.Count());
+}
+
+// Four threads launch on one device, as fleet workers launch on the shared
+// Device::Instance(): launches take turns on the device's pool, every block
+// of every grid runs once, and the launch accounting adds up.
+TEST(DeviceTest, ConcurrentLaunchesCoverEveryGrid) {
+  constexpr int kThreads = 4;
+  constexpr int kLaunches = 20;
+  Device device(3);
+  std::vector<std::vector<std::atomic<int>>> hits(kThreads * kLaunches);
+  std::vector<Dim3> grids;
+  std::uint64_t total_blocks = 0;
+  for (int g = 0; g < kThreads * kLaunches; ++g) {
+    const Dim3 grid{1u + g % 7u, 1u + g % 3u, 1u + g % 2u};
+    grids.push_back(grid);
+    hits[g] = std::vector<std::atomic<int>>(grid.Count());
+    total_blocks += grid.Count();
+  }
+  std::vector<std::thread> launchers;
+  for (int t = 0; t < kThreads; ++t) {
+    launchers.emplace_back([&, t] {
+      for (int l = 0; l < kLaunches; ++l) {
+        const int g = t * kLaunches + l;
+        const Dim3 grid = grids[g];
+        device.Launch(grid, Dim3{2, 1, 1}, [&](const KernelContext& ctx) {
+          if (ctx.thread_idx.x != 0) return;
+          const std::uint64_t b =
+              ctx.block_idx.x +
+              grid.x * (ctx.block_idx.y +
+                        static_cast<std::uint64_t>(grid.y) * ctx.block_idx.z);
+          ++hits[g][b];
+        });
+      }
+    });
+  }
+  for (std::thread& t : launchers) t.join();
+  for (std::size_t g = 0; g < hits.size(); ++g) {
+    for (std::size_t b = 0; b < hits[g].size(); ++b) {
+      ASSERT_EQ(hits[g][b].load(), 1) << "grid " << g << " block " << b;
+    }
+  }
+  EXPECT_EQ(device.launch_count(),
+            static_cast<std::uint64_t>(kThreads * kLaunches));
+  EXPECT_EQ(device.blocks_launched(), total_blocks);
 }
 
 TEST(DeviceBufferTest, RaiiReleases) {

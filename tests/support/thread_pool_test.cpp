@@ -1,4 +1,5 @@
-// Tests for the fixed-size thread pool behind the analysis driver.
+// Tests for certkit's one fork-join pool (gpusim launches, the campaign
+// fleet, the analysis driver, serve, the micro-GEMM and the batch detector).
 #include "support/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -6,7 +7,10 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "support/alloc_counter.h"
 
 namespace certkit::support {
 namespace {
@@ -20,25 +24,12 @@ TEST(ThreadPoolTest, ResolveJobs) {
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.thread_count(), 0);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPoolTest, SubmittedTasksAllComplete) {
-  for (const int workers : {1, 2, 8}) {
-    ThreadPool pool(workers);
-    EXPECT_EQ(pool.thread_count(), workers);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), 100) << "workers=" << workers;
-  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(10);
+  pool.ParallelFor(ran_on.size(), [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -95,6 +86,55 @@ TEST(ThreadPoolTest, ManyMoreTasksThanWorkers) {
   pool.ParallelFor(data.size(), [&](std::size_t i) { data[i] = 1; });
   EXPECT_EQ(std::accumulate(data.begin(), data.end(), 0),
             static_cast<int>(data.size()));
+}
+
+// Four threads share one 3-worker pool, the way fleet workers share the
+// gpusim device's pool: jobs take turns on the submission mutex, and no
+// job loses or repeats an index.
+TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 50;
+  constexpr std::size_t kN = 97;
+  ThreadPool pool(3);
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int c = 0; c < kCallers; ++c) hits.emplace_back(kRounds * kN);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        pool.ParallelFor(kN, [&](std::size_t i) {
+          hits[c][r * kN + i].fetch_add(1);
+        });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    for (std::size_t i = 0; i < hits[c].size(); ++i) {
+      ASSERT_EQ(hits[c][i].load(), 1) << "caller " << c << " index " << i;
+    }
+  }
+}
+
+// A job lives in the pool and its body is reached through a pointer, so a
+// call allocates nothing at any width. The counting operator new is linked
+// into this test only outside sanitizer trees, where the sanitizer runtime
+// owns the allocator.
+TEST(ThreadPoolTest, ParallelForAllocatesNothing) {
+#ifndef CERTKIT_ALLOC_HOOKS
+  GTEST_SKIP() << "alloc hooks not linked (sanitizer build tree)";
+#endif
+  ASSERT_TRUE(AllocCountingActive());
+  for (const int workers : {0, 1, 4}) {
+    ThreadPool pool(workers);
+    std::vector<std::atomic<int>> hits(64);
+    const auto bump = [&](std::size_t i) { hits[i].fetch_add(1); };
+    pool.ParallelFor(hits.size(), bump);  // warm-up
+    const AllocScope scope;
+    for (int call = 0; call < 100; ++call) pool.ParallelFor(hits.size(), bump);
+    EXPECT_EQ(scope.allocations(), 0u) << "workers=" << workers;
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 101);
+  }
 }
 
 }  // namespace
