@@ -136,8 +136,10 @@ class Parser {
     enum class Kind { kNamespace, kClass, kExternC };
     Kind kind;
     std::string name;
-    TypeModel* type = nullptr;  // for class scopes, points into model_->types
-    bool is_public = true;      // current access for class scopes
+    // For class scopes, the type's index in model_->types: an index, not a
+    // pointer, because a nested type added later may reallocate the vector.
+    std::size_t type = 0;
+    bool is_public = true;  // current access for class scopes
   };
 
   // --- token cursor helpers -------------------------------------------------
@@ -330,7 +332,7 @@ class Parser {
     Next();  // extern
     Next();  // "C"
     if (CurIs(Tok("{"))) {
-      scopes_.push_back({Scope::Kind::kExternC, "", nullptr, true});
+      scopes_.push_back({Scope::Kind::kExternC, "", 0, true});
       Next();
     }
   }
@@ -345,7 +347,7 @@ class Parser {
       Next();
     }
     if (CurIs(Tok("{"))) {
-      scopes_.push_back({Scope::Kind::kNamespace, name, nullptr, true});
+      scopes_.push_back({Scope::Kind::kNamespace, name, 0, true});
       Next();
     } else if (!AtEnd()) {
       SkipToSemicolon();  // namespace alias or malformed
@@ -409,14 +411,14 @@ class Parser {
     i_ = std::min(k + 1, toks_.size());
   }
 
-  TypeModel* AddType(TypeKind kind, const std::string& name,
-                     std::int32_t line) {
+  std::size_t AddType(TypeKind kind, const std::string& name,
+                      std::int32_t line) {
     TypeModel& tm = model_->types.emplace_back();
     tm.kind = kind;
     tm.name = name.empty() ? "<anonymous>" : name;
     tm.qualified_name = QualifiedName(tm.name);
     tm.line = line;
-    return &tm;
+    return model_->types.size() - 1;
   }
 
   void ParseEnum() {
@@ -620,8 +622,9 @@ class Parser {
     fn.end_line = toks_[fn.body_end].line;
 
     if (Scope* cls = CurrentClassScope()) {
-      ++cls->type->method_count;
-      if (cls->is_public) ++cls->type->public_method_count;
+      TypeModel& type = model_->types[cls->type];
+      ++type.method_count;
+      if (cls->is_public) ++type.public_method_count;
     }
     model_->functions.push_back(std::move(fn));
   }
@@ -785,7 +788,7 @@ class Parser {
     }
     Scope* cls = CurrentClassScope();
     if (plausible && cls != nullptr) {
-      ++cls->type->field_count;  // a data member, not a global
+      ++model_->types[cls->type].field_count;  // a data member, not a global
     } else if (plausible) {
       RecordGlobal(decl, name_idx, has_init);
     }
@@ -827,18 +830,16 @@ class Parser {
     model_->casts.push_back(std::move(c));
   }
 
-  // The target type's text, between the '<' at `lt` and its '>' (a '>>'
-  // does not count).
+  // The target type's text, between the '<' at `lt` and the '>' or '>>'
+  // that closes it (PastTemplateArgs's scan); a '>>' that closes a nested
+  // argument list as well stays in the text, as in parameter types.
   std::string NamedCastTarget(std::size_t lt) const {
+    std::size_t end = PastTemplateArgs(lt);
+    if (toks_[end - 1].id == Tok(">")) --end;  // a lone closer is not text
     std::string text;
-    int depth = 0;
-    for (std::size_t q = lt; q < toks_.size(); ++q) {
-      depth += (toks_[q].id == Tok("<")) - (toks_[q].id == Tok(">"));
-      if (depth == 0) break;
-      if (q > lt) {
-        if (!text.empty()) text += ' ';
-        text += toks_[q].text;
-      }
+    for (std::size_t q = lt + 1; q < end; ++q) {
+      if (!text.empty()) text += ' ';
+      text += toks_[q].text;
     }
     return text;
   }

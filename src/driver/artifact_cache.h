@@ -49,8 +49,11 @@
 
 namespace certkit::driver {
 
-// Bump when the serialized layout of any payload struct changes.
-inline constexpr std::uint32_t kArtifactSchemaVersion = 3;
+// Bump when the serialized layout of any payload struct changes, and also
+// when the analysis of unchanged bytes changes (a parser or rule fix), so
+// that entries an older build wrote miss once instead of serving its
+// results.
+inline constexpr std::uint32_t kArtifactSchemaVersion = 4;
 
 // The content key of a file's bytes: a 64-bit hash read eight bytes at a
 // time in four lanes, with an avalanche at the end, so that any change to

@@ -29,6 +29,45 @@ TEST(ParserEdgeTest, NestedClassMethods) {
   EXPECT_EQ(m.functions[1].qualified_name, "Outer::Use");
 }
 
+// The outer class keeps counting its members after a nested type is added:
+// the nested type's entry may reallocate `types`, so a class scope that
+// held a pointer into it counted into freed memory (and Outer read 0).
+TEST(ParserEdgeTest, OuterClassCountsMembersAfterNestedTypes) {
+  SourceFileModel m = MustParse(
+      "class Outer {\n"
+      "  class Inner {};\n"
+      "  int Use() { return 0; }\n"
+      " public:\n"
+      "  struct Row { int a; };\n"
+      "  enum Mode { kA, kB };\n"
+      "  int Get() { return 1; }\n"
+      "  int count;\n"
+      "};\n");
+  ASSERT_EQ(m.types.size(), 4u);
+  EXPECT_EQ(m.types[0].name, "Outer");
+  EXPECT_EQ(m.types[0].method_count, 2);
+  EXPECT_EQ(m.types[0].public_method_count, 1);
+  EXPECT_EQ(m.types[0].field_count, 1);
+  EXPECT_EQ(m.types[2].name, "Row");
+  EXPECT_EQ(m.types[2].field_count, 1);
+}
+
+// A named cast's target ends at the '>>' that closes it: the scan used to
+// count only '<' and '>' and ran on to the next lone '>'.
+TEST(ParserEdgeTest, NamedCastTargetEndsAtDoubleAngle) {
+  SourceFileModel m = MustParse(
+      "void F(int x, int a, int b) {\n"
+      "  auto v = static_cast<std::vector<int>>(x);\n"
+      "  bool y = a > b;\n"
+      "  auto w = static_cast<Box<Pair<int>>>(x);\n"
+      "  auto z = static_cast<unsigned>(x);\n"
+      "}\n");
+  ASSERT_EQ(m.casts.size(), 3u);
+  EXPECT_EQ(m.casts[0].target_text, "std :: vector < int >>");
+  EXPECT_EQ(m.casts[1].target_text, "Box < Pair < int >>");
+  EXPECT_EQ(m.casts[2].target_text, "unsigned");
+}
+
 TEST(ParserEdgeTest, InlineNamespace) {
   SourceFileModel m = MustParse(
       "namespace api {\n"

@@ -477,10 +477,13 @@ TEST(ContentKeyTest, SingleBitFlipsChangeHalfTheKey) {
 // --- golden: the bytes every entry name and digest is built from ----------
 // The two analysis digests were recorded before the cached records moved to
 // field lists; a change to them means the analysis itself moved. The
-// fingerprint, entry name and module key were re-recorded at schema 3,
-// where an entry token's lead byte became its token id (the schema version
-// is part of the fingerprint, which names every entry and keys every module
-// phase).
+// fingerprint, entry name and module key move with the schema version,
+// which is part of the fingerprint that names every entry and keys every
+// module phase. They were re-recorded at schema 3, where an entry token's
+// lead byte became its token id, and at schema 4, where the parser's
+// outer-class member counts and named-cast target text were fixed (at
+// schema 3: 0x3a977fab90eaf8b5, c32d7d14b705863e, 0x4a417809729b6d21); the
+// fixes leave both digests as they were.
 
 TEST(ArtifactCacheGoldenTest, DigestsKeysAndEntryNamesAreUnchanged) {
   DriverOptions options;
@@ -495,16 +498,16 @@ TEST(ArtifactCacheGoldenTest, DigestsKeysAndEntryNamesAreUnchanged) {
   EXPECT_EQ(DigestAnalysis(corpus.value()), 0xffe51d1579675657ull);
 
   const std::uint64_t fingerprint = OptionsFingerprint(DriverOptions{});
-  EXPECT_EQ(fingerprint, 0x3a977fab90eaf8b5ull);
+  EXPECT_EQ(fingerprint, 0xa6d2b55062892298ull);
   const ArtifactCache cache("cache", fingerprint);
   EXPECT_EQ(fs::path(cache.EntryPathForHash("alpha/a.cc", "alpha",
                                             0x0123456789abcdefull))
                 .filename()
                 .string(),
-            "c32d7d14b705863e.ckart");
+            "0d24555f1dd8c38c.ckart");
   EXPECT_EQ(cache.ModulePhaseKey("alpha", {{"alpha/a.cc", 0x1111ull},
                                            {"alpha/b.cc", 0x2222ull}}),
-            0x4a417809729b6d21ull);
+            0xee187f69fe060323ull);
 }
 
 }  // namespace
