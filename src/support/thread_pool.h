@@ -53,7 +53,7 @@ class ThreadPool {
   void ParallelFor(std::size_t n, LoopBody* body, const void* ctx);
 
   // Runs fn(0) .. fn(n-1). `fn` stays on the caller's frame and is reached
-  // through the primitive, so no std::function is built.
+  // through the primitive, so nothing wraps it on the heap.
   template <typename Fn>
   void ParallelFor(std::size_t n, const Fn& fn) {
     ParallelFor(n, &Invoke<Fn>, &fn);
@@ -71,9 +71,8 @@ class ThreadPool {
   void WorkerLoop();
   void Drain(std::unique_lock<std::mutex>& lock);
 
-  std::vector<std::thread> workers_;
   std::mutex submit_mu_;  // held by the caller for a whole job
-  std::mutex mu_;         // guards everything below
+  std::mutex mu_;         // guards the job state below
   std::condition_variable work_cv_;  // workers: a job has indices left
   std::condition_variable done_cv_;  // caller: every claimed index finished
   LoopBody* body_ = nullptr;
@@ -83,6 +82,7 @@ class ThreadPool {
   std::size_t finished_ = 0;  // claimed indices that have returned
   std::exception_ptr error_;  // the job's first exception
   bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: they run on the members above
 };
 
 // Maps i -> fn(i) for i in [0, n) in parallel; result i lands in slot i, so

@@ -118,8 +118,8 @@ TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
 
 // A job lives in the pool and its body is reached through a pointer, so a
 // call allocates nothing at any width. The counting operator new is linked
-// into this test only outside sanitizer trees, where the sanitizer runtime
-// owns the allocator.
+// into this test only outside sanitizer trees (in those, the sanitizer
+// runtime owns the allocator).
 TEST(ThreadPoolTest, ParallelForAllocatesNothing) {
 #ifndef CERTKIT_ALLOC_HOOKS
   GTEST_SKIP() << "alloc hooks not linked (sanitizer build tree)";
