@@ -51,6 +51,44 @@ TEST(ThreadPoolTest, ParallelForEmptyRangeIsANoop) {
   EXPECT_FALSE(ran);
 }
 
+// The primitive form: a plain function as the body, and the caller's state
+// reached through the context pointer.
+void CountIteration(const void* ctx, std::size_t /*i*/) {
+  (*static_cast<std::atomic<int>* const*>(ctx))->fetch_add(1);
+}
+
+TEST(ThreadPoolTest, RunsAllIterations) {
+  ThreadPool pool(4);
+  std::atomic<int> count{0};
+  std::atomic<int>* const target = &count;
+  pool.ParallelFor(1000, &CountIteration, &target);
+  EXPECT_EQ(count.load(), 1000);
+}
+
+// More workers than the other cases use, so indices race across 9 threads.
+TEST(ThreadPoolTest, EachIndexExactlyOnce) {
+  ThreadPool pool(8);
+  std::vector<std::atomic<int>> hits(500);
+  pool.ParallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+// An empty job through the primitive form never calls the body, at any
+// width, and leaves the pool ready for the next job.
+TEST(ThreadPoolTest, ZeroIterationsIsNoop) {
+  for (const int workers : {0, 2}) {
+    ThreadPool pool(workers);
+    std::atomic<int> count{0};
+    std::atomic<int>* const target = &count;
+    pool.ParallelFor(0, &CountIteration, &target);
+    EXPECT_EQ(count.load(), 0) << "workers=" << workers;
+    pool.ParallelFor(3, &CountIteration, &target);
+    EXPECT_EQ(count.load(), 3) << "workers=" << workers;
+  }
+}
+
 TEST(ThreadPoolTest, ParallelForPropagatesException) {
   for (const int workers : {0, 1, 4}) {
     ThreadPool pool(workers);
