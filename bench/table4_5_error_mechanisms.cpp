@@ -15,7 +15,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "driver/codebase_loader.h"
+#include "driver/analysis_driver.h"
 #include "report/renderers.h"
 #include "rules/error_handling.h"
 #include "support/flags.h"
@@ -99,10 +99,10 @@ int main(int argc, char** argv) {
 
   // Subject 2: this repository's AD stack, if its sources are reachable.
   const std::string own_root = ResolveOwnStackRoot(flags, argv[0]);
-  auto own = certkit::driver::LoadCodebase(own_root);
-  if (own.ok() && !own.value().modules().empty()) {
+  auto own = certkit::driver::AnalysisDriver().AnalyzeTree(own_root);
+  if (own.ok() && !own.value().modules.empty()) {
     std::vector<certkit::rules::ErrorHandlingStats> parts;
-    for (const auto& mod : own.value().modules()) {
+    for (const auto& mod : own.value().modules) {
       for (const auto& file : mod.files) {
         parts.push_back(certkit::rules::AnalyzeErrorHandling(file));
       }

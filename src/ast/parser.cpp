@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/check.h"
-#include "support/io.h"
 #include "support/strings.h"
 
 namespace certkit::ast {
@@ -970,13 +969,6 @@ support::Result<SourceFileModel> ParseSource(std::string path,
   Parser parser(&model);
   parser.Run();
   return model;
-}
-
-support::Result<SourceFileModel> ParseFile(const std::string& path,
-                                           const ParseOptions& options) {
-  auto content = support::ReadFile(path);
-  if (!content.ok()) return content.status();
-  return ParseSource(path, content.value(), options);
 }
 
 }  // namespace certkit::ast

@@ -33,10 +33,6 @@ support::Result<SourceFileModel> ParseSource(std::string path,
                                              std::string_view source,
                                              const ParseOptions& options = {});
 
-// Convenience: reads `path` from disk and parses it.
-support::Result<SourceFileModel> ParseFile(const std::string& path,
-                                           const ParseOptions& options = {});
-
 }  // namespace certkit::ast
 
 #endif  // CERTKIT_AST_PARSER_H_

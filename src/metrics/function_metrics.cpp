@@ -71,35 +71,11 @@ FunctionMetrics ComputeFunctionMetrics(const ast::SourceFileModel& file,
   return m;
 }
 
-std::vector<FunctionMetrics> ComputeAllFunctionMetrics(
-    const ast::SourceFileModel& file) {
-  std::vector<FunctionMetrics> out;
-  out.reserve(file.functions.size());
-  for (const auto& fn : file.functions) {
-    out.push_back(ComputeFunctionMetrics(file, fn));
-  }
-  return out;
-}
-
 ComplexityBand BandOf(std::int32_t cc) {
   if (cc <= 10) return ComplexityBand::kLow;
   if (cc <= 20) return ComplexityBand::kModerate;
   if (cc <= 50) return ComplexityBand::kRisky;
   return ComplexityBand::kUnstable;
-}
-
-const char* ComplexityBandName(ComplexityBand band) {
-  switch (band) {
-    case ComplexityBand::kLow:
-      return "low(1-10)";
-    case ComplexityBand::kModerate:
-      return "moderate(11-20)";
-    case ComplexityBand::kRisky:
-      return "risky(21-50)";
-    case ComplexityBand::kUnstable:
-      return "unstable(>50)";
-  }
-  return "unknown";
 }
 
 }  // namespace certkit::metrics

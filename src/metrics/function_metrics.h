@@ -57,15 +57,10 @@ struct FunctionMetrics {
 FunctionMetrics ComputeFunctionMetrics(const ast::SourceFileModel& file,
                                        const ast::FunctionModel& fn);
 
-// Computes metrics for every function definition in `file`.
-std::vector<FunctionMetrics> ComputeAllFunctionMetrics(
-    const ast::SourceFileModel& file);
-
 // Cyclomatic-complexity risk bands used in Figure 3 of the paper:
 // 1–10 low, 11–20 moderate, 21–50 risky, >50 unstable.
 enum class ComplexityBand { kLow, kModerate, kRisky, kUnstable };
 ComplexityBand BandOf(std::int32_t cyclomatic_complexity);
-const char* ComplexityBandName(ComplexityBand band);
 
 }  // namespace certkit::metrics
 

@@ -1,7 +1,5 @@
 #include "rules/assessor.h"
 
-#include <unordered_map>
-
 #include "support/strings.h"
 
 namespace certkit::rules {
@@ -35,22 +33,6 @@ Verdict Grade(bool compliant, bool partial) {
 
 }  // namespace
 
-void AccumulateStyle(const StyleResult& result,
-                     const ast::SourceFileModel& file, StyleStats* style_total,
-                     StyleStats* naming_total) {
-  style_total->lines_checked += result.stats.lines_checked;
-  style_total->violations += result.stats.violations;
-  for (const auto& f : result.report.findings) {
-    if (support::StartsWith(f.rule_id, "STYLE-") &&
-        support::Contains(f.rule_id, "NAME")) {
-      ++naming_total->violations;
-    }
-  }
-  naming_total->lines_checked += static_cast<std::int64_t>(
-      file.types.size() + file.functions.size() + file.globals.size() +
-      file.macros.size());
-}
-
 void MergeDefensive(DefensiveResult part, DefensiveResult* total) {
   total->stats.functions_with_params += part.stats.functions_with_params;
   total->stats.functions_validating_inputs +=
@@ -64,39 +46,6 @@ void MergeDefensive(DefensiveResult part, DefensiveResult* total) {
   total->report.entities_checked += part.report.entities_checked;
 }
 
-AssessorInputs ComputeAssessorInputs(
-    const std::vector<metrics::ModuleAnalysis>& modules,
-    const std::vector<RawSource>* raw_sources) {
-  AssessorInputs in;
-  in.modules = &modules;
-
-  std::unordered_map<std::string, const std::string*> raw_by_path;
-  if (raw_sources != nullptr) {
-    for (const auto& rs : *raw_sources) raw_by_path[rs.path] = &rs.text;
-  }
-
-  for (const auto& mod : modules) {
-    in.unit_design.push_back(AnalyzeUnitDesign(mod));
-    in.total_functions += mod.metrics.function_count;
-    in.total_nloc += mod.metrics.nloc;
-    for (const auto& file : mod.files) {
-      in.total_casts += static_cast<std::int64_t>(file.casts.size());
-      in.misra_reports.push_back(CheckMisra(file));
-      auto it = raw_by_path.find(file.path);
-      if (it != raw_by_path.end()) {
-        StyleResult sr = CheckStyle(file, *it->second);
-        AccumulateStyle(sr, file, &in.style_total, &in.naming_total);
-      }
-    }
-  }
-  // Defensive analysis groups by module (cross-module name resolution adds
-  // little and copying file models is heavy).
-  for (const auto& mod : modules) {
-    MergeDefensive(AnalyzeDefensive(mod.files), &in.defensive);
-  }
-  return in;
-}
-
 Assessor::Assessor(AssessorInputs inputs, const AssessorThresholds& thresholds)
     : inputs_(std::move(inputs)), thresholds_(thresholds) {
   architecture_ = metrics::AnalyzeArchitecture(
@@ -104,11 +53,6 @@ Assessor::Assessor(AssessorInputs inputs, const AssessorThresholds& thresholds)
       metrics::ArchitectureLimits{thresholds_.max_component_nloc,
                                   thresholds_.max_params, 20});
 }
-
-Assessor::Assessor(const std::vector<metrics::ModuleAnalysis>* modules,
-                   const std::vector<RawSource>* raw_sources,
-                   const AssessorThresholds& thresholds)
-    : Assessor(ComputeAssessorInputs(*modules, raw_sources), thresholds) {}
 
 std::int64_t Assessor::functions_cc_over(int threshold) const {
   std::int64_t n = 0;

@@ -43,18 +43,12 @@ struct AssessorThresholds {
   double unit_partial_rate_per_knloc = 0.5;
 };
 
-// Raw-source access for style checking: path -> file text, matching
-// SourceFileModel::path entries. (The parser does not retain raw text.)
-struct RawSource {
-  std::string path;
-  std::string text;
-};
-
-// Everything the assessor consumes, precomputed. The driver fills this in
-// parallel (one FileAnalysis per worker, merged in stable order); the legacy
-// serial path is ComputeAssessorInputs below. `modules` must outlive the
-// Assessor — the assessor only aggregates, it never re-walks file models
-// except for the architecture/interrupt scans that depend on thresholds.
+// Everything the assessor consumes, precomputed. The one producer is
+// driver::CodebaseAnalysis::MakeAssessorInputs, which assembles it from the
+// per-file and per-module artifacts the AnalysisDriver computed in parallel.
+// `modules` must outlive the Assessor — the assessor only aggregates, it
+// never re-walks file models except for the architecture/interrupt scans
+// that depend on thresholds.
 struct AssessorInputs {
   const std::vector<metrics::ModuleAnalysis>* modules = nullptr;
   std::vector<UnitDesignResult> unit_design;  // one per module, module order
@@ -67,38 +61,18 @@ struct AssessorInputs {
   std::int64_t total_casts = 0;
 };
 
-// Adds one file's style result into the running totals. The naming subtotal
-// (Table 1 row 8) counts STYLE-*NAME* findings over the file's named
-// declarations (types, functions, globals, macros).
-void AccumulateStyle(const StyleResult& result,
-                     const ast::SourceFileModel& file, StyleStats* style_total,
-                     StyleStats* naming_total);
-
 // Merges one module's defensive result into `total`: stats are summed,
 // findings appended in call order (keep the call order stable for
 // deterministic reports).
 void MergeDefensive(DefensiveResult part, DefensiveResult* total);
 
-// Serial reference computation of AssessorInputs — runs the MISRA, style,
-// defensive, and unit-design passes over every module on the calling thread.
-// AnalysisDriver produces the same inputs from per-file artifacts computed
-// in parallel; this function is the single-threaded oracle the determinism
-// tests compare against.
-AssessorInputs ComputeAssessorInputs(
-    const std::vector<metrics::ModuleAnalysis>& modules,
-    const std::vector<RawSource>* raw_sources = nullptr);
-
 // Full assessment of a codebase organized into modules.
 class Assessor {
  public:
-  // Preferred: assess from precomputed inputs (see AnalysisDriver).
+  // Assesses the inputs of one analysis (CodebaseAnalysis::
+  // MakeAssessorInputs).
   explicit Assessor(AssessorInputs inputs,
                     const AssessorThresholds& thresholds = {});
-
-  // Legacy convenience: computes the inputs serially, then assesses.
-  Assessor(const std::vector<metrics::ModuleAnalysis>* modules,
-           const std::vector<RawSource>* raw_sources = nullptr,
-           const AssessorThresholds& thresholds = {});
 
   // Paper Table 1 (ISO 26262-6 Table 1) with Observations 1–9.
   TableAssessment AssessCodingGuidelines();

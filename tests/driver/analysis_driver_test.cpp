@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -121,6 +122,29 @@ std::string Fingerprint(const CodebaseAnalysis& cb) {
   return out.str();
 }
 
+// A fresh directory under the temp dir, named after the running test: ctest
+// runs the cases as parallel processes, so they must not share one.
+std::string ScratchRoot() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string root = (fs::temp_directory_path() /
+                            (std::string("certkit_driver_") + info->name()))
+                               .string();
+  fs::remove_all(root);
+  return root;
+}
+
+void WriteTree(const std::string& root, const std::vector<SourceInput>& tree) {
+  for (const auto& f : tree) {
+    ASSERT_TRUE(support::WriteFile(root + "/" + f.path, f.content).ok());
+  }
+}
+
+std::vector<std::string> ModuleNames(const CodebaseAnalysis& cb) {
+  std::vector<std::string> names;
+  for (const auto& m : cb.modules) names.push_back(m.name);
+  return names;
+}
+
 CodebaseAnalysis AnalyzeWithJobs(int jobs) {
   DriverOptions options;
   options.jobs = jobs;
@@ -233,6 +257,54 @@ TEST(AnalysisDriverTest, UnparseableSourceIsSkippedNotFatal) {
   EXPECT_EQ(analyzed.value().skipped[0], "mod/bad.cc");
   ASSERT_EQ(analyzed.value().files.size(), 1u);
   EXPECT_EQ(analyzed.value().files[0].path, "mod/good.cc");
+}
+
+TEST(AnalysisDriverTest, TreeModulesExtensionsAndTraces) {
+  const std::string root = ScratchRoot();
+  WriteTree(root, {{"alpha/a.cc", "void AlphaFn() {}\n"},
+                   {"alpha/b.cc", "void AlphaFn2() {}\n"},
+                   {"beta/c.cc", "// REQ-T-1: do it\nvoid DoThing() {}\n"},
+                   {"beta/bad.cc", "/* unterminated comment\n"},
+                   {"beta/d.inc", "void IncFn() {}\n"},
+                   {"root_file.cc", "void RootFn() {}\n"},
+                   {"notes.txt", "not source\n"}});
+
+  auto analyzed = AnalysisDriver().AnalyzeTree(root);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const CodebaseAnalysis& cb = analyzed.value();
+  // One module per first-level directory; files directly under the root
+  // form a module named after it ("certkit_driver_…" sorts after "beta").
+  ASSERT_EQ(ModuleNames(cb), (std::vector<std::string>{
+                                 "alpha", "beta",
+                                 fs::path(root).filename().string()}));
+  EXPECT_EQ(cb.modules[0].metrics.function_count, 2);
+  EXPECT_EQ(cb.modules[1].metrics.function_count, 1);
+  EXPECT_EQ(cb.modules[2].metrics.function_count, 1);
+  // notes.txt and d.inc are not scanned; the unparseable file is skipped,
+  // not fatal.
+  EXPECT_EQ(cb.files.size(), 4u);
+  ASSERT_EQ(cb.skipped.size(), 1u);
+  EXPECT_EQ(fs::path(cb.skipped[0]).filename(), "bad.cc");
+  // Comments are kept, so the REQ tag traces to the function below it.
+  const rules::TraceReport trace = cb.MergedTrace();
+  ASSERT_EQ(trace.links.size(), 1u);
+  EXPECT_EQ(trace.links[0].requirement, "REQ-T-1");
+  EXPECT_EQ(trace.links[0].function, "DoThing");
+
+  DriverOptions inc_only;
+  inc_only.extensions = {".inc"};
+  auto inc = AnalysisDriver(inc_only).AnalyzeTree(root);
+  ASSERT_TRUE(inc.ok());
+  ASSERT_EQ(ModuleNames(inc.value()), std::vector<std::string>{"beta"});
+  EXPECT_EQ(inc.value().modules[0].metrics.function_count, 1);
+  EXPECT_TRUE(inc.value().skipped.empty());
+  fs::remove_all(root);
+}
+
+TEST(AnalysisDriverTest, MissingTreeIsNotFound) {
+  auto analyzed = AnalysisDriver().AnalyzeTree(ScratchRoot() + "/nope");
+  EXPECT_FALSE(analyzed.ok());
+  EXPECT_EQ(analyzed.status().code(), support::StatusCode::kNotFound);
 }
 
 TEST(AnalysisDriverTest, DefaultModuleForBarePaths) {

@@ -1,8 +1,7 @@
 // Unit tests for the ISO 26262 technique tables and the assessor.
 #include <gtest/gtest.h>
 
-#include "ast/parser.h"
-#include "metrics/module_metrics.h"
+#include "driver/analysis_driver.h"
 #include "rules/assessor.h"
 #include "rules/iso26262.h"
 
@@ -85,24 +84,25 @@ TEST(Iso26262TablesTest, MarksRoundTrip) {
 
 // --- assessor ---
 
-std::vector<metrics::ModuleAnalysis> OneModule(std::string_view src) {
-  auto r = ast::ParseSource("m/f.cc", src);
+// The one-file module m/f.cc, analyzed as every consumer analyzes a tree.
+// An Assessor built from its MakeAssessorInputs() must not outlive it.
+driver::CodebaseAnalysis OneModule(std::string src) {
+  driver::DriverOptions options;
+  options.jobs = 1;
+  auto r = driver::AnalysisDriver(options).AnalyzeSources(
+      {{"m/f.cc", std::move(src)}});
   EXPECT_TRUE(r.ok());
-  std::vector<ast::SourceFileModel> files;
-  files.push_back(std::move(r).value());
-  std::vector<metrics::ModuleAnalysis> mods;
-  mods.push_back(metrics::AnalyzeModule("m", std::move(files)));
-  return mods;
+  return std::move(r).value();
 }
 
 TEST(AssessorTest, CleanCodeIsLargelyCompliant) {
-  auto mods = OneModule(
+  const auto cb = OneModule(
       "int add(int a, int b) {\n"
       "  if (a < 0) { return 0; }\n"
       "  if (b < 0) { return 0; }\n"
       "  return a + b;\n"
       "}\n");
-  Assessor assessor(&mods);
+  Assessor assessor(cb.MakeAssessorInputs());
   TableAssessment t1 = assessor.AssessCodingGuidelines();
   ASSERT_EQ(t1.assessments.size(), 8u);
   // Row 1 (low complexity): compliant — CC is 3.
@@ -120,16 +120,16 @@ TEST(AssessorTest, CastsDegradeStrongTyping) {
            std::to_string(i) + ";\n";
   }
   src += "}\n";
-  auto mods = OneModule(src);
-  Assessor assessor(&mods);
+  const auto cb = OneModule(src);
+  Assessor assessor(cb.MakeAssessorInputs());
   TableAssessment t1 = assessor.AssessCodingGuidelines();
   EXPECT_EQ(t1.assessments[2].verdict, Verdict::kNonCompliant);
   EXPECT_GE(assessor.total_explicit_casts(), 50);
 }
 
 TEST(AssessorTest, UnitDesignTableHasTenRows) {
-  auto mods = OneModule("int f(int x) { return x; }\n");
-  Assessor assessor(&mods);
+  const auto cb = OneModule("int f(int x) { return x; }\n");
+  Assessor assessor(cb.MakeAssessorInputs());
   TableAssessment t3 = assessor.AssessUnitDesign();
   ASSERT_EQ(t3.assessments.size(), 10u);
   for (const auto& a : t3.assessments) {
@@ -138,16 +138,16 @@ TEST(AssessorTest, UnitDesignTableHasTenRows) {
 }
 
 TEST(AssessorTest, ArchitectureTableHasSevenRows) {
-  auto mods = OneModule("void f() {}\n");
-  Assessor assessor(&mods);
+  const auto cb = OneModule("void f() {}\n");
+  Assessor assessor(cb.MakeAssessorInputs());
   TableAssessment t2 = assessor.AssessArchitecture();
   ASSERT_EQ(t2.assessments.size(), 7u);
 }
 
 TEST(AssessorTest, GotoMakesRow9NonCompliant) {
-  auto mods = OneModule(
+  const auto cb = OneModule(
       "int f(int x) { if (x) goto out; x = 2; out: return x; }\n");
-  Assessor assessor(&mods);
+  Assessor assessor(cb.MakeAssessorInputs());
   TableAssessment t3 = assessor.AssessUnitDesign();
   EXPECT_EQ(t3.assessments[8].verdict, Verdict::kNonCompliant);
 }
@@ -157,8 +157,8 @@ TEST(AssessorTest, FunctionsCcOverThreshold) {
   for (int i = 0; i < 15; ++i) {
     body += "if (x > " + std::to_string(i) + ") ++x;\n";
   }
-  auto mods = OneModule("int f(int x) {\n" + body + "return x;\n}\n");
-  Assessor assessor(&mods);
+  const auto cb = OneModule("int f(int x) {\n" + body + "return x;\n}\n");
+  Assessor assessor(cb.MakeAssessorInputs());
   EXPECT_EQ(assessor.functions_cc_over(10), 1);  // CC = 16
   EXPECT_EQ(assessor.functions_cc_over(20), 0);
 }
