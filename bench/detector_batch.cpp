@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
 
   auto& device = gpusim::Device::Instance();
   certkit::support::ThreadPool pool(
-      certkit::support::ThreadPool::ResolveJobs(jobs));
+      certkit::support::ThreadPool::ResolveJobs(jobs) - 1);
   const std::vector<nn::Tensor> frames = MakeFrames(frame_count, seed);
   const std::vector<nn::Tensor> frames8(frames.begin(), frames.begin() + 8);
 

@@ -309,9 +309,7 @@ CampaignResult CampaignRunner::RunFrom(CampaignState* state) {
     RepairCorpusStore(store, *state);
   }
 
-  support::ThreadPool pool(config_.jobs <= 0
-                               ? -1
-                               : config_.jobs - 1);  // caller drains too
+  support::ThreadPool pool(support::ThreadPool::ResolveJobs(config_.jobs) - 1);
 
   int merged_this_run = 0;
   while (state->next_generation < config_.generations) {
@@ -381,7 +379,7 @@ ShardDelta CampaignRunner::RunShardGeneration(CampaignState* state) {
 
   auto& metrics = obs::MetricsRegistry::Instance();
   obs::Gauge& queue_gauge = metrics.GetGauge("campaign/fleet/queue_depth");
-  support::ThreadPool pool(config_.jobs <= 0 ? -1 : config_.jobs - 1);
+  support::ThreadPool pool(support::ThreadPool::ResolveJobs(config_.jobs) - 1);
   queue_gauge.Set(static_cast<double>(slice.size()));
   std::vector<EvalResult> evals = support::ParallelMap<EvalResult>(
       pool, slice.size(),

@@ -36,7 +36,7 @@ class CorpusStore;
 
 struct CampaignConfig {
   std::uint64_t seed = 1;
-  int jobs = 1;          // fleet width; <= 0 selects hardware concurrency
+  int jobs = 1;          // fleet threads, caller included; <= 0: one per core
   int population = 12;   // candidates bred per generation
   int generations = 4;
   int ticks = 25;        // run length of seed-pool candidates

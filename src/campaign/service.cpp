@@ -328,7 +328,8 @@ std::string ServiceStatsJson(bool include_timing) {
 }
 
 CampaignService::CampaignService(int jobs, bool include_timing)
-    : pool_(jobs <= 0 ? -1 : jobs - 1), include_timing_(include_timing) {}
+    : pool_(support::ThreadPool::ResolveJobs(jobs) - 1),
+      include_timing_(include_timing) {}
 
 std::vector<ServiceResponse> CampaignService::Process(
     const std::vector<ServiceRequest>& requests) {

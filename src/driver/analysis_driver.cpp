@@ -280,7 +280,7 @@ support::Result<CodebaseAnalysis> AnalysisDriver::AnalyzeSources(
             [](const SourceInput& a, const SourceInput& b) {
               return a.path < b.path;
             });
-  support::ThreadPool pool(support::ThreadPool::ResolveJobs(options_.jobs));
+  support::ThreadPool pool(support::ThreadPool::ResolveJobs(options_.jobs) - 1);
   const ArtifactCache cache(options_.cache_dir, OptionsFingerprint(options_));
   std::vector<WorkerResult> results(sources.size());
   pool.ParallelFor(sources.size(), [&](std::size_t i) {
@@ -301,7 +301,7 @@ support::Result<CodebaseAnalysis> AnalysisDriver::AnalyzeTree(
   if (!files.ok()) return files.status();
   const std::vector<std::string>& paths = files.value();
 
-  support::ThreadPool pool(support::ThreadPool::ResolveJobs(options_.jobs));
+  support::ThreadPool pool(support::ThreadPool::ResolveJobs(options_.jobs) - 1);
   const ArtifactCache cache(options_.cache_dir, OptionsFingerprint(options_));
   std::vector<WorkerResult> results(paths.size());
   pool.ParallelFor(paths.size(), [&](std::size_t i) {

@@ -34,8 +34,8 @@
 namespace certkit::driver {
 
 struct DriverOptions {
-  // Worker threads for the per-file and per-module phases; <= 0 selects the
-  // hardware concurrency. 1 still runs the work on a (single) worker thread.
+  // Threads for the per-file and per-module phases, the calling thread
+  // included; <= 0 selects one per core. 1 runs everything on the caller.
   int jobs = 0;
   // File extensions scanned by AnalyzeTree.
   std::vector<std::string> extensions = {".cc", ".cpp", ".cxx", ".h",

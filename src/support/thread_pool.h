@@ -59,7 +59,9 @@ class ThreadPool {
     ParallelFor(n, &Invoke<Fn>, &fn);
   }
 
-  // Picks a worker count: `requested` <= 0 means hardware concurrency.
+  // The threads a `--jobs` value asks for: `requested` <= 0 means one per
+  // core. The caller drains beside the workers, so a pool for N jobs has
+  // ResolveJobs(N) - 1 workers.
   static int ResolveJobs(int requested);
 
  private:

@@ -15,13 +15,13 @@
 //   certkit dump [--out F] [--ticks N]     instrumented pilot drive, then an
 //                                          explicit flight-recorder dump
 //
-// All commands accept --jobs N to set the worker count (default: hardware
-// concurrency). Output is bit-identical for every N — analysis merges
-// per-file artifacts in stable path order, and the campaign merges
-// candidate results in stable seed order. `trace` extends the contract to
-// its exports: span timestamps are logical sequence numbers, so the trace
-// and metrics files are byte-identical for any --jobs at a fixed --seed
-// (wall-clock fields appear only under --timing).
+// All commands accept --jobs N: N threads in all, the calling thread
+// included (default: one per core). Output is bit-identical for every N —
+// analysis merges per-file artifacts in stable path order, and the campaign
+// merges candidate results in stable seed order. `trace` extends the
+// contract to its exports: span timestamps are logical sequence numbers, so
+// the trace and metrics files are byte-identical for any --jobs at a fixed
+// --seed (wall-clock fields appear only under --timing).
 //
 // Exit status: 0 on success; 1 on usage/input errors; for `assess`, 2 when
 // the codebase does not meet the target ASIL (CI-friendly); for `replay`,
@@ -106,7 +106,8 @@ int Usage() {
       "                          flight-recorder dump (validated before\n"
       "                          writing; trace_lint checks it too)\n"
       "common flags:\n"
-      "  --jobs N                analysis threads (default: all cores)\n"
+      "  --jobs N                threads, the calling one included\n"
+      "                          (default: one per core)\n"
       "  --cache-dir DIR         reuse per-file analysis artifacts across\n"
       "                          runs; only changed files are re-analyzed\n"
       "  --no-cache              ignore --cache-dir for this run\n"
