@@ -20,6 +20,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
+// The module of the files directly under `root`: the root directory's own
+// name, however the path is spelled ("dir", "dir/", "dir/.", ".").
+std::string RootModuleName(const std::string& root) {
+  fs::path dir = fs::absolute(root).lexically_normal();
+  if (!dir.has_filename()) dir = dir.parent_path();  // a trailing separator
+  return dir.filename().string();
+}
+
 bool IsHeaderPath(const std::string& path) {
   return support::EndsWith(path, ".h") || support::EndsWith(path, ".hpp") ||
          support::EndsWith(path, ".cuh");
@@ -303,12 +311,12 @@ support::Result<CodebaseAnalysis> AnalysisDriver::AnalyzeTree(
 
   support::ThreadPool pool(support::ThreadPool::ResolveJobs(options_.jobs) - 1);
   const ArtifactCache cache(options_.cache_dir, OptionsFingerprint(options_));
+  const std::string root_module = RootModuleName(root);
   std::vector<WorkerResult> results(paths.size());
   pool.ParallelFor(paths.size(), [&](std::size_t i) {
     const fs::path rel = fs::relative(paths[i], root);
-    const std::string module = rel.has_parent_path()
-                                   ? rel.begin()->string()
-                                   : fs::path(root).filename().string();
+    const std::string module =
+        rel.has_parent_path() ? rel.begin()->string() : root_module;
     auto content = support::ReadFile(paths[i]);
     if (!content.ok()) {
       results[i].analysis.path = paths[i];  // ok == false -> skipped

@@ -301,6 +301,21 @@ TEST(AnalysisDriverTest, TreeModulesExtensionsAndTraces) {
   fs::remove_all(root);
 }
 
+TEST(AnalysisDriverTest, RootModuleIsNamedForAnySpellingOfTheRoot) {
+  const std::string root = ScratchRoot();
+  WriteTree(root, {{"top.cc", "void Top() {}\n"},
+                   {"sub/a.cc", "void A() {}\n"}});
+  std::vector<std::string> expected = {"sub",
+                                       fs::path(root).filename().string()};
+  std::sort(expected.begin(), expected.end());
+  for (const std::string& spelling : {root, root + "/", root + "/."}) {
+    auto analyzed = AnalysisDriver().AnalyzeTree(spelling);
+    ASSERT_TRUE(analyzed.ok()) << spelling;
+    EXPECT_EQ(ModuleNames(analyzed.value()), expected) << spelling;
+  }
+  fs::remove_all(root);
+}
+
 TEST(AnalysisDriverTest, MissingTreeIsNotFound) {
   auto analyzed = AnalysisDriver().AnalyzeTree(ScratchRoot() + "/nope");
   EXPECT_FALSE(analyzed.ok());
