@@ -6,18 +6,6 @@
 
 namespace adpilot {
 
-const char* ManeuverName(Maneuver maneuver) {
-  switch (maneuver) {
-    case Maneuver::kStationary:
-      return "stationary";
-    case Maneuver::kCruising:
-      return "cruising";
-    case Maneuver::kCrossing:
-      return "crossing";
-  }
-  return "?";
-}
-
 std::vector<PredictedObstacle> PredictObstacles(
     const std::vector<Obstacle>& obstacles, const PredictionConfig& config) {
   std::vector<PredictedObstacle> out;

@@ -10,7 +10,6 @@
 namespace adpilot {
 
 enum class Maneuver { kStationary, kCruising, kCrossing };
-const char* ManeuverName(Maneuver maneuver);
 
 struct PredictedObstacle {
   Obstacle obstacle;

@@ -20,11 +20,6 @@ std::string CoverSetJson(const cov::CoverSet& cover) {
   return support::JsonWriter::Write(cover);
 }
 
-bool ParseCoverSet(const support::JsonValue& v, cov::CoverSet* out,
-                   std::string* error) {
-  return support::JsonReader::Read(v, out, error);
-}
-
 std::int64_t CoverFacts(const cov::CoverSet& cover) {
   // Exactly MergeCover's accounting against an empty destination, so "facts
   // in this cover" and "facts this cover would add first" agree by

@@ -31,7 +31,6 @@
 #include "campaign/oracle.h"
 #include "coverage/coverage.h"
 #include "support/io.h"
-#include "support/json.h"
 #include "support/status.h"
 
 namespace certkit::campaign {
@@ -49,8 +48,6 @@ std::uint64_t CandidateHash(const Candidate& candidate);
 // ascending, vectors in set order; cov::UnitCover::Fields), MC/DC vector
 // masks as 16-digit hex strings like every digest in the replay format.
 std::string CoverSetJson(const cov::CoverSet& cover);
-bool ParseCoverSet(const support::JsonValue& v, cov::CoverSet* out,
-                   std::string* error);
 
 // Number of probe facts in `cover` (statements + decision outcomes + MC/DC
 // vectors) — what merging it into an empty map would return.

@@ -27,16 +27,6 @@ std::string ReplayArtifactJson(const ReplayArtifact& artifact) {
   return support::JsonWriter::Document(kReplayArtifactSchema, artifact);
 }
 
-bool ParseScenarioConfig(const support::JsonValue& v,
-                         adpilot::ScenarioConfig* out, std::string* error) {
-  return support::JsonReader::Read(v, out, error);
-}
-
-bool ParseFaultSpec(const support::JsonValue& v, adpilot::FaultSpec* out,
-                    std::string* error) {
-  return support::JsonReader::Read(v, out, error);
-}
-
 bool ParseCandidate(const support::JsonValue& v, Candidate* out,
                     std::string* error) {
   return support::JsonReader::Read(v, out, error);

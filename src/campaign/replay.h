@@ -57,10 +57,6 @@ using support::ParseHexU64;
 // Serialization over the records' field lists (support/record.h): emit ->
 // parse -> emit is byte-identical, and parsing rejects what replay aborts on.
 std::string ReplayArtifactJson(const ReplayArtifact& artifact);
-bool ParseScenarioConfig(const support::JsonValue& v,
-                         adpilot::ScenarioConfig* out, std::string* error);
-bool ParseFaultSpec(const support::JsonValue& v, adpilot::FaultSpec* out,
-                    std::string* error);
 bool ParseCandidate(const support::JsonValue& v, Candidate* out,
                     std::string* error);
 bool ParseVerdict(const support::JsonValue& v, OracleVerdict* out,

@@ -460,14 +460,6 @@ std::vector<CoverageRow> Snapshot() {
   return rows;
 }
 
-CoverSet SnapshotCover() {
-  CoverSet cover;
-  for (const Unit* u : Registry::Instance().Units()) {
-    cover[u->name()] = u->TakeCover();
-  }
-  return cover;
-}
-
 CoverageRow CoverRow(const Unit& unit, const UnitCover& cover) {
   CoverageRow row;
   row.unit = unit.name();

@@ -251,9 +251,6 @@ std::vector<CoverageRow> Snapshot();
 // Averages across rows (uniform weight per unit, as in Figure 5's summary).
 CoverageRow Average(const std::vector<CoverageRow>& rows);
 
-// Covers of all registered units (per-unit locks only; no global pause).
-CoverSet SnapshotCover();
-
 // Coverage rates of `cover` measured against `unit`'s declarations. The
 // cover need not have been taken from `unit`, but probe ids are interpreted
 // against its declared statement/decision layout; ids beyond the

@@ -306,11 +306,6 @@ void SetTimingTuning(bool enabled) {
   g_timing_tuning = enabled;
 }
 
-bool TimingTuningEnabled() {
-  std::lock_guard<std::mutex> lock(g_cache_mu);
-  return g_timing_tuning;
-}
-
 std::uint64_t ModeledConfigCost(const ConvShape& shape, int config,
                                 unsigned sm_count) {
   CERTKIT_CHECK(config >= 0 && config < kNumCandidates);

@@ -91,7 +91,6 @@ int PickConfig(const ConvShape& shape, unsigned sm_count);
 // best candidate's already-computed output is kept — never a final re-run).
 // Off by default: tuning is then the deterministic cost model above.
 void SetTimingTuning(bool enabled);
-bool TimingTuningEnabled();
 }  // namespace isaac_sim
 
 }  // namespace kernels
