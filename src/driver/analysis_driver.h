@@ -108,9 +108,9 @@ struct CodebaseAnalysis {
   std::vector<rules::DefensiveResult> defensive;     // one per module
   std::vector<std::string> skipped;  // unreadable/unparseable, sorted
 
-  // Assembles the precomputed inputs the rules::Assessor consumes. The
-  // returned struct points at `modules`; this CodebaseAnalysis must outlive
-  // any Assessor built from it.
+  // Assembles the precomputed inputs the rules::Assessor consumes (the one
+  // way to build them). The returned struct points at `modules`; this
+  // CodebaseAnalysis must outlive any Assessor built from it.
   rules::AssessorInputs MakeAssessorInputs() const;
 
   // Merges the per-file traceability reports.
@@ -136,7 +136,9 @@ class AnalysisDriver {
       std::vector<SourceInput> sources) const;
 
   // Recursively analyzes every matching file under `root`; files are read
-  // by the worker threads. NotFound if the directory does not exist.
+  // by the worker threads. Module keys are first-level directories; files
+  // directly under `root` form a module named after the root directory,
+  // however its path is spelled. NotFound if the directory does not exist.
   support::Result<CodebaseAnalysis> AnalyzeTree(const std::string& root) const;
 
   const DriverOptions& options() const { return options_; }

@@ -215,13 +215,8 @@ TEST(AnalysisDriverTest, DeterministicAcrossJobCounts) {
 }
 
 TEST(AnalysisDriverTest, TreeAnalysisMatchesInMemoryAnalysis) {
-  const std::string root =
-      (fs::temp_directory_path() / "certkit_driver_tree_test").string();
-  fs::remove_all(root);
-  for (const auto& input : SmallCorpusInputs()) {
-    ASSERT_TRUE(
-        support::WriteFile(root + "/" + input.path, input.content).ok());
-  }
+  const std::string root = ScratchRoot();
+  WriteTree(root, SmallCorpusInputs());
 
   DriverOptions serial, eight;
   serial.jobs = 1;
