@@ -172,7 +172,6 @@ int main(int argc, char** argv) {
   bool first = true;
   for (const nn::Backend backend : kBackends) {
     auto det = MakeDetector(backend, seed);
-    kernels::isaac_sim::ResetTuningCache();
 
     // Serial reference.
     std::vector<std::vector<nn::Detection>> serial;

@@ -43,8 +43,8 @@ void BM_ObjectDetection(benchmark::State& state) {
   const auto backend = static_cast<nn::Backend>(state.range(0));
   auto detector = MakeDetector(backend);
   nn::Tensor frame = MakeFrame();
-  // Warm the ISAAC-sim tuning cache outside the timed region (as the paper's
-  // setup would: auto-tuning happens at deployment, not per frame).
+  // One untimed frame first, so the per-thread scratch buffers the layers
+  // reuse are allocated outside the timed region.
   auto warmup = detector->Detect(frame);
   benchmark::DoNotOptimize(warmup.size());
   for (auto _ : state) {

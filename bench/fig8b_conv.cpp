@@ -1,15 +1,14 @@
 // Experiment E7 — Figure 8(b) of the paper: "ISAAC vs cuDNN" relative
 // performance on convolution kernels from a variety of domains.
 //
-// isaac_sim is the input-aware auto-tuner (im2col + tuned GEMM tiles, tile
-// choice measured per shape and cached); cudnn_sim is the direct, hand-tuned
-// vendor-style convolution.
+// isaac_sim is the input-aware auto-tuner (im2col + tuned GEMM tiles, the
+// tile picked per shape and device by a deterministic cost model); cudnn_sim
+// is the direct, hand-tuned vendor-style convolution. The table's last
+// column is the tuner's pick, PickConfig(shape, device.sm_count()).
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <vector>
-
 #include <functional>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "gpusim/gpusim.h"
@@ -64,9 +63,6 @@ void BM_ConvIsaacSim(benchmark::State& state) {
   auto in = RandomVec(ns.shape.InputSize(), 1);
   auto w = RandomVec(ns.shape.WeightSize(), 2);
   std::vector<float> out(ns.shape.OutputSize());
-  // Auto-tune outside the timed loop.
-  kernels::isaac_sim::Conv2d(in.data(), w.data(), nullptr, out.data(),
-                             ns.shape);
   for (auto _ : state) {
     kernels::isaac_sim::Conv2d(in.data(), w.data(), nullptr, out.data(),
                                ns.shape);
@@ -79,21 +75,6 @@ BENCHMARK(BM_ConvIsaacSim)->DenseRange(0, 7)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --timing re-measures the tile candidates on the live input (the
-  // original wall-clock auto-tune) instead of ranking them with the
-  // deterministic cost model. Stripped before google-benchmark parses.
-  bool timing = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--timing") == 0) {
-      timing = true;
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
-  kernels::isaac_sim::SetTimingTuning(timing);
-
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
@@ -117,9 +98,6 @@ int main(int argc, char** argv) {
     auto in = RandomVec(ns.shape.InputSize(), 1);
     auto w = RandomVec(ns.shape.WeightSize(), 2);
     std::vector<float> out(ns.shape.OutputSize());
-    // Warm the tuner.
-    kernels::isaac_sim::Conv2d(in.data(), w.data(), nullptr, out.data(),
-                               ns.shape);
     const double t_cudnn = device_time([&] {
       kernels::cudnn_sim::Conv2d(in.data(), w.data(), nullptr, out.data(),
                                  ns.shape);
@@ -130,7 +108,7 @@ int main(int argc, char** argv) {
     });
     std::printf("%-12s %9.3f ms %9.3f ms %9.2fx %16d\n", ns.name,
                 1e3 * t_cudnn, 1e3 * t_isaac, t_cudnn / t_isaac,
-                kernels::isaac_sim::TunedConfigIndex(ns.shape));
+                kernels::isaac_sim::PickConfig(ns.shape, device.sm_count()));
   }
   std::printf(
       "\nPaper reference: ISAAC provides very competitive performance in\n"

@@ -249,8 +249,10 @@ class CampaignRunner {
   // Evaluates one candidate end-to-end: builds the pilot, installs the fault
   // plan, runs `candidate.ticks` cycles under a ThreadCapture, and returns
   // the captured cover plus the oracle verdict. Pure function of the
-  // candidate; safe to call from pool workers (accelerator-simulating
-  // backends are internally serialized — the gpusim device pool is shared).
+  // candidate; safe to call from pool workers. Accelerator-simulating
+  // candidates run one at a time, so their device launches on the shared
+  // gpusim device do not interleave within a tick (a latency policy, not a
+  // correctness need).
   static EvalResult Evaluate(const Candidate& candidate);
 
  private:

@@ -162,7 +162,7 @@ void Unit::DeclareStatements(int n) {
 int Unit::DeclareDecision(int num_conditions) {
   CERTKIT_CHECK(num_conditions >= 1 && num_conditions <= 64);
   std::lock_guard<std::mutex> lock(mu_);
-  DecisionRecord rec;
+  DecisionCover rec;
   rec.num_conditions = num_conditions;
   decisions_.push_back(std::move(rec));
   return static_cast<int>(decisions_.size()) - 1;
@@ -224,7 +224,7 @@ void Unit::Publish(ThreadSlots& slots, int decision_id, std::uint64_t mask,
   int num_conditions = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    DecisionRecord& rec = decisions_[static_cast<std::size_t>(decision_id)];
+    DecisionCover& rec = decisions_[static_cast<std::size_t>(decision_id)];
     if (outcome) {
       rec.seen_true = true;
     } else {
@@ -394,13 +394,9 @@ UnitCover Unit::TakeCover() const {
     }
   }
   for (int i = 0; i < static_cast<int>(decisions_.size()); ++i) {
-    const DecisionRecord& rec = decisions_[static_cast<std::size_t>(i)];
+    const DecisionCover& rec = decisions_[static_cast<std::size_t>(i)];
     if (!rec.seen_true && !rec.seen_false && rec.vectors.empty()) continue;
-    DecisionCover& dec = cover.decisions[i];
-    dec.num_conditions = rec.num_conditions;
-    dec.seen_true = rec.seen_true;
-    dec.seen_false = rec.seen_false;
-    dec.vectors = rec.vectors;
+    cover.decisions[i] = rec;
   }
   return cover;
 }

@@ -48,14 +48,6 @@ namespace certkit::cov {
 void SetProbesEnabled(bool enabled);
 bool ProbesEnabled();
 
-struct DecisionRecord {
-  int num_conditions = 0;
-  bool seen_true = false;
-  bool seen_false = false;
-  // Distinct evaluation vectors: (condition bitmask, outcome).
-  std::set<std::pair<std::uint64_t, bool>> vectors;
-};
-
 // Unique-cause MC/DC analysis over a recorded vector set: the number of
 // conditions (out of `num_conditions`) for which two vectors exist that
 // differ ONLY in that condition and produce different decision outcomes.
@@ -73,11 +65,12 @@ std::int64_t McdcDemonstrated(
 // only — no global pause), cheap to diff, and merge monotonically, which is
 // what a coverage-guided test-generation loop needs.
 
-// Execution state of one decision, detached from its Unit.
+// Execution state of one decision: a Unit's record of it, or detached.
 struct DecisionCover {
   int num_conditions = 0;
   bool seen_true = false;
   bool seen_false = false;
+  // Distinct evaluation vectors: (condition bitmask, outcome).
   std::set<std::pair<std::uint64_t, bool>> vectors;
 
   bool operator==(const DecisionCover&) const = default;
@@ -202,7 +195,7 @@ class Unit {
   std::vector<std::atomic<std::uint64_t>> stmt_hits_;
   int declared_statements_ = 0;
   mutable std::mutex mu_;
-  std::vector<DecisionRecord> decisions_;
+  std::vector<DecisionCover> decisions_;  // by decision id
 
   struct NamedProbe {
     std::string name;

@@ -305,16 +305,17 @@ support::Result<CodebaseAnalysis> AnalysisDriver::AnalyzeSources(
 
 support::Result<CodebaseAnalysis> AnalysisDriver::AnalyzeTree(
     const std::string& root) const {
-  auto files = support::ListFiles(root, options_.extensions);
+  const std::string dir = fs::path(root).lexically_normal().string();
+  auto files = support::ListFiles(dir, options_.extensions);
   if (!files.ok()) return files.status();
   const std::vector<std::string>& paths = files.value();
 
   support::ThreadPool pool(support::ThreadPool::ResolveJobs(options_.jobs) - 1);
   const ArtifactCache cache(options_.cache_dir, OptionsFingerprint(options_));
-  const std::string root_module = RootModuleName(root);
+  const std::string root_module = RootModuleName(dir);
   std::vector<WorkerResult> results(paths.size());
   pool.ParallelFor(paths.size(), [&](std::size_t i) {
-    const fs::path rel = fs::relative(paths[i], root);
+    const fs::path rel = fs::relative(paths[i], dir);
     const std::string module =
         rel.has_parent_path() ? rel.begin()->string() : root_module;
     auto content = support::ReadFile(paths[i]);

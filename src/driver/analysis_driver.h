@@ -136,9 +136,12 @@ class AnalysisDriver {
       std::vector<SourceInput> sources) const;
 
   // Recursively analyzes every matching file under `root`; files are read
-  // by the worker threads. Module keys are first-level directories; files
-  // directly under `root` form a module named after the root directory,
-  // however its path is spelled. NotFound if the directory does not exist.
+  // by the worker threads. File paths start with the lexically normal form
+  // of `root`, so every spelling of one directory ("dir", "dir/.", "./dir",
+  // "dir/sub/..") reports the same paths and shares cache entries. Module
+  // keys are first-level directories; files directly under `root` form a
+  // module named after the root directory. NotFound if the directory does
+  // not exist.
   support::Result<CodebaseAnalysis> AnalyzeTree(const std::string& root) const;
 
   const DriverOptions& options() const { return options_; }

@@ -1,10 +1,5 @@
 #include "kernels/conv.h"
 
-#include <chrono>
-#include <cstring>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "kernels/gemm.h"
@@ -124,63 +119,22 @@ namespace isaac_sim {
 
 namespace {
 
-struct ShapeKey {
-  int b, ic, h, w, oc, kh, kw, stride, pad;
-  bool operator<(const ShapeKey& o) const {
-    return std::tie(b, ic, h, w, oc, kh, kw, stride, pad) <
-           std::tie(o.b, o.ic, o.h, o.w, o.oc, o.kh, o.kw, o.stride, o.pad);
-  }
-};
-
-ShapeKey KeyOf(const ConvShape& s) {
-  return ShapeKey{s.batch, s.in_channels, s.in_h,  s.in_w, s.out_channels,
-                  s.kernel_h, s.kernel_w, s.stride, s.pad};
-}
-
-std::mutex g_cache_mu;
-std::map<ShapeKey, int> g_tuned;
-bool g_timing_tuning = false;
-
-// Candidate GEMM tile configurations the auto-tuner explores.
+// Candidate GEMM tile configurations the auto-tuner explores, each with the
+// cutlass_sim instance that runs it.
 using GemmFn = void (*)(const float*, const float*, float*, GemmShape,
                         gpusim::Device&);
-constexpr int kNumCandidates = 4;
 
-struct TileDims {
+struct TileConfig {
   int tm, tn;
+  GemmFn gemm;
 };
-constexpr TileDims kCandidateTiles[kNumCandidates] = {
-    {32, 32}, {64, 64}, {16, 128}, {128, 16}};
 
-void GemmCand0(const float* a, const float* b, float* c, GemmShape s,
-               gpusim::Device& d) {
-  cutlass_sim::Sgemm<32, 32>(a, b, c, s, d);
-}
-void GemmCand1(const float* a, const float* b, float* c, GemmShape s,
-               gpusim::Device& d) {
-  cutlass_sim::Sgemm<64, 64>(a, b, c, s, d);
-}
-void GemmCand2(const float* a, const float* b, float* c, GemmShape s,
-               gpusim::Device& d) {
-  cutlass_sim::Sgemm<16, 128>(a, b, c, s, d);
-}
-void GemmCand3(const float* a, const float* b, float* c, GemmShape s,
-               gpusim::Device& d) {
-  cutlass_sim::Sgemm<128, 16>(a, b, c, s, d);
-}
-
-GemmFn Candidate(int index) {
-  switch (index) {
-    case 0:
-      return &GemmCand0;
-    case 1:
-      return &GemmCand1;
-    case 2:
-      return &GemmCand2;
-    default:
-      return &GemmCand3;
-  }
-}
+constexpr int kNumCandidates = 4;
+constexpr TileConfig kCandidateTiles[kNumCandidates] = {
+    {32, 32, &cutlass_sim::Sgemm<32, 32>},
+    {64, 64, &cutlass_sim::Sgemm<64, 64>},
+    {16, 128, &cutlass_sim::Sgemm<16, 128>},
+    {128, 16, &cutlass_sim::Sgemm<128, 16>}};
 
 // Per-thread im2col/GEMM scratch arena. Conv2d is called per layer per
 // frame on hot paths (detector inference, campaign candidates); reusing the
@@ -190,7 +144,6 @@ GemmFn Candidate(int index) {
 struct Arena {
   std::vector<float> cols;   // im2col matrix [K, batch*OH*OW]
   std::vector<float> fused;  // batched GEMM output [M, batch*OH*OW]
-  std::vector<float> best;   // timing-mode best-candidate output copy
 };
 
 Arena& LocalArena() {
@@ -254,7 +207,8 @@ void RunWithConfig(const float* input, const float* weights,
     arena.fused.resize(static_cast<std::size_t>(s.out_channels) * cols_n);
     gemm_out = arena.fused.data();
   }
-  Candidate(config)(weights, arena.cols.data(), gemm_out, gs, device);
+  kCandidateTiles[config].gemm(weights, arena.cols.data(), gemm_out, gs,
+                               device);
 
   if (s.batch > 1) {
     for (int n = 0; n < s.batch; ++n) {
@@ -290,27 +244,11 @@ constexpr std::uint64_t kLaunchOverheadOps = 4096;
 
 int CandidateCount() { return kNumCandidates; }
 
-int TunedConfigIndex(const ConvShape& shape) {
-  std::lock_guard<std::mutex> lock(g_cache_mu);
-  auto it = g_tuned.find(KeyOf(shape));
-  return it == g_tuned.end() ? -1 : it->second;
-}
-
-void ResetTuningCache() {
-  std::lock_guard<std::mutex> lock(g_cache_mu);
-  g_tuned.clear();
-}
-
-void SetTimingTuning(bool enabled) {
-  std::lock_guard<std::mutex> lock(g_cache_mu);
-  g_timing_tuning = enabled;
-}
-
 std::uint64_t ModeledConfigCost(const ConvShape& shape, int config,
                                 unsigned sm_count) {
   CERTKIT_CHECK(config >= 0 && config < kNumCandidates);
   CERTKIT_CHECK(sm_count >= 1);
-  const TileDims tile = kCandidateTiles[config];
+  const TileConfig& tile = kCandidateTiles[config];
   const auto m = static_cast<std::uint64_t>(shape.out_channels);
   const auto n = static_cast<std::uint64_t>(shape.batch) * shape.OutH() *
                  shape.OutW();
@@ -345,56 +283,8 @@ int PickConfig(const ConvShape& shape, unsigned sm_count) {
 void Conv2d(const float* input, const float* weights, const float* bias,
             float* output, const ConvShape& s, gpusim::Device& device) {
   CERTKIT_CHECK(s.in_h > 0 && s.in_w > 0 && s.stride > 0);
-  int config = -1;
-  bool timing = false;
-  {
-    std::lock_guard<std::mutex> lock(g_cache_mu);
-    auto it = g_tuned.find(KeyOf(s));
-    if (it != g_tuned.end()) config = it->second;
-    timing = g_timing_tuning;
-  }
-  if (config >= 0) {
-    RunWithConfig(input, weights, bias, output, s, config, device);
-    return;
-  }
-  if (!timing) {
-    // Deterministic cold path: rank candidates by the occupancy cost model
-    // and run only the winner — one pass, same config on every run.
-    config = PickConfig(s, device.sm_count());
-    {
-      std::lock_guard<std::mutex> lock(g_cache_mu);
-      g_tuned[KeyOf(s)] = config;
-    }
-    RunWithConfig(input, weights, bias, output, s, config, device);
-    return;
-  }
-  // Timing mode (fig8 benches): measure every candidate on the live input,
-  // keeping a copy of the best candidate's output so the winner is never
-  // re-run.
-  Arena& arena = LocalArena();
-  double best_time = 0.0;
-  int best = 0;
-  for (int cand = 0; cand < kNumCandidates; ++cand) {
-    const auto t0 = std::chrono::steady_clock::now();
-    RunWithConfig(input, weights, bias, output, s, cand, device);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double dt = std::chrono::duration<double>(t1 - t0).count();
-    if (cand == 0 || dt < best_time) {
-      best_time = dt;
-      best = cand;
-      if (cand < kNumCandidates - 1) {
-        arena.best.assign(output, output + s.OutputSize());
-      }
-    }
-  }
-  if (best < kNumCandidates - 1) {
-    std::memcpy(output, arena.best.data(),
-                s.OutputSize() * sizeof(float));
-  }
-  {
-    std::lock_guard<std::mutex> lock(g_cache_mu);
-    g_tuned[KeyOf(s)] = best;
-  }
+  RunWithConfig(input, weights, bias, output, s,
+                PickConfig(s, device.sm_count()), device);
 }
 
 }  // namespace isaac_sim

@@ -4,8 +4,7 @@
 //    with a tuned loop nest, parallelized over output tiles.
 //  * isaac_sim — the "open-source input-aware auto-tuner" (ISAAC, SC'17):
 //    im2col + tiled GEMM where the tile configuration is selected *per input
-//    shape* by measuring candidate configurations on first use and caching
-//    the winner.
+//    shape and device* by a deterministic cost model, on every call.
 //  * naive     — single-threaded reference and correctness oracle.
 //
 // Tensors are NCHW row-major float. Weights are [Cout, Cin, KH, KW].
@@ -55,25 +54,22 @@ void Conv2d(const float* input, const float* weights, const float* bias,
 }  // namespace cudnn_sim
 
 namespace isaac_sim {
-// im2col + auto-tuned GEMM. The first call for a given shape ranks the
-// candidate tile configurations with a deterministic cost model (the static
-// mirror of gpusim::Device's launch/occupancy accounting) and caches the
-// winner; subsequent calls use the cached configuration. The batch
-// dimension is fused into a single wide GEMM, so an N-batch call issues the
-// same number of device launches as a single image and its outputs are
-// bit-identical to N separate batch-1 calls (every output element is the
-// same K-ordered dot product regardless of tiling).
+// im2col + auto-tuned GEMM. Every call runs PickConfig(shape,
+// device.sm_count()): it ranks the candidate tile configurations with a
+// deterministic cost model (the static mirror of gpusim::Device's
+// launch/occupancy accounting) and runs the winner. The pick is a pure
+// function of (shape, sm_count), so nothing is remembered between calls and
+// each device runs its own pick. The batch dimension is fused into a single
+// wide GEMM, so an N-batch call issues the same number of device launches as
+// a single image and its outputs are bit-identical to N separate batch-1
+// calls (every output element is the same K-ordered dot product regardless
+// of tiling).
 void Conv2d(const float* input, const float* weights, const float* bias,
             float* output, const ConvShape& shape,
             gpusim::Device& device = gpusim::Device::Instance());
 
-// Exposed for tests: which tile configuration the tuner picked for `shape`
-// (-1 if the shape has not been tuned yet).
-int TunedConfigIndex(const ConvShape& shape);
 // Number of candidate configurations the tuner explores.
 int CandidateCount();
-// Clears the tuning cache (tests, campaign candidate setup).
-void ResetTuningCache();
 
 // The deterministic ranking signal: modeled cost (integer op units) of
 // running `shape`'s GEMM with candidate `config` on a device with
@@ -86,11 +82,6 @@ std::uint64_t ModeledConfigCost(const ConvShape& shape, int config,
 // lowest-index tie-break.
 int PickConfig(const ConvShape& shape, unsigned sm_count);
 
-// Re-measure mode for the Figure 8 benches: when enabled, cold shapes are
-// timed on the live input (wall clock; every candidate runs once and the
-// best candidate's already-computed output is kept — never a final re-run).
-// Off by default: tuning is then the deterministic cost model above.
-void SetTimingTuning(bool enabled);
 }  // namespace isaac_sim
 
 }  // namespace kernels

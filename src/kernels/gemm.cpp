@@ -46,73 +46,9 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s) {
 
 namespace cublas_sim {
 
-namespace {
-constexpr int kTileM = 64;
-constexpr int kTileN = 64;
-
-// Hand-tuned block kernel: 2x2 register blocking over the output tile.
-void ComputeTileTuned(const float* a, const float* b, float* c, GemmShape s,
-                      int bm, int bn) {
-  const int m0 = bm * kTileM;
-  const int n0 = bn * kTileN;
-  const int m1 = m0 + kTileM < s.m ? m0 + kTileM : s.m;
-  const int n1 = n0 + kTileN < s.n ? n0 + kTileN : s.n;
-
-  int i = m0;
-  for (; i + 2 <= m1; i += 2) {
-    const float* a0 = a + static_cast<std::size_t>(i) * s.k;
-    const float* a1 = a0 + s.k;
-    float* c0 = c + static_cast<std::size_t>(i) * s.n;
-    float* c1 = c0 + s.n;
-    for (int j = n0; j < n1; ++j) {
-      c0[j] = 0.0f;
-      c1[j] = 0.0f;
-    }
-    for (int kk = 0; kk < s.k; ++kk) {
-      const float av0 = a0[kk];
-      const float av1 = a1[kk];
-      const float* brow = b + static_cast<std::size_t>(kk) * s.n;
-      int j = n0;
-      for (; j + 2 <= n1; j += 2) {
-        const float b0 = brow[j];
-        const float b1 = brow[j + 1];
-        c0[j] += av0 * b0;
-        c0[j + 1] += av0 * b1;
-        c1[j] += av1 * b0;
-        c1[j + 1] += av1 * b1;
-      }
-      for (; j < n1; ++j) {
-        c0[j] += av0 * brow[j];
-        c1[j] += av1 * brow[j];
-      }
-    }
-  }
-  for (; i < m1; ++i) {  // remainder row
-    const float* arow = a + static_cast<std::size_t>(i) * s.k;
-    float* crow = c + static_cast<std::size_t>(i) * s.n;
-    for (int j = n0; j < n1; ++j) crow[j] = 0.0f;
-    for (int kk = 0; kk < s.k; ++kk) {
-      const float av = arow[kk];
-      const float* brow = b + static_cast<std::size_t>(kk) * s.n;
-      for (int j = n0; j < n1; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-}  // namespace
-
 void Sgemm(const float* a, const float* b, float* c, GemmShape s,
            gpusim::Device& device) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  gpusim::Dim3 grid;
-  grid.x = static_cast<unsigned>((s.n + kTileN - 1) / kTileN);
-  grid.y = static_cast<unsigned>((s.m + kTileM - 1) / kTileM);
-  device.Launch(grid, gpusim::Dim3{1, 1, 1},
-                [=](const gpusim::KernelContext& ctx) {
-                  ComputeTileTuned(a, b, c, s,
-                                   static_cast<int>(ctx.block_idx.y),
-                                   static_cast<int>(ctx.block_idx.x));
-                });
+  cutlass_sim::Sgemm<64, 64>(a, b, c, s, device);
 }
 
 }  // namespace cublas_sim

@@ -1,8 +1,9 @@
 // kernels: single-precision GEMM implementations used by Figures 7 and 8a.
 //
 // Three stand-ins reproduce the paper's library comparison:
-//  * cublas_sim  — the "closed-source vendor library": a fixed, hand-tuned
-//    tiled GEMM (register-blocked inner kernel, one grid block per tile).
+//  * cublas_sim  — the "closed-source vendor library": one fixed, hand-tuned
+//    configuration (64×64 output tiles, one grid block per tile, a 2×2
+//    register-blocked inner kernel), run by cutlass_sim's 64×64 instance.
 //  * cutlass_sim — the "open-source template library": the same decomposition
 //    expressed as composable C++ templates over tile sizes, so device-wide
 //    GEMMs are constructed from primitives (CUTLASS's design), reaching
@@ -42,7 +43,7 @@ namespace cpublas {
 void Sgemm(const float* a, const float* b, float* c, GemmShape shape);
 }  // namespace cpublas
 
-// "Vendor library": fixed tuned configuration.
+// "Vendor library": the fixed 64×64 configuration of cutlass_sim::Sgemm.
 namespace cublas_sim {
 void Sgemm(const float* a, const float* b, float* c, GemmShape shape,
            gpusim::Device& device = gpusim::Device::Instance());
@@ -137,7 +138,7 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s,
 // output element is accumulated as the same K-ordered dot product a single
 // scalar loop would produce — register tiling spans M and N only, K is never
 // split — so micro::Sgemm is bit-identical to cpublas::Sgemm,
-// ComputeTileTuned, and every cutlass_sim tile instantiation. (The
+// cublas_sim::Sgemm, and every cutlass_sim tile instantiation. (The
 // baseline x86-64 target has no FMA, and the tick-path libraries build with
 // -ffp-contract=off, so mul-then-add sequences round identically
 // everywhere.) The int8 kernel accumulates in int32, where every sum of

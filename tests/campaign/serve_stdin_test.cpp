@@ -145,8 +145,8 @@ TEST(ServeStdin, MultiRequestArrayOnOneLineIsMalformed) {
 // The headline determinism contract: with timing off, a serve session's
 // complete output — campaign responses *and* stats telemetry — is a pure
 // function of the request stream and seeds. One warmup run first absorbs
-// process-lifetime one-shots (coverage probe declaration, tuning caches)
-// that record real flight events.
+// process-lifetime one-shots (coverage probe declaration) that record real
+// flight events.
 TEST(ServeStdin, StatsAreDeterministicAtFixedSeedWithTimingOff) {
   const std::string script =
       "{\"id\":\"c1\",\"kind\":\"campaign\",\"seed\":11,\"population\":2,"

@@ -12,6 +12,7 @@
 
 #include "corpus/analyze.h"
 #include "corpus/generator.h"
+#include "obs/metrics.h"
 #include "support/io.h"
 
 namespace certkit::driver {
@@ -308,6 +309,45 @@ TEST(AnalysisDriverTest, RootModuleIsNamedForAnySpellingOfTheRoot) {
     ASSERT_TRUE(analyzed.ok()) << spelling;
     EXPECT_EQ(ModuleNames(analyzed.value()), expected) << spelling;
   }
+  fs::remove_all(root);
+}
+
+std::int64_t Counter(const char* name) {
+  return obs::MetricsRegistry::Instance().GetCounter(name).value();
+}
+
+std::vector<std::string> SortedFilePaths(const CodebaseAnalysis& cb) {
+  std::vector<std::string> paths;
+  for (const auto& f : cb.files) paths.push_back(f.path);
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+TEST(AnalysisDriverTest, RootSpellingsShareCacheEntries) {
+  const std::string root = ScratchRoot();
+  WriteTree(root, {{"top.cc", "void Top() {}\n"},
+                   {"sub/a.cc", "void A() {}\n"}});
+  DriverOptions options;
+  options.jobs = 1;
+  options.cache_dir = root + "_cache";
+  fs::remove_all(options.cache_dir);
+  const AnalysisDriver driver(options);
+  auto first = driver.AnalyzeTree(root);
+  ASSERT_TRUE(first.ok());
+  const std::vector<std::string> expected = {root + "/sub/a.cc",
+                                             root + "/top.cc"};
+  ASSERT_EQ(SortedFilePaths(first.value()), expected);
+  for (const std::string& spelling :
+       {root + "/", root + "/.", root + "/sub/.."}) {
+    const std::int64_t hits0 = Counter("driver/cache_hits");
+    const std::int64_t misses0 = Counter("driver/cache_misses");
+    auto analyzed = driver.AnalyzeTree(spelling);
+    ASSERT_TRUE(analyzed.ok()) << spelling;
+    EXPECT_EQ(SortedFilePaths(analyzed.value()), expected) << spelling;
+    EXPECT_EQ(Counter("driver/cache_hits") - hits0, 2) << spelling;
+    EXPECT_EQ(Counter("driver/cache_misses") - misses0, 0) << spelling;
+  }
+  fs::remove_all(options.cache_dir);
   fs::remove_all(root);
 }
 

@@ -138,22 +138,6 @@ TEST(ConvTest, NoBiasIsZeroBias) {
   ExpectNear(with_null, with_zero, 1e-6f);
 }
 
-TEST(IsaacTuningTest, CachesWinnerPerShape) {
-  isaac_sim::ResetTuningCache();
-  ConvShape s{1, 3, 12, 12, 4, 3, 3, 1, 1};
-  EXPECT_EQ(isaac_sim::TunedConfigIndex(s), -1);
-  auto in = RandomVec(s.InputSize(), 31);
-  auto w = RandomVec(s.WeightSize(), 32);
-  std::vector<float> out(s.OutputSize());
-  isaac_sim::Conv2d(in.data(), w.data(), nullptr, out.data(), s);
-  const int cfg = isaac_sim::TunedConfigIndex(s);
-  EXPECT_GE(cfg, 0);
-  EXPECT_LT(cfg, isaac_sim::CandidateCount());
-  // Second call keeps the cached configuration.
-  isaac_sim::Conv2d(in.data(), w.data(), nullptr, out.data(), s);
-  EXPECT_EQ(isaac_sim::TunedConfigIndex(s), cfg);
-}
-
 // --- stencils ---
 
 std::vector<float> NaiveStencil2D(const std::vector<float>& in, int h, int w,

@@ -1,8 +1,8 @@
-// Determinism of the isaac_sim auto-tuner: the tile configuration chosen
-// for a shape must be a pure function of (shape, sm_count) — no wall clock,
-// no dependence on call count, evaluation order, or how many host threads
-// the device runs on. This is what lets the campaign engine reset the
-// tuning cache per candidate and still evaluate reproducibly at any --jobs.
+// Determinism of the isaac_sim auto-tuner: the tile configuration a conv
+// runs must be a pure function of (shape, sm_count) — no wall clock, no
+// dependence on call count, evaluation order, earlier calls on other
+// devices, or how many host threads the device runs on. This is what lets
+// campaign candidates evaluate reproducibly in any order at any --jobs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -27,30 +27,6 @@ ConvShape SmallShape() {
   return s;
 }
 
-TEST(TunerDeterminismTest, SameConfigAcrossRepeatedColdTunes) {
-  const ConvShape s = SmallShape();
-  std::vector<float> input(s.InputSize(), 0.25f);
-  std::vector<float> weights(s.WeightSize(), 0.5f);
-  std::vector<float> bias(static_cast<std::size_t>(s.out_channels), 0.0f);
-  std::vector<float> output(s.OutputSize(), 0.0f);
-
-  isaac_sim::ResetTuningCache();
-  isaac_sim::Conv2d(input.data(), weights.data(), bias.data(), output.data(),
-                    s);
-  const int first = isaac_sim::TunedConfigIndex(s);
-  ASSERT_GE(first, 0);
-  ASSERT_LT(first, isaac_sim::CandidateCount());
-
-  // 100 cold re-tunes of the same shape: the pick never wavers — there is
-  // no measurement in the loop, so nothing to be lucky about.
-  for (int i = 0; i < 100; ++i) {
-    isaac_sim::ResetTuningCache();
-    isaac_sim::Conv2d(input.data(), weights.data(), bias.data(),
-                      output.data(), s);
-    ASSERT_EQ(isaac_sim::TunedConfigIndex(s), first) << "re-tune " << i;
-  }
-}
-
 TEST(TunerDeterminismTest, SameConfigForAnyDevicePoolWidth) {
   const ConvShape s = SmallShape();
   std::vector<float> input(s.InputSize(), 0.25f);
@@ -60,20 +36,40 @@ TEST(TunerDeterminismTest, SameConfigForAnyDevicePoolWidth) {
   std::vector<float> out4(s.OutputSize(), 0.0f);
 
   // Two devices with very different host parallelism (the analogue of
-  // --jobs 1 vs --jobs 4): the tuner consults only sm_count, so the picks
-  // and the outputs must coincide exactly.
+  // --jobs 1 vs --jobs 4): the tuner consults only sm_count, so the outputs
+  // must coincide exactly.
   gpusim::Device d1(1);
   gpusim::Device d4(4);
-  isaac_sim::ResetTuningCache();
   isaac_sim::Conv2d(input.data(), weights.data(), bias.data(), out1.data(),
                     s, d1);
-  const int pick1 = isaac_sim::TunedConfigIndex(s);
-  isaac_sim::ResetTuningCache();
   isaac_sim::Conv2d(input.data(), weights.data(), bias.data(), out4.data(),
                     s, d4);
-  const int pick4 = isaac_sim::TunedConfigIndex(s);
-  EXPECT_EQ(pick1, pick4);
   EXPECT_EQ(out1, out4);
+}
+
+TEST(TunerDeterminismTest, EachDeviceRunsItsOwnPick) {
+  // On one SM the fewest waves win (config 2, 16x128: 2 GEMM blocks); on 64
+  // SMs every candidate fits one wave and the smallest padded tile wins
+  // (config 0, 32x32: 5 GEMM blocks). A conv on the 64-SM device must run
+  // its own pick right after the same shape ran on the 1-SM device.
+  const ConvShape s{1, 3, 12, 12, 4, 3, 3, 1, 1};
+  ASSERT_EQ(isaac_sim::PickConfig(s, 1), 2);
+  ASSERT_EQ(isaac_sim::PickConfig(s, 64), 0);
+  std::vector<float> input(s.InputSize(), 0.25f);
+  std::vector<float> weights(s.WeightSize(), 0.5f);
+  std::vector<float> output(s.OutputSize(), 0.0f);
+
+  gpusim::Device one_sm(1);
+  one_sm.set_sm_count(1);
+  gpusim::Device wide(1);
+  wide.set_sm_count(64);
+  isaac_sim::Conv2d(input.data(), weights.data(), nullptr, output.data(), s,
+                    one_sm);
+  EXPECT_EQ(one_sm.blocks_launched(), 27u + 2u);  // im2col rows + GEMM tiles
+  isaac_sim::Conv2d(input.data(), weights.data(), nullptr, output.data(), s,
+                    wide);
+  EXPECT_EQ(wide.launch_count(), 2u);
+  EXPECT_EQ(wide.blocks_launched(), 27u + 5u);
 }
 
 TEST(TunerDeterminismTest, PickIsArgminOfModeledCostWithLowestIndexTie) {
@@ -85,28 +81,11 @@ TEST(TunerDeterminismTest, PickIsArgminOfModeledCostWithLowestIndexTie) {
       const std::uint64_t cost = isaac_sim::ModeledConfigCost(s, c, sms);
       ASSERT_GE(cost, best) << "config " << c << " sms " << sms;
       // Lowest-index tie-break: nothing cheaper OR EQUAL before the pick.
-      if (c < pick) ASSERT_GT(cost, best) << "config " << c;
+      if (c < pick) {
+        ASSERT_GT(cost, best) << "config " << c;
+      }
     }
   }
-}
-
-TEST(TunerDeterminismTest, BatchShapesAreTunedIndependently) {
-  ConvShape s1 = SmallShape();
-  ConvShape s8 = SmallShape();
-  s8.batch = 8;
-  std::vector<float> input(s8.InputSize(), 0.25f);
-  std::vector<float> weights(s8.WeightSize(), 0.5f);
-  std::vector<float> bias(static_cast<std::size_t>(s8.out_channels), 0.0f);
-  std::vector<float> output(s8.OutputSize(), 0.0f);
-
-  isaac_sim::ResetTuningCache();
-  EXPECT_EQ(isaac_sim::TunedConfigIndex(s1), -1);
-  isaac_sim::Conv2d(input.data(), weights.data(), bias.data(), output.data(),
-                    s8);
-  // Tuning the 8-batch shape must not populate the batch-1 entry.
-  EXPECT_EQ(isaac_sim::TunedConfigIndex(s1), -1);
-  EXPECT_EQ(isaac_sim::TunedConfigIndex(s8), isaac_sim::PickConfig(
-                                                 s8, 16));
 }
 
 }  // namespace
