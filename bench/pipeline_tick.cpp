@@ -1,17 +1,18 @@
 // Tick-path performance driver — the headline claim of the register-tiled,
 // allocation-free tick work, runnable as one self-checking binary.
 //
-// Four contracts, each checked at runtime (nonzero exit on any breach, so
+// Three contracts, each checked at runtime (nonzero exit on any breach, so
 // CI treats this binary like a test):
 //
-//  1. SPEEDUP — the optimized tick (int8 detector: PMADDWD dot-product
-//     GEMM over a transposed int16 patch matrix, snapshotted weights,
-//     release-flavor probes-off layer loops) is at least --speedup_floor
-//     times faster (default 10x) than the fig7 CPU-BLAS baseline (fp32
-//     kCpuNaive, same pipeline, same scenario). Both arms run with
-//     coverage probes off: the comparison is kernel against kernel, not
-//     instrumentation against its absence. Arms alternate block-wise so
-//     frequency/thermal drift cancels instead of biasing one arm.
+//  1. SPEEDUP — the optimized tick (int8 detector: the K-paired PMADDWD
+//     GEMM reading its quantized input planes in place through an offset
+//     table, snapshotted weights, release-flavor probes-off layer loops)
+//     is at least --speedup_floor times faster (default 10x) than the fig7
+//     CPU-BLAS baseline (fp32 kCpuNaive, same pipeline, same scenario).
+//     Both arms run with coverage probes off: the comparison is kernel
+//     against kernel, not instrumentation against its absence. Arms
+//     alternate block-wise so frequency/thermal drift cancels instead of
+//     biasing one arm.
 //  2. ALLOCATIONS — after warm-up, ApolloPilot::Tick performs ZERO heap
 //     allocations in either arm (counting operator new/delete replacements
 //     from support/alloc_hooks.cpp; skipped in sanitizer trees where the
@@ -20,9 +21,8 @@
 //     output tracks the bit-exact fp32 reference within the theoretical
 //     quantization-grid error bound (the same gate the containment test
 //     enforces: K/2 * (in_step*|w|max + w_step*|x|max + in_step*w_step)).
-//  4. GEMM — micro::Sgemm stays bit-identical to cpublas::Sgemm on the
-//     representative shape while being faster; both GFLOP/s are reported,
-//     plus the int8 dot-kernel's GOPS.
+//
+// It also reports the GOPS of the int8 pair GEMM on a 256³ shape.
 //
 // Output is one JSON document. Wall-clock fields vary run to run, so the
 // file is *not* byte-stable; a reference run is committed as
@@ -174,72 +174,39 @@ double AccuracyGate(float* bound_out) {
   return max_abs_err;
 }
 
-// GEMM comparison on a representative square shape: wall time per call for
-// the microkernel vs the naive CPU-BLAS reference, with a bit-identity
-// check (the blocking must not change a single ulp).
-struct GemmResult {
-  double micro_gflops = 0.0;
-  double cpublas_gflops = 0.0;
-  double int8_gops = 0.0;
-};
-
-GemmResult GemmCompare() {
-  const kernels::GemmShape shape{256, 256, 256};
-  const std::size_t mk = 256 * 256;
-  std::vector<float> a(mk), b(mk), c_micro(mk), c_ref(mk);
-  certkit::support::Xoshiro256 rng(0xC0FFEEu);
-  for (float& v : a) v = static_cast<float>(rng.UniformDouble(-1, 1));
-  for (float& v : b) v = static_cast<float>(rng.UniformDouble(-1, 1));
-
-  const double flops = 2.0 * 256 * 256 * 256;
-  GemmResult r;
-
-  {  // reference: one warm call, then timed reps
-    kernels::cpublas::Sgemm(a.data(), b.data(), c_ref.data(), shape);
-    const int reps = 3;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < reps; ++i) {
-      kernels::cpublas::Sgemm(a.data(), b.data(), c_ref.data(), shape);
-    }
-    const auto t1 = Clock::now();
-    r.cpublas_gflops =
-        flops * reps /
-        std::chrono::duration<double>(t1 - t0).count() / 1e9;
+// The int8 pair GEMM the quantized conv runs, on a representative square
+// shape: operands paired once and B read through a dense offset table, so
+// the figure is the kernel's alone (the GemmS16S32DotT adapter re-packs
+// both operands on every call). GOPS counts 2·M·N·K operations per call.
+double Int8PairGops() {
+  constexpr int kSide = 256, kPairs = kSide / 2;
+  const kernels::GemmShape shape{kSide, kSide, kSide};
+  const auto grid = [](std::size_t i, int mul) {
+    return static_cast<std::int16_t>(static_cast<int>((i * mul) % 255) - 127);
+  };
+  std::vector<std::int32_t> a(kSide * kPairs), b(kPairs * kSide);
+  std::vector<std::int32_t> c(kSide * kSide);
+  std::vector<std::size_t> rows(kPairs);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = kernels::micro::PackPair(grid(2 * i, 7), grid(2 * i + 1, 7));
+    b[i] = kernels::micro::PackPair(grid(2 * i, 13), grid(2 * i + 1, 13));
   }
-  {
-    kernels::micro::Sgemm(a.data(), b.data(), c_micro.data(), shape);
-    const int reps = 10;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < reps; ++i) {
-      kernels::micro::Sgemm(a.data(), b.data(), c_micro.data(), shape);
-    }
-    const auto t1 = Clock::now();
-    r.micro_gflops =
-        flops * reps /
-        std::chrono::duration<double>(t1 - t0).count() / 1e9;
+  for (int p = 0; p < kPairs; ++p) {
+    rows[p] = static_cast<std::size_t>(p) * kSide;
   }
-  Check(std::memcmp(c_micro.data(), c_ref.data(), mk * sizeof(float)) == 0,
-        "micro::Sgemm not bit-identical to cpublas::Sgemm");
 
-  {  // the int8 inner kernel the quantized conv path actually runs
-    std::vector<std::int16_t> qa(mk), qbt(mk);
-    std::vector<std::int32_t> qc(mk);
-    for (std::size_t i = 0; i < mk; ++i) {
-      qa[i] = static_cast<std::int16_t>((i * 7) % 255) - 127;
-      qbt[i] = static_cast<std::int16_t>((i * 13) % 255) - 127;
-    }
-    kernels::micro::GemmS16S32DotT(qa.data(), qbt.data(), qc.data(), shape);
-    const int reps = 20;
+  // One warm call, then the median of 50 timed calls.
+  std::vector<double> seconds;
+  for (int i = 0; i <= 50; ++i) {
     const auto t0 = Clock::now();
-    for (int i = 0; i < reps; ++i) {
-      kernels::micro::GemmS16S32DotT(qa.data(), qbt.data(), qc.data(),
-                                     shape);
-    }
+    kernels::micro::GemmPairRowsS16S32(a.data(), b.data(), rows.data(),
+                                       c.data(), shape);
     const auto t1 = Clock::now();
-    r.int8_gops = flops * reps /
-                  std::chrono::duration<double>(t1 - t0).count() / 1e9;
+    if (i > 0) {
+      seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
+    }
   }
-  return r;
+  return 2.0 * kSide * kSide * kSide / Percentile(&seconds, 0.5) / 1e9;
 }
 
 }  // namespace
@@ -263,12 +230,10 @@ int main(int argc, char** argv) {
             std::to_string(max_abs_err) + " > " + std::to_string(bound) +
             ")");
 
-  // --- 2. GEMM micro vs cpublas -------------------------------------------
-  const GemmResult gemm = GemmCompare();
-  Check(gemm.micro_gflops > gemm.cpublas_gflops,
-        "microkernel not faster than the naive reference");
+  // --- int8 pair GEMM throughput (reported, not gated) ---------------------
+  const double int8_pair_gops = Int8PairGops();
 
-  // --- 3. steady-state allocations ----------------------------------------
+  // --- 2. steady-state allocations ----------------------------------------
   const bool counting = certkit::support::AllocCountingActive();
   const std::uint64_t base_allocs = SteadyAllocs(false, warmup, ticks);
   const std::uint64_t opt_allocs = SteadyAllocs(true, warmup, ticks);
@@ -281,7 +246,7 @@ int main(int argc, char** argv) {
               std::to_string(opt_allocs) + " times");
   }
 
-  // --- 4. tick latency, alternating arms ----------------------------------
+  // --- 3. tick latency, alternating arms ----------------------------------
   std::vector<double> base_us, opt_us;
   for (int b = 0; b < blocks; ++b) {
     MeasureBlock(false, warmup, ticks, &base_us);
@@ -303,18 +268,16 @@ int main(int argc, char** argv) {
       "\"warmup\":%d,"
       "\"baseline\":{\"backend\":\"cpu_naive_fp32\",\"p50_us\":%.1f,"
       "\"p99_us\":%.1f,\"steady_allocs_per_%d_ticks\":%llu},"
-      "\"optimized\":{\"backend\":\"cpu_int8_dott\",\"p50_us\":%.1f,"
+      "\"optimized\":{\"backend\":\"cpu_int8\",\"p50_us\":%.1f,"
       "\"p99_us\":%.1f,\"steady_allocs_per_%d_ticks\":%llu},"
       "\"speedup_p50\":%.2f,\"speedup_floor\":%.1f,"
       "\"alloc_counting_active\":%s,"
-      "\"gemm_256\":{\"micro_gflops\":%.2f,\"cpublas_gflops\":%.2f,"
-      "\"int8_dott_gops\":%.2f,\"bit_identical\":true},"
+      "\"gemm_256\":{\"int8_pair_gops\":%.2f},"
       "\"int8_accuracy\":{\"max_abs_err\":%.6f,\"grid_bound\":%.6f},"
       "\"checks_failed\":%d}}\n",
       ticks, blocks, warmup, base_p50, base_p99, ticks,
       static_cast<unsigned long long>(base_allocs), opt_p50, opt_p99, ticks,
       static_cast<unsigned long long>(opt_allocs), speedup, speedup_floor,
-      counting ? "true" : "false", gemm.micro_gflops, gemm.cpublas_gflops,
-      gemm.int8_gops, max_abs_err, static_cast<double>(bound), g_failures);
+      counting ? "true" : "false", int8_pair_gops, max_abs_err, static_cast<double>(bound), g_failures);
   return g_failures == 0 ? 0 : 1;
 }

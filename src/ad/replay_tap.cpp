@@ -72,15 +72,4 @@ std::uint64_t DigestTickReports(const std::vector<TickReport>& reports) {
   return seed;
 }
 
-std::uint64_t DigestTickSignature(const TickSignature& s,
-                                  std::uint64_t seed) {
-  seed = FnvI64(s.tick, seed);
-  seed = FnvU64(s.frame, seed);
-  seed = FnvU64(s.detections, seed);
-  seed = FnvU64(s.tracked, seed);
-  seed = FnvU64(s.command, seed);
-  seed = FnvU64(s.state, seed);
-  return FnvI64(s.faults_injected, seed);
-}
-
 }  // namespace adpilot

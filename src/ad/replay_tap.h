@@ -94,9 +94,6 @@ std::uint64_t DigestTickReport(const TickReport& r, std::uint64_t seed);
 // the digest that gates `certkit replay`.
 std::uint64_t DigestTickReports(const std::vector<TickReport>& reports);
 
-// Digest of one TickSignature (for folding a signature stream).
-std::uint64_t DigestTickSignature(const TickSignature& s, std::uint64_t seed);
-
 }  // namespace adpilot
 
 #endif  // AD_REPLAY_TAP_H_

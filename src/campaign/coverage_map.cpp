@@ -34,14 +34,18 @@ std::string RatioJson(double ratio) {
   return buf;
 }
 
+std::string CoverageRowJson(const cov::CoverageRow& row) {
+  return "{\"unit\":" + support::JsonEscape(row.unit) +
+         ",\"statement\":" + RatioJson(row.statement) +
+         ",\"branch\":" + RatioJson(row.branch) +
+         ",\"mcdc\":" + RatioJson(row.mcdc) + "}";
+}
+
 std::string CoverageRowsJson(const std::vector<cov::CoverageRow>& rows) {
   std::string out = "[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) out += ",";
-    out += "{\"unit\":" + support::JsonEscape(rows[i].unit) +
-           ",\"statement\":" + RatioJson(rows[i].statement) +
-           ",\"branch\":" + RatioJson(rows[i].branch) +
-           ",\"mcdc\":" + RatioJson(rows[i].mcdc) + "}";
+    out += CoverageRowJson(rows[i]);
   }
   out += "]";
   return out;

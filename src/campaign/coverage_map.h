@@ -50,8 +50,10 @@ class CoverageMap {
 // tokens JSON does not have.
 std::string RatioJson(double ratio);
 
-// Renders `rows` as a JSON array of per-unit objects (stable order/format,
-// unit names escaped).
+// Renders one row as a JSON object (fixed member order, unit name escaped).
+std::string CoverageRowJson(const cov::CoverageRow& row);
+
+// Renders `rows` as a JSON array of CoverageRowJson objects, in order.
 std::string CoverageRowsJson(const std::vector<cov::CoverageRow>& rows);
 
 }  // namespace certkit::campaign

@@ -36,15 +36,6 @@ double Elapsed(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-std::string RowJson(const cov::CoverageRow& row) {
-  std::ostringstream out;
-  out << "{\"unit\":" << support::JsonEscape(row.unit)
-      << ",\"statement\":" << RatioJson(row.statement)
-      << ",\"branch\":" << RatioJson(row.branch)
-      << ",\"mcdc\":" << RatioJson(row.mcdc) << "}";
-  return out.str();
-}
-
 }  // namespace
 
 CampaignRunner::CampaignRunner(const CampaignConfig& config)
@@ -496,7 +487,7 @@ std::string CampaignJson(const CampaignResult& result) {
         << s.evaluated << ",\"kept\":" << s.kept << ",\"new_facts\":"
         << s.new_facts << ",\"distinct_outcomes\":" << s.distinct_outcomes
         << ",\"coverage\":" << CoverageRowsJson(s.rows)
-        << ",\"average\":" << RowJson(s.average);
+        << ",\"average\":" << CoverageRowJson(s.average);
     if (timing) {
       char buf[128];
       std::snprintf(buf, sizeof(buf),
@@ -528,7 +519,7 @@ std::string CampaignJson(const CampaignResult& result) {
       << ",\"non_finite_commands\":" << result.non_finite_commands
       << ",\"safe_stops\":" << result.safe_stops
       << "},\"final_coverage\":" << CoverageRowsJson(result.final_rows)
-      << ",\"final_average\":" << RowJson(result.final_average);
+      << ",\"final_average\":" << CoverageRowJson(result.final_average);
   if (timing) {
     char buf[128];
     std::snprintf(buf, sizeof(buf),

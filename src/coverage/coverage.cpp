@@ -335,25 +335,15 @@ std::int64_t Unit::statements_hit() const {
 }
 
 double Unit::StatementCoverage() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (declared_statements_ == 0) return 1.0;
-  std::int64_t n = 0;
-  for (const auto& h : stmt_hits_) {
-    if (h.load(std::memory_order_relaxed) > 0) ++n;
-  }
-  return static_cast<double>(n) / declared_statements_;
+  return CoverRow(*this, TakeCover()).statement;
 }
 
 double Unit::BranchCoverage() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (decisions_.empty()) return 1.0;
-  std::int64_t seen = 0;
-  for (const auto& d : decisions_) {
-    if (d.seen_true) ++seen;
-    if (d.seen_false) ++seen;
-  }
-  return static_cast<double>(seen) /
-         (2.0 * static_cast<double>(decisions_.size()));
+  return CoverRow(*this, TakeCover()).branch;
+}
+
+double Unit::McdcCoverage() const {
+  return CoverRow(*this, TakeCover()).mcdc;
 }
 
 std::int64_t Unit::mcdc_conditions_total() const {
@@ -401,13 +391,6 @@ UnitCover Unit::TakeCover() const {
   return cover;
 }
 
-double Unit::McdcCoverage() const {
-  const std::int64_t total = mcdc_conditions_total();
-  if (total == 0) return 1.0;
-  return static_cast<double>(mcdc_conditions_demonstrated()) /
-         static_cast<double>(total);
-}
-
 void Unit::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& h : stmt_hits_) h.store(0, std::memory_order_relaxed);
@@ -450,8 +433,7 @@ void Registry::ResetAll() {
 std::vector<CoverageRow> Snapshot() {
   std::vector<CoverageRow> rows;
   for (const Unit* u : Registry::Instance().Units()) {
-    rows.push_back(CoverageRow{u->name(), u->StatementCoverage(),
-                               u->BranchCoverage(), u->McdcCoverage()});
+    rows.push_back(CoverRow(*u, u->TakeCover()));
   }
   return rows;
 }

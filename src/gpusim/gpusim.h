@@ -45,7 +45,6 @@ struct KernelContext {
   // blockIdx.x * blockDim.x + threadIdx.x
   unsigned GlobalX() const { return block_idx.x * block_dim.x + thread_idx.x; }
   unsigned GlobalY() const { return block_idx.y * block_dim.y + thread_idx.y; }
-  unsigned GlobalZ() const { return block_idx.z * block_dim.z + thread_idx.z; }
 };
 
 // The simulated device: memory tracking plus kernel launch.

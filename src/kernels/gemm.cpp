@@ -61,178 +61,6 @@ using certkit::support::RunAt;
 using certkit::support::RunWidest;
 using certkit::support::WidestIsa;
 
-namespace {
-
-// Register-tile candidates. The architectural budget below is 16 SIMD
-// registers × 4 fp32 lanes = 64 accumulator lanes; tiles above it stay in
-// the table so the spill penalty term is exercised, not hand-pruned.
-constexpr BlockConfig kCandidates[] = {
-    {4, 8, 1024}, {8, 8, 512}, {4, 16, 512}, {2, 16, 1024}, {8, 16, 256},
-};
-constexpr int kNumCandidates =
-    static_cast<int>(sizeof(kCandidates) / sizeof(kCandidates[0]));
-constexpr std::int64_t kRegisterBudget = 64;   // accumulator lanes
-constexpr std::int64_t kPanelSetupOps = 64;    // per cache-panel K-loop setup
-constexpr std::int64_t kForkOverheadOps = 4096;  // per row stripe, mirrors
-                                                 // isaac_sim's launch term
-
-std::int64_t CeilDiv64(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
-// One mr×nr register tile: accumulators live across the whole K loop, K is
-// never split, and every acc[r][cc] sees the same mul-then-add sequence a
-// scalar loop would — the bit-exactness contract from the header.
-template <int MR, int NR>
-inline void MicroTile(const float* a, const float* b, float* c, GemmShape s,
-                      int i0, int j0) {
-  float acc[MR][NR] = {};
-  for (int kk = 0; kk < s.k; ++kk) {
-    const float* brow = b + static_cast<std::size_t>(kk) * s.n + j0;
-    for (int r = 0; r < MR; ++r) {
-      const float av = a[static_cast<std::size_t>(i0 + r) * s.k + kk];
-      for (int cc = 0; cc < NR; ++cc) acc[r][cc] += av * brow[cc];
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    float* crow = c + static_cast<std::size_t>(i0 + r) * s.n + j0;
-    for (int cc = 0; cc < NR; ++cc) crow[cc] = acc[r][cc];
-  }
-}
-
-// Fringe rectangle [i0,i1)×[j0,j1): scalar, one K-ordered accumulator per
-// element, so fringe elements round exactly like tiled ones.
-void FringeRect(const float* a, const float* b, float* c, GemmShape s,
-                int i0, int i1, int j0, int j1) {
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * s.k;
-    float* crow = c + static_cast<std::size_t>(i) * s.n;
-    for (int j = j0; j < j1; ++j) {
-      float acc = 0.0f;
-      for (int kk = 0; kk < s.k; ++kk) {
-        acc += arow[kk] * b[static_cast<std::size_t>(kk) * s.n + j];
-      }
-      crow[j] = acc;
-    }
-  }
-}
-
-// Rows [r0,r1) of C, swept in nc-column cache panels of B.
-template <int MR, int NR>
-void StripeBody(const float* a, const float* b, float* c, GemmShape s, int r0,
-                int r1, int nc) {
-  for (int jc = 0; jc < s.n; jc += nc) {
-    const int jc1 = std::min(jc + nc, s.n);
-    int i = r0;
-    for (; i + MR <= r1; i += MR) {
-      int j = jc;
-      for (; j + NR <= jc1; j += NR) {
-        MicroTile<MR, NR>(a, b, c, s, i, j);
-      }
-      FringeRect(a, b, c, s, i, i + MR, j, jc1);
-    }
-    FringeRect(a, b, c, s, i, r1, jc, jc1);
-  }
-}
-
-void StripeDispatch(const float* a, const float* b, float* c, GemmShape s,
-                    int r0, int r1, BlockConfig cfg) {
-  if (cfg.mr == 4 && cfg.nr == 8) {
-    StripeBody<4, 8>(a, b, c, s, r0, r1, cfg.nc);
-  } else if (cfg.mr == 8 && cfg.nr == 8) {
-    StripeBody<8, 8>(a, b, c, s, r0, r1, cfg.nc);
-  } else if (cfg.mr == 4 && cfg.nr == 16) {
-    StripeBody<4, 16>(a, b, c, s, r0, r1, cfg.nc);
-  } else if (cfg.mr == 2 && cfg.nr == 16) {
-    StripeBody<2, 16>(a, b, c, s, r0, r1, cfg.nc);
-  } else if (cfg.mr == 8 && cfg.nr == 16) {
-    StripeBody<8, 16>(a, b, c, s, r0, r1, cfg.nc);
-  } else {
-    StripeBody<4, 8>(a, b, c, s, r0, r1, cfg.nc);
-  }
-}
-
-// Outer blocking: contiguous row stripes, one per pool lane. Disjoint C rows,
-// so any stripe count (including 1, the inline path) is bit-identical.
-void GemmBlocked(const float* a, const float* b, float* c, GemmShape s,
-                 certkit::support::ThreadPool* pool) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  const int stripes =
-      pool != nullptr ? std::max(1, pool->thread_count() + 1) : 1;
-  const BlockConfig cfg = PickBlockConfig(s, stripes);
-  if (stripes <= 1 || s.m < 2 * stripes) {
-    StripeDispatch(a, b, c, s, 0, s.m, cfg);
-    return;
-  }
-  const int rows_per =
-      static_cast<int>(CeilDiv64(s.m, stripes));
-  pool->ParallelFor(static_cast<std::size_t>(stripes), [&](std::size_t t) {
-    const int r0 = static_cast<int>(t) * rows_per;
-    const int r1 = std::min(r0 + rows_per, s.m);
-    if (r0 < r1) StripeDispatch(a, b, c, s, r0, r1, cfg);
-  });
-}
-
-}  // namespace
-
-int CandidateCount() { return kNumCandidates; }
-
-BlockConfig Candidate(int index) {
-  CERTKIT_CHECK(index >= 0 && index < kNumCandidates);
-  return kCandidates[index];
-}
-
-std::int64_t ModeledBlockCost(GemmShape s, BlockConfig cfg, int stripes) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  CERTKIT_CHECK(cfg.mr > 0 && cfg.nr > 0 && cfg.nc > 0);
-  const std::int64_t lanes = std::max(1, stripes);
-  const std::int64_t row_tiles = CeilDiv64(s.m, cfg.mr);
-  const std::int64_t col_tiles = CeilDiv64(s.n, cfg.nr);
-  // Padded MAC count: fringe tiles are modeled at full tile width, so
-  // oversized tiles pay for the work their remainders waste.
-  const std::int64_t padded_macs =
-      row_tiles * cfg.mr * col_tiles * cfg.nr * static_cast<std::int64_t>(s.k);
-  // Each row tile restarts the K loop once per cache panel of B.
-  const std::int64_t panels = CeilDiv64(s.n, cfg.nc);
-  const std::int64_t panel_ops =
-      row_tiles * panels * (static_cast<std::int64_t>(s.k) + kPanelSetupOps);
-  // A tile needs mr*nr accumulator lanes plus mr broadcast lanes; past the
-  // architectural budget the "registers" spill and every MAC pays a reload.
-  const std::int64_t spill =
-      (static_cast<std::int64_t>(cfg.mr) * cfg.nr + cfg.mr > kRegisterBudget)
-          ? padded_macs / 4
-          : 0;
-  return CeilDiv64(padded_macs + panel_ops + spill, lanes) +
-         kForkOverheadOps * lanes;
-}
-
-BlockConfig PickBlockConfig(GemmShape s, int stripes) {
-  int best = 0;
-  std::int64_t best_cost = ModeledBlockCost(s, kCandidates[0], stripes);
-  for (int i = 1; i < kNumCandidates; ++i) {
-    const std::int64_t cost = ModeledBlockCost(s, kCandidates[i], stripes);
-    if (cost < best_cost) {  // strict <: ties go to the lowest index
-      best_cost = cost;
-      best = i;
-    }
-  }
-  return kCandidates[best];
-}
-
-void Sgemm(const float* a, const float* b, float* c, GemmShape s,
-           certkit::support::ThreadPool* pool) {
-  GemmBlocked(a, b, c, s, pool);
-}
-
-void SgemmWithConfig(const float* a, const float* b, float* c, GemmShape s,
-                     BlockConfig cfg) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  StripeDispatch(a, b, c, s, 0, s.m, cfg);
-}
-
-
-// ------------------------------------------------------------------ int8
-//
 // One microkernel template, PairGemm<V>, over a small vector policy V:
 //   Reg, kLanes       the vector of int32 lanes;
 //   kRows             MR, the weight rows of a register tile;
@@ -479,19 +307,12 @@ void PairRowsGemmAt(const std::int32_t* a, const std::int32_t* b,
   RunAt(L, PairGemmCall{a, b, rows, c, s});
 }
 
-template <Isa L>
-void PairGemmAt(const std::int32_t* a, const std::int32_t* b,
-                std::int32_t* c, GemmShape s) {
-  PairRowsGemmAt<L>(a, b, DenseRows(s), c, s);
-}
-
 // One instance per ladder level, narrowest first.
 constexpr PairKernel kPairKernels[] = {
-    {"sse2", &PairGemmAt<Isa::kBaseline>, &PairRowsGemmAt<Isa::kBaseline>},
-    {"avx2", &PairGemmAt<Isa::kAvx2>, &PairRowsGemmAt<Isa::kAvx2>},
-    {"avx512bw", &PairGemmAt<Isa::kAvx512>, &PairRowsGemmAt<Isa::kAvx512>},
-    {"avx512vnni", &PairGemmAt<Isa::kAvx512Vnni>,
-     &PairRowsGemmAt<Isa::kAvx512Vnni>}};
+    {"sse2", &PairRowsGemmAt<Isa::kBaseline>},
+    {"avx2", &PairRowsGemmAt<Isa::kAvx2>},
+    {"avx512bw", &PairRowsGemmAt<Isa::kAvx512>},
+    {"avx512vnni", &PairRowsGemmAt<Isa::kAvx512Vnni>}};
 
 }  // namespace
 

@@ -1,6 +1,7 @@
-// kernels: single-precision GEMM implementations used by Figures 7 and 8a.
+// kernels: the fp32 GEMMs of Figures 7 and 8a, and the int8 GEMM the
+// quantized conv path runs.
 //
-// Three stand-ins reproduce the paper's library comparison:
+// Three fp32 stand-ins reproduce the paper's library comparison:
 //  * cublas_sim  — the "closed-source vendor library": one fixed, hand-tuned
 //    configuration (64×64 output tiles, one grid block per tile, a 2×2
 //    register-blocked inner kernel), run by cutlass_sim's 64×64 instance.
@@ -10,15 +11,13 @@
 //    performance comparable to the vendor kernel.
 //  * cpublas     — the "CPU BLAS two orders of magnitude slower" reference
 //    point: a single-threaded naive triple loop.
-//  * micro       — the real-hardware CPU path: a cache-blocked,
-//    register-tiled fp32 microkernel whose block sizes are picked by an
-//    integer cost model, never by wall clock, and the int8 microkernel the
-//    quantized conv path runs (K-paired int16 operands, int32 accumulators,
-//    B rows through an offset table, one SIMD template dispatched on
-//    cpuid).
+// They operate on row-major float matrices, C[M,N] = A[M,K] * B[K,N], and
+// accumulate every output element as the same K-ordered mul-then-add
+// sequence, so all three are bit-identical (the gemm property test pins it).
 //
-// The fp32 kernels operate on row-major float matrices:
-// C[M,N] = A[M,K] * B[K,N].
+// micro is the real-hardware CPU path: the int8 microkernel the quantized
+// conv runs (K-paired int16 operands, int32 accumulators, B rows through an
+// offset table, one SIMD template dispatched on cpuid).
 #ifndef KERNELS_GEMM_H_
 #define KERNELS_GEMM_H_
 
@@ -29,7 +28,6 @@
 
 #include "gpusim/gpusim.h"
 #include "support/check.h"
-#include "support/thread_pool.h"
 
 namespace kernels {
 
@@ -127,55 +125,14 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s,
 
 }  // namespace cutlass_sim
 
-// Host microkernels: the CPU path the pipeline tick actually runs. Unlike
-// the device sims above they never go through gpusim::Device — no launches,
-// no std::function, no heap traffic — and they are allocation-free by
+// Host microkernel: the int8 path the pipeline tick actually runs. Unlike
+// the device sims above it never goes through gpusim::Device — no launches,
+// no std::function, no heap traffic — and it is allocation-free by
 // construction (registers + caller-owned buffers only; the exceptions are
 // the thread_local offset table of the dense GemmPairS16S32 and the
 // GemmS16S32DotT adapter's pack buffers, which a warm caller reuses).
-//
-// Bit-exactness contract (what the gemm property test pins): every fp32
-// output element is accumulated as the same K-ordered dot product a single
-// scalar loop would produce — register tiling spans M and N only, K is never
-// split — so micro::Sgemm is bit-identical to cpublas::Sgemm,
-// cublas_sim::Sgemm, and every cutlass_sim tile instantiation. (The
-// baseline x86-64 target has no FMA, and the tick-path libraries build with
-// -ffp-contract=off, so mul-then-add sequences round identically
-// everywhere.) The int8 kernel accumulates in int32, where every sum of
-// int8-grid products is exact, so its blocking and vector width are
-// unconstrained.
 namespace micro {
 
-// A block configuration: an mr×nr register tile (accumulators held in
-// registers across the K loop) swept over nc-column cache panels of B.
-struct BlockConfig {
-  int mr = 0;
-  int nr = 0;
-  int nc = 0;
-  bool operator==(const BlockConfig&) const = default;
-};
-
-int CandidateCount();
-BlockConfig Candidate(int index);
-
-// Integer cost model, extending the PR 5 tuner: a pure function of
-// (shape, config, stripes) — padded fringe MACs, per-panel K-loop setup, a
-// register-spill penalty when the tile exceeds the architectural budget, and
-// per-stripe fork overhead. No wall clock anywhere.
-std::int64_t ModeledBlockCost(GemmShape shape, BlockConfig config,
-                              int stripes);
-
-// Deterministic argmin over the candidate table (strict <, so ties resolve
-// to the lowest index — same convention as isaac_sim::PickConfig).
-BlockConfig PickBlockConfig(GemmShape shape, int stripes);
-
-// fp32 microkernel. `pool` adds N-thread outer blocking over disjoint row
-// stripes (disjoint writes, so the result is bit-identical for any pool
-// width, including nullptr = inline).
-void Sgemm(const float* a, const float* b, float* c, GemmShape shape,
-           certkit::support::ThreadPool* pool = nullptr);
-
-// ------------------------------------------------------------------ int8
 // The int8 kernel runs on K-paired int16 operands. A pair is one int32
 // holding two int16 values, the lower-index one in the low half: A is
 // [M, P] pairs with A[m][p] = (a[m][2p], a[m][2p+1]), and row p of B holds
@@ -200,13 +157,9 @@ inline std::int32_t PackPair(std::int16_t lo, std::int16_t hi) {
   return std::bit_cast<std::int32_t>(word);
 }
 
-// C[M,N] = A·B over paired operands (layout above), B dense [P, N];
-// `shape.k` is K, not P.
-using PairGemmFn = void (*)(const std::int32_t* a, const std::int32_t* b,
-                            std::int32_t* c, GemmShape shape);
-
-// The same product with row p of B at b + rows[p] (rows has P entries).
-// Every row must hold N readable pairs.
+// C[M,N] = A·B over paired operands (layout above), row p of B at
+// b + rows[p] (rows has P entries); `shape.k` is K, not P. Every row must
+// hold N readable pairs.
 using PairRowsGemmFn = void (*)(const std::int32_t* a, const std::int32_t* b,
                                 const std::size_t* rows, std::int32_t* c,
                                 GemmShape shape);
@@ -214,7 +167,6 @@ using PairRowsGemmFn = void (*)(const std::int32_t* a, const std::int32_t* b,
 // One instantiation of the pair microkernel for one instruction set.
 struct PairKernel {
   const char* isa;  // "sse2", "avx2", "avx512bw" or "avx512vnni"
-  PairGemmFn gemm;
   PairRowsGemmFn gemm_rows;
 };
 
@@ -224,27 +176,21 @@ struct PairKernel {
 // There is no way to set it. Tests check every entry.
 std::span<const PairKernel> SupportedPairKernels();
 
-// The conv path's entries: run the instance of the widest ladder level.
-// The dense form builds its offset table in thread_local scratch, so a warm
-// caller does not allocate.
-void GemmPairS16S32(const std::int32_t* a, const std::int32_t* b,
-                    std::int32_t* c, GemmShape shape);
+// The instance of the widest ladder level: the conv path's entry.
 void GemmPairRowsS16S32(const std::int32_t* a, const std::int32_t* b,
                         const std::size_t* rows, std::int32_t* c,
                         GemmShape shape);
-
-// C[M,N] = A·Bᵀ with A[M,K] and BT[N,K] both row-major int16 on the int8
-// grid, int32 accumulation. An adapter kept for the benches that time the
-// int8 kernel: it packs A and Bᵀ into pairs (thread_local scratch, so a
-// warm caller does not allocate) and runs GemmPairS16S32.
-void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
+// The same over a dense [P, N] B. It builds the offset table in
+// thread_local scratch, so a warm caller does not allocate.
+void GemmPairS16S32(const std::int32_t* a, const std::int32_t* b,
                     std::int32_t* c, GemmShape shape);
 
-// Config-forcing variant for the exhaustive tail-path property test: every
-// candidate tile must produce bit-identical output on every shape, or the
-// cost model could silently change results by changing its pick.
-void SgemmWithConfig(const float* a, const float* b, float* c,
-                     GemmShape shape, BlockConfig config);
+// C[M,N] = A·Bᵀ with A[M,K] and BT[N,K] both row-major int16 on the int8
+// grid, int32 accumulation. An adapter for int16 operands (the perf ledger
+// times the kernel through it): it packs A and Bᵀ into pairs (thread_local
+// scratch, so a warm caller does not allocate) and runs GemmPairS16S32.
+void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
+                    std::int32_t* c, GemmShape shape);
 
 }  // namespace micro
 

@@ -94,7 +94,6 @@ int WrapIndex(int i, int n, Boundary boundary, Unit& u, int d_zero,
 }  // namespace
 
 Unit& Stencil2DCoverage() { return *GetProbes2D().unit; }
-Unit& Stencil3DCoverage() { return *GetProbes3D().unit; }
 
 void Stencil2D5Point(const float* in, float* out, int h, int w,
                      const StencilOptions& options, gpusim::Device& device) {

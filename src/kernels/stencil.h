@@ -36,9 +36,8 @@ void Stencil3D7Point(const float* in, float* out, int d, int h, int w,
                      const StencilOptions& options = {},
                      gpusim::Device& device = gpusim::Device::Instance());
 
-// The coverage units (registered on first use).
+// The 2D stencil's coverage unit (registered on first use).
 certkit::cov::Unit& Stencil2DCoverage();
-certkit::cov::Unit& Stencil3DCoverage();
 
 }  // namespace kernels::stencil
 

@@ -1,4 +1,3 @@
-#include <cmath>
 #include <string>
 
 #include "coverage/coverage.h"
@@ -64,29 +63,6 @@ ConvLayer::ConvLayer(int in_c, int out_c, int kernel, int stride, int pad,
       "conv weight count mismatch");
   CERTKIT_CHECK(bias_.empty() ||
                 bias_.size() == static_cast<std::size_t>(out_c));
-}
-
-void FakeQuantizeTensor(Tensor* t) {
-  float amax = 0.0f;
-  float* data = t->data();
-  const std::size_t size = t->size();
-  for (std::size_t i = 0; i < size; ++i) {
-    // A non-finite activation would make amax (and therefore the scale)
-    // undefined; per the containment policy in layers.h, quantization is
-    // skipped outright so the value reaches the safety layer's range
-    // monitor intact instead of turning the whole tensor into NaN.
-    if (!std::isfinite(data[i])) return;
-    const float a = std::fabs(data[i]);
-    if (a > amax) amax = a;
-  }
-  // No usable grid: all zeros, or an amax below ~3.7e-37, whose inverse
-  // scale overflows (its scale is denormal, and 0 below ~1.8e-43, where
-  // x / scale is not finite) — the same rule as the conv layer's int8 path.
-  if (amax == 0.0f || !std::isfinite(127.0f / amax)) return;
-  const float scale = amax / 127.0f;
-  for (std::size_t i = 0; i < size; ++i) {
-    data[i] = std::round(data[i] / scale) * scale;
-  }
 }
 
 void ConvLayer::ForwardInto(const Tensor& input, Tensor* out) {

@@ -126,13 +126,6 @@ void DecodeDetectionsInto(const Tensor& head, const DetectorConfig& config,
   for (int n = 0; n < head.n(); ++n) DecodeImage(head, config, n, out);
 }
 
-std::vector<std::vector<Detection>> DecodeDetectionsBatch(
-    const Tensor& head, const DetectorConfig& config) {
-  std::vector<std::vector<Detection>> out;
-  DecodeDetectionsBatchInto(head, config, &out);
-  return out;
-}
-
 void DecodeDetectionsBatchInto(const Tensor& head,
                                const DetectorConfig& config,
                                std::vector<std::vector<Detection>>* out) {

@@ -59,9 +59,7 @@ void DecodeDetectionsInto(const Tensor& head, const DetectorConfig& config,
                           std::vector<Detection>* out);
 // Same decode, but an N-batch head yields one detection list per image
 // (slot n holds image n's detections, bit-identical to decoding image n
-// alone).
-std::vector<std::vector<Detection>> DecodeDetectionsBatch(
-    const Tensor& head, const DetectorConfig& config);
+// alone). Resizes *out to N slots and clears and refills each one.
 void DecodeDetectionsBatchInto(const Tensor& head,
                                const DetectorConfig& config,
                                std::vector<std::vector<Detection>>* out);

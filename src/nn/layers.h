@@ -106,15 +106,6 @@ class ConvLayer : public Layer {
   float w_scale_ = 0.0f;
 };
 
-// Snaps every value of `t` to the symmetric per-tensor int8 grid
-// (scale = max|x| / 127, round half away from zero). A no-op on an
-// all-zero tensor, on one whose amax is too small for a finite inverse
-// scale, AND on any tensor containing a non-finite value: the
-// undefined-scale bug class (amax = inf → scale = inf → NaN everywhere) is
-// excluded by skipping quantization, matching the conv layer's containment
-// policy above. Exposed for the quantization tests.
-void FakeQuantizeTensor(Tensor* t);
-
 class BatchNormLayer : public Layer {
  public:
   // Folded form: y = scale[c] * x + shift[c].

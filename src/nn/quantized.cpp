@@ -91,13 +91,13 @@ float InverseScale(float amax) {
   return std::isfinite(inv) ? inv : 0.0f;
 }
 
-// Symmetric int8-grid snap, round half away from zero — the same grid
-// FakeQuantizeTensor documents — computed as truncate(q + ±0.5). The ±0.5
-// is selected before the add: under GCC's default -ftrapping-math the
-// vectorizer will not speculate a conditional add, but it does vectorize a
-// select followed by one unconditional add (bit-identical, since q - 0.5
-// and q + (-0.5) round the same). Values are bounded by amax, so the clamp
-// only guards FP edge rounding. A finite v at inv_scale 0 snaps to 0.
+// Symmetric int8-grid snap (scale = amax / 127), round half away from
+// zero, computed as truncate(q + ±0.5). The ±0.5 is selected before the
+// add: under GCC's default -ftrapping-math the vectorizer will not
+// speculate a conditional add, but it does vectorize a select followed by
+// one unconditional add (bit-identical, since q - 0.5 and q + (-0.5) round
+// the same). Values are bounded by amax, so the clamp only guards FP edge
+// rounding. A finite v at inv_scale 0 snaps to 0.
 inline std::int16_t SnapToGrid(float v, float inv_scale) {
   const float q = v * inv_scale;
   int i = static_cast<int>(q + (q >= 0.0f ? 0.5f : -0.5f));  // toward zero

@@ -180,12 +180,18 @@ bool ValidateHistogramRow(const std::string& name, const JsonValue& row,
       return Fail(error,
                   where + ": buckets must have length bounds + 1 (overflow)");
     }
+    // Each bucket is an exact integer literal in [0, count - total], so
+    // the running sum never passes count (nor overflows).
     std::int64_t total = 0;
     for (const JsonValue& b : buckets->items) {
-      if (b.kind != JsonValue::Kind::kNumber || b.number < 0) {
-        return Fail(error, where + ": bucket counts must be >= 0");
+      std::int64_t n = 0;
+      if (support::JsonAs(&b, &n) != nullptr || n < 0) {
+        return Fail(error, where + ": bucket counts must be integers >= 0");
       }
-      total += static_cast<std::int64_t>(b.number);
+      if (n > count - total) {
+        return Fail(error, where + ": bucket sum exceeds count");
+      }
+      total += n;
     }
     if (total != count) {
       return Fail(error, where + ": bucket sum does not equal count");

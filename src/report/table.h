@@ -14,7 +14,6 @@ class Table {
 
   // Adds a row; it must have exactly as many cells as there are headers.
   void AddRow(std::vector<std::string> cells);
-  std::size_t row_count() const { return rows_.size(); }
 
   std::string ToAscii() const;
   std::string ToCsv() const;

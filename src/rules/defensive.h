@@ -42,12 +42,6 @@ struct DefensiveStats {
                      static_cast<double>(functions_with_params)
                : 1.0;
   }
-  double ResultUseRatio() const {
-    return call_sites_checked > 0
-               ? 1.0 - static_cast<double>(discarded_results) /
-                           static_cast<double>(call_sites_checked)
-               : 1.0;
-  }
 };
 
 struct DefensiveResult {

@@ -63,12 +63,6 @@ inline Status IoError(std::string msg) {
 inline Status ParseError(std::string msg) {
   return Status(StatusCode::kParseError, std::move(msg));
 }
-inline Status OutOfRangeError(std::string msg) {
-  return Status(StatusCode::kOutOfRange, std::move(msg));
-}
-inline Status InternalError(std::string msg) {
-  return Status(StatusCode::kInternal, std::move(msg));
-}
 
 // Result<T>: either an OK status with a value, or a non-OK status.
 // Accessing value() on a failed Result is a contract violation.

@@ -2,8 +2,8 @@
 //
 // Every fan-out in certkit goes through this pool: the blocks of a gpusim
 // kernel launch, the campaign fleet, the analysis driver's per-file and
-// per-module loops, `serve` requests, the micro-GEMM stripes and the batch
-// detector's host stages. Each is a loop of independent iterations, so the
+// per-module loops, `serve` requests and the batch detector's host
+// stages. Each is a loop of independent iterations, so the
 // pool runs exactly one job shape: ParallelFor(n, fn) hands the indices
 // 0 .. n-1 out one at a time to the workers and to the calling thread, and
 // returns once every claimed iteration has finished.

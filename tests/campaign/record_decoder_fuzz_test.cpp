@@ -7,7 +7,8 @@
 // payloads a small real campaign emits. A support::Xoshiro256 stream mutates
 // them with bit flips, truncations, splices and dictionary tokens (values a
 // decoder must refuse: -1, 1e300, null, "", [] and a 17-digit hex string),
-// a fixed budget of kMutantsPerDecoder mutants per decoder. The invariants:
+// a fixed budget of kMutantsPerDecoder mutants per decoder
+// (tests/support/json_mutator.h). The invariants:
 //   * the decoder neither crashes nor throws (the ASan and UBSan trees add
 //     "and reports nothing");
 //   * a rejection returns false with a non-empty error;
@@ -15,7 +16,6 @@
 //     every candidate in it passes ValidateCandidate.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -26,7 +26,7 @@
 #include "campaign/replay.h"
 #include "campaign/runner.h"
 #include "support/io.h"
-#include "support/rng.h"
+#include "tests/support/json_mutator.h"
 
 namespace certkit::campaign {
 namespace {
@@ -60,8 +60,14 @@ struct Seeds {
 const Seeds& CampaignSeeds() {
   static const Seeds seeds = [] {
     Seeds s;
+    // One directory per test: ctest runs each case as its own process, in
+    // parallel under -j, and each process removes its directory.
     const fs::path dir =
-        fs::temp_directory_path() / "certkit_record_decoder_fuzz_test";
+        fs::temp_directory_path() /
+        ("certkit_record_decoder_fuzz_test_" +
+         std::string(::testing::UnitTest::GetInstance()
+                         ->current_test_info()
+                         ->name()));
     std::error_code ec;
     fs::remove_all(dir, ec);
     CampaignConfig config = FuzzConfig();
@@ -91,98 +97,6 @@ const Seeds& CampaignSeeds() {
   return seeds;
 }
 
-// End of the JSON value that starts at `pos`: past its closing quote or
-// bracket, or at the delimiter that ends a number or literal.
-std::size_t ValueEnd(const std::string& doc, std::size_t pos) {
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < doc.size(); ++i) {
-    const char c = doc[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-        if (depth == 0) return i + 1;
-      }
-    } else if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']' || c == ',') {
-      if (depth == 0) return i;
-      if (c != ',' && --depth == 0) return i + 1;
-    }
-  }
-  return doc.size();
-}
-
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
-
-  std::string Mutate(std::string doc, const std::vector<std::string>& pool) {
-    const std::int64_t rounds = rng_.UniformInt(1, 3);
-    for (std::int64_t r = 0; r < rounds && !doc.empty(); ++r) {
-      switch (rng_.UniformInt(0, 9)) {
-        case 0:
-        case 1:
-        case 2:
-          FlipBit(&doc);
-          break;
-        case 3:
-          doc.resize(Index(doc.size() + 1));
-          break;
-        case 4:
-        case 5:
-          Splice(&doc, pool[Index(pool.size())]);
-          break;
-        default:
-          ReplaceValue(&doc);
-          break;
-      }
-    }
-    return doc;
-  }
-
- private:
-  std::size_t Index(std::size_t n) {
-    return static_cast<std::size_t>(
-        rng_.UniformInt(0, static_cast<std::int64_t>(n) - 1));
-  }
-
-  void FlipBit(std::string* doc) {
-    (*doc)[Index(doc->size())] ^= static_cast<char>(1 << Index(8));
-  }
-
-  // Replaces a span of `doc` with a slice of `donor`.
-  void Splice(std::string* doc, const std::string& donor) {
-    const std::size_t from = Index(donor.size());
-    const std::size_t length = Index(std::min<std::size_t>(
-        donor.size() - from, 64) + 1);
-    const std::size_t at = Index(doc->size());
-    const std::size_t cut = Index(std::min<std::size_t>(
-        doc->size() - at, 64) + 1);
-    doc->replace(at, cut, donor, from, length);
-  }
-
-  // Replaces one member or element value with a dictionary token.
-  void ReplaceValue(std::string* doc) {
-    std::vector<std::size_t> starts;
-    for (std::size_t i = 0; i + 1 < doc->size(); ++i) {
-      const char c = (*doc)[i];
-      if (c == ':' || c == '[' || c == ',') starts.push_back(i + 1);
-    }
-    if (starts.empty()) return;
-    const std::size_t at = starts[Index(starts.size())];
-    const std::size_t end = ValueEnd(*doc, at);
-    doc->replace(at, end - at,
-                 kDictionary[Index(std::size(kDictionary))]);
-  }
-
-  support::Xoshiro256 rng_;
-};
-
 struct Tally {
   int accepted = 0;
   int field_errors = 0;  // rejected by the record reader, not the lexer
@@ -196,7 +110,7 @@ Tally Fuzz(const std::vector<std::string>& seeds, std::uint64_t seed,
                decode) {
   EXPECT_FALSE(seeds.empty());
   Tally tally;
-  Mutator mutator(seed);
+  fuzz::JsonMutator mutator(seed, kDictionary);
   for (int i = 0; i < kMutantsPerDecoder && !seeds.empty(); ++i) {
     const std::string mutant =
         mutator.Mutate(seeds[static_cast<std::size_t>(i) % seeds.size()],

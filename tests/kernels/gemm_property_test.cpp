@@ -2,18 +2,17 @@
 //
 // Every fp32 GEMM variant in the tree — the textbook cpublas reference, the
 // cublas_sim 2×2 register-blocked tile (whose odd-m/odd-n remainder rows had
-// no dedicated coverage), every cutlass_sim tile instantiation, and the
-// micro kernel under every candidate block config and pool width — must be
+// no dedicated coverage) and every cutlass_sim tile instantiation — must be
 // BIT-IDENTICAL on every shape with m, n, k in [1, 9]. Every int8 pair
 // microkernel instance the host runs must be exact on the same shapes and
-// on every vector fringe and long odd K.
+// on every vector fringe and long odd K, over a dense offset table and over
+// overlapping windows of one pool.
 //
 // The contract that makes bit-for-bit (not epsilon) the right check: every
-// implementation accumulates each output element as the same K-ordered
-// mul-then-add sequence; register tiling spans M and N only. PR 7's stream
-// digests already showed that any FP reassociation is observable, so this
-// test pins the absence of reassociation at the kernel layer, including all
-// tail paths (tile remainders, fringe rectangles, stripe splits).
+// fp32 implementation accumulates each output element as the same K-ordered
+// mul-then-add sequence; register tiling spans M and N only. Stream digests
+// show any FP reassociation, so this test pins the absence of reassociation
+// at the kernel layer, including all tail paths (tile remainders).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -22,12 +21,10 @@
 
 #include "kernels/gemm.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 
 namespace kernels {
 namespace {
 
-using certkit::support::ThreadPool;
 using certkit::support::Xoshiro256;
 
 std::vector<float> RandomVec(std::size_t n, std::uint64_t seed) {
@@ -47,7 +44,6 @@ void ExpectBitIdentical(const std::vector<float>& got,
 }
 
 TEST(GemmExhaustiveProperty, AllVariantsBitIdenticalOnSmallShapes) {
-  ThreadPool pool(2);
   for (int m = 1; m <= 9; ++m) {
     for (int n = 1; n <= 9; ++n) {
       for (int k = 1; k <= 9; ++k) {
@@ -70,23 +66,14 @@ TEST(GemmExhaustiveProperty, AllVariantsBitIdenticalOnSmallShapes) {
         ExpectBitIdentical(out, ref, s, "cutlass_sim<2,2>");
         cutlass_sim::Sgemm<3, 5>(a.data(), b.data(), out.data(), s);
         ExpectBitIdentical(out, ref, s, "cutlass_sim<3,5>");
-
-        micro::Sgemm(a.data(), b.data(), out.data(), s);
-        ExpectBitIdentical(out, ref, s, "micro (model-picked, inline)");
-        micro::Sgemm(a.data(), b.data(), out.data(), s, &pool);
-        ExpectBitIdentical(out, ref, s, "micro (model-picked, 2+1 stripes)");
-        for (int ci = 0; ci < micro::CandidateCount(); ++ci) {
-          micro::SgemmWithConfig(a.data(), b.data(), out.data(), s,
-                                 micro::Candidate(ci));
-          ExpectBitIdentical(out, ref, s, "micro (forced candidate)");
-        }
       }
     }
   }
 }
 
-// The int8 pair microkernel, every instance the host's cpuid allows, and
-// the GemmS16S32DotT adapter over it, against a scalar int32 reference.
+// The int8 pair microkernel, every instance the host's cpuid allows over a
+// dense offset table, and the GemmS16S32DotT adapter over it, against a
+// scalar int32 reference.
 // Operands span the whole int8 grid [-127, 127].
 class Int8Case {
  public:
@@ -112,11 +99,13 @@ class Int8Case {
     }
   }
 
-  // Checks one pair instance: exact output, and nothing written past C.
+  // Checks one pair instance over a dense B (rows[p] = p·N): exact output,
+  // and nothing written past C.
   void CheckPairKernel(const micro::PairKernel& kernel) const {
     const int pairs = (s_.k + 1) / 2;
     std::vector<std::int32_t> ap(static_cast<std::size_t>(s_.m) * pairs);
     std::vector<std::int32_t> bp(static_cast<std::size_t>(pairs) * s_.n);
+    std::vector<std::size_t> rows(pairs);
     for (int i = 0; i < s_.m; ++i) {
       for (int p = 0; p < pairs; ++p) {
         ap[static_cast<std::size_t>(i) * pairs + p] =
@@ -124,13 +113,13 @@ class Int8Case {
       }
     }
     for (int p = 0; p < pairs; ++p) {
+      rows[p] = static_cast<std::size_t>(p) * s_.n;
       for (int j = 0; j < s_.n; ++j) {
-        bp[static_cast<std::size_t>(p) * s_.n + j] =
-            micro::PackPair(B(2 * p, j), B(2 * p + 1, j));
+        bp[rows[p] + j] = micro::PackPair(B(2 * p, j), B(2 * p + 1, j));
       }
     }
     std::vector<std::int32_t> out(ref_.size() + kGuard, kSentinel);
-    kernel.gemm(ap.data(), bp.data(), out.data(), s_);
+    kernel.gemm_rows(ap.data(), bp.data(), rows.data(), out.data(), s_);
     Expect(out, kernel.isa);
   }
 
@@ -277,29 +266,6 @@ TEST(GemmExhaustiveProperty, Int8InstancesFollowCpuid) {
     }
   }
   EXPECT_EQ(isas, expected);
-}
-
-// The block pick is a pure function of (shape, stripes): re-picking must
-// never waver, and every pick must come from the candidate table.
-TEST(GemmExhaustiveProperty, BlockPickIsDeterministic) {
-  for (int m = 1; m <= 9; m += 2) {
-    for (int n = 1; n <= 9; n += 2) {
-      for (int k = 1; k <= 9; k += 2) {
-        for (int stripes : {1, 2, 4}) {
-          const GemmShape s{m * 16, n * 16, k * 16};
-          const micro::BlockConfig first = micro::PickBlockConfig(s, stripes);
-          for (int rep = 0; rep < 10; ++rep) {
-            EXPECT_EQ(first, micro::PickBlockConfig(s, stripes));
-          }
-          bool in_table = false;
-          for (int ci = 0; ci < micro::CandidateCount(); ++ci) {
-            if (micro::Candidate(ci) == first) in_table = true;
-          }
-          EXPECT_TRUE(in_table);
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -159,6 +159,10 @@ TEST(FlightValidate, RejectsIncoherentHistogram) {
                 "buckets must be bounds + 1 long");
   ExpectInvalid(Mutate(R"("buckets":[1,1,1,0])", R"("buckets":[1,1,0,0])"),
                 "bucket sum must equal count");
+  ExpectInvalid(Mutate(R"("buckets":[1,1,1,0])", R"("buckets":[1,1,1,0.5])"),
+                "bucket counts are integers");
+  ExpectInvalid(Mutate(R"("buckets":[1,1,1,0])", R"("buckets":[1e300,1,1,0])"),
+                "a bucket count past int64 is rejected, not cast");
   ExpectInvalid(Mutate(R"("bounds":[1,2,4])", R"("bounds":[4,2,1])"),
                 "bounds must ascend");
   ExpectInvalid(Mutate(R"("bounds":[1,2,4])", R"("bounds":[])"),
